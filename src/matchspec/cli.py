@@ -61,7 +61,7 @@ def cmd_analyze(args) -> int:
         doc["matching_number"] = matching.matching_number(g)
         doc["has_perfect_matching"] = matching.has_perfect_matching(g)
 
-    max_k = args.k or 1
+    max_k = args.k
     extendable = {}
     if g.n % 2 == 0 and g.n >= 2:
         for k in range(1, max_k + 1):
@@ -238,7 +238,10 @@ def cmd_verify(args) -> int:
             lemma = args.lemma.lower()
             if lemma in ("l2.9", "l2.10"):
                 src = File(args.input)
-                n = graphs.parse_graph6(src.graph6_lines()[0]).n
+                lines = src.graph6_lines()
+                if not lines:
+                    raise ValueError(f"empty graph source: {args.input}")
+                n = graphs.parse_graph6(lines[0]).n
                 options.setdefault("n_values", (n,))
                 options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)
@@ -303,7 +306,7 @@ def cmd_thresholds(args) -> int:
     lo, hi = _parse_range(args.n)
     if lo > hi:
         raise ValueError(f"empty order range {args.n!r}")
-    k = args.k or 1
+    k = args.k
     rows = []
     for n in range(lo, hi + 1):
         if n % 2 or n < 2 * k + 2:
@@ -405,6 +408,8 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if getattr(args, "tolerance", 1.0) <= 0:
         parser.error("--tolerance must be positive")
+    if getattr(args, "k", None) is not None and args.k < 1:
+        parser.error("--k must be >= 1")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

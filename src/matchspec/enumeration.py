@@ -16,6 +16,7 @@ size/spectral hypothesis, and matching enumeration only on survivors.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -306,44 +307,6 @@ class LemmaReport:
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_json_dict(include_timing), indent=2,
                           sort_keys=True)
-
-
-LEMMA_IDS = ("l2.1", "l2.2", "l2.4", "l2.5", "l2.8", "l2.9", "l2.10", "l2.11")
-
-
-def verify_lemma(lemma: str, **options) -> LemmaReport:
-    """Check one of the library's structural/spectral inequalities.
-
-    Options (all keyword-only, each with desk-scale defaults):
-      trials, seed          -- randomized suites (l2.1, l2.5, l2.8)
-      n_values              -- orders for family/exhaustive suites
-      sources               -- {n: GraphSource} overriding BuiltIn (l2.9/l2.10)
-      l_values              -- even orders for the bridged-completes suite
-    """
-    lemma = lemma.lower()
-    start = time.perf_counter()
-    if lemma == "l2.1":
-        report = _verify_subgraph_monotonicity(**options)
-    elif lemma == "l2.2":
-        report = _verify_perron_symmetry(**options)
-    elif lemma == "l2.4":
-        report = _verify_quotient_radius(**options)
-    elif lemma == "l2.5":
-        report = _verify_interlacing(**options)
-    elif lemma == "l2.8":
-        report = _verify_packing_comparison(**options)
-    elif lemma == "l2.9":
-        report = _verify_size_bound_no_pm(**options)
-    elif lemma == "l2.10":
-        report = _verify_rho_bound_no_pm(**options)
-    elif lemma == "l2.11":
-        report = _verify_bridged_extremes(**options)
-    else:
-        raise ValueError(f"unknown lemma id {lemma!r}; known: {LEMMA_IDS}")
-    grid, instances, violations, gap, notes = report
-    return LemmaReport(lemma=lemma, grid=grid, instances=instances,
-                       violations=tuple(violations), max_equality_gap=gap,
-                       wall_time=time.perf_counter() - start, notes=tuple(notes))
 
 
 def _check_grid_cap(values, cap: int, what: str) -> None:
@@ -689,67 +652,49 @@ def _verify_bridged_extremes(l_values=(6, 8, 10, 12), tol: float = 1e-9):
     return ({"l_values": l_values}, instances, violations, gap, [])
 
 
+# lemma id -> suite; each suite's keyword parameters are its options
+_LEMMA_SUITES = {
+    "l2.1": _verify_subgraph_monotonicity,
+    "l2.2": _verify_perron_symmetry,
+    "l2.4": _verify_quotient_radius,
+    "l2.5": _verify_interlacing,
+    "l2.8": _verify_packing_comparison,
+    "l2.9": _verify_size_bound_no_pm,
+    "l2.10": _verify_rho_bound_no_pm,
+    "l2.11": _verify_bridged_extremes,
+}
+LEMMA_IDS = tuple(_LEMMA_SUITES)
+
+
+def verify_lemma(lemma: str, **options) -> LemmaReport:
+    """Check one of the library's structural/spectral inequalities.
+
+    Options (all keyword-only, each with desk-scale defaults):
+      trials, seed          -- randomized suites (l2.1, l2.5, l2.8)
+      n_values              -- orders for family/exhaustive suites
+      sources               -- {n: GraphSource} overriding BuiltIn (l2.9/l2.10)
+      l_values              -- even orders for the bridged-completes suite
+    An option the chosen suite does not take is a ValueError.
+    """
+    lemma = lemma.lower()
+    suite = _LEMMA_SUITES.get(lemma)
+    if suite is None:
+        raise ValueError(f"unknown lemma id {lemma!r}; known: {LEMMA_IDS}")
+    accepted = tuple(inspect.signature(suite).parameters)
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise ValueError(f"{lemma} does not take {', '.join(map(repr, unknown))}; "
+                         f"it takes: {', '.join(accepted)}")
+    start = time.perf_counter()
+    grid, instances, violations, gap, notes = suite(**options)
+    return LemmaReport(lemma=lemma, grid=grid, instances=instances,
+                       violations=tuple(violations), max_equality_gap=gap,
+                       wall_time=time.perf_counter() - start, notes=tuple(notes))
+
+
 # ---------------------------------------------------------------------------
 # Characteristic polynomial identity suite
 # ---------------------------------------------------------------------------
-
-def _phi_bridged(l: int, q: int) -> tuple:
-    return (l - 3, 2 * l * q - 2 * q * q - 2 * l, l * q - q * q - 3 * l + 5,
-            4 - l, 1)
-
-
-def _phi_bridged_q3(l: int) -> tuple:
-    return (l - 3, 4 * l - 18, -4, 4 - l, 1)
-
-
-def _phi_exc1(n: int, k: int) -> tuple:
-    return (-4 * k * k + 2 * k * n - 4 * k, -(2 * k + n - 2), -(n - 3), 1)
-
-
-def _phi_exc2(k: int) -> tuple:
-    return (-6 * k - 3, -2 * k, 1)
-
-
-def _phi_extremal(n: int, k: int, s: int) -> tuple:
-    return (-s * (2 * k - s - 1) * (2 * k + n - 2 * s - 2),
-            -(n - 2 * s * k + s * s + 2 * k - 2),
-            -(n - s + 2 * k - 3), 1)
-
-
-def _phi_hub_pendant_clique(n: int, h: int) -> tuple:
-    return (-3 * h * n + 3 * h * h + 9 * n - 4 * h - 15,
-            6 * n - 3 * h - 19,
-            3 * n * h - 3 * h * h - 4 * n - 2,
-            n * h - h * h - 4 * n + 8,
-            -(n - 5), 1)
-
-
-def _phi_f3(n: int) -> tuple:
-    return (3 * n - 11, -3, 3 - n, 1)
-
-
-def _phi_w1(s: int) -> tuple:
-    return (s * s, -(s * s + s + 1), -s, 1)
-
-
-def _phi_fact3_split(n: int, s: int) -> tuple:
-    return (-s * s * n + 2 * s ** 3 + s * n - 2 * s,
-            s * s * n - 2 * s ** 3 + s * n - 3 * s * s + n - 4 * s - 2,
-            -(s * s + s + 1), s + 2 - n, 1)
-
-
-def _phi_fact3_pendant(n: int, s: int) -> tuple:
-    return (-n * s * s + 2 * s ** 3 + 3 * s * s,
-            -(2 * s ** 3 - n * s * s + 3 * s * s - n * s + 5 * s - n + 3),
-            (s + 1) * (n * s - 2 * s * s - 3 * s - 2),
-            -(s * s + 2 * n - s - 4),
-            -(n - s - 4), 1)
-
-
-def _phi_w2(n: int) -> tuple:
-    return (-4 * n + 28, -(41 - 7 * n), -(48 - 6 * n), -(2 * n - 2),
-            -(n - 6), 1)
-
 
 def _hub_pendant_clique_spec(n: int, h: int) -> families.FamilySpec:
     # one dominating vertex joined to a pendant-clique of order h and a clique
@@ -783,41 +728,54 @@ def default_identity_grid() -> list[tuple[str, dict]]:
     return grid
 
 
-def _identity_instance(name: str, params: dict):
-    """(FamilySpec, expected ascending coefficients) for one grid point."""
-    if name == "bridged":
-        l, q = params["l"], params["q"]
-        return families.BridgedCompletes(l - q, q), _phi_bridged(l, q)
-    if name == "bridged-q3":
-        l = params["l"]
-        return families.BridgedCompletes(l - 3, 3), _phi_bridged_q3(l)
-    if name == "thm11-exc1":
-        return (families.named_spec("thm11-exc1", **params),
-                _phi_exc1(params["n"], params["k"]))
-    if name == "thm11-exc2":
-        return (families.named_spec("thm11-exc2", **params),
-                _phi_exc2(params["k"]))
-    if name == "thm11-extremal":
-        return (families.named_spec("thm11-extremal", **params),
-                _phi_extremal(params["n"], params["k"], params["s"]))
-    if name == "hub-pendant-clique":
-        return (_hub_pendant_clique_spec(params["n"], params["h"]),
-                _phi_hub_pendant_clique(params["n"], params["h"]))
-    if name == "thm13-f3":
-        return (families.named_spec("thm13-f3", **params),
-                _phi_f3(params["n"]))
-    if name == "w1":
-        s = params["s"]
-        return families.named_spec("w1", n=2 * s + 2), _phi_w1(s)
-    if name == "thm13-fact3-split":
-        return (families.named_spec("thm13-fact3-split", **params),
-                _phi_fact3_split(params["n"], params["s"]))
-    if name == "thm13-fact3-pendant":
-        return (families.named_spec("thm13-fact3-pendant", **params),
-                _phi_fact3_pendant(params["n"], params["s"]))
-    if name == "w2":
-        return (families.named_spec("w2", **params), _phi_w2(params["n"]))
-    raise ValueError(f"unknown identity {name!r}")
+# identity name -> (**params -> (FamilySpec, expected ascending coefficients))
+_IDENTITIES = {
+    "bridged": lambda l, q: (
+        families.BridgedCompletes(l - q, q),
+        (l - 3, 2 * l * q - 2 * q * q - 2 * l, l * q - q * q - 3 * l + 5, 4 - l, 1)),
+    "bridged-q3": lambda l: (
+        families.BridgedCompletes(l - 3, 3),
+        (l - 3, 4 * l - 18, -4, 4 - l, 1)),
+    "thm11-exc1": lambda n, k: (
+        families.named_spec("thm11-exc1", n=n, k=k),
+        (-4 * k * k + 2 * k * n - 4 * k, -(2 * k + n - 2), -(n - 3), 1)),
+    "thm11-exc2": lambda k: (
+        families.named_spec("thm11-exc2", k=k),
+        (-6 * k - 3, -2 * k, 1)),
+    "thm11-extremal": lambda n, k, s: (
+        families.named_spec("thm11-extremal", n=n, k=k, s=s),
+        (-s * (2 * k - s - 1) * (2 * k + n - 2 * s - 2),
+         -(n - 2 * s * k + s * s + 2 * k - 2),
+         -(n - s + 2 * k - 3), 1)),
+    "hub-pendant-clique": lambda n, h: (
+        _hub_pendant_clique_spec(n, h),
+        (-3 * h * n + 3 * h * h + 9 * n - 4 * h - 15,
+         6 * n - 3 * h - 19,
+         3 * n * h - 3 * h * h - 4 * n - 2,
+         n * h - h * h - 4 * n + 8,
+         -(n - 5), 1)),
+    "thm13-f3": lambda n: (
+        families.named_spec("thm13-f3", n=n),
+        (3 * n - 11, -3, 3 - n, 1)),
+    "w1": lambda s: (
+        families.named_spec("w1", n=2 * s + 2),
+        (s * s, -(s * s + s + 1), -s, 1)),
+    "thm13-fact3-split": lambda n, s: (
+        families.named_spec("thm13-fact3-split", n=n, s=s),
+        (-s * s * n + 2 * s ** 3 + s * n - 2 * s,
+         s * s * n - 2 * s ** 3 + s * n - 3 * s * s + n - 4 * s - 2,
+         -(s * s + s + 1), s + 2 - n, 1)),
+    "thm13-fact3-pendant": lambda n, s: (
+        families.named_spec("thm13-fact3-pendant", n=n, s=s),
+        (-n * s * s + 2 * s ** 3 + 3 * s * s,
+         -(2 * s ** 3 - n * s * s + 3 * s * s - n * s + 5 * s - n + 3),
+         (s + 1) * (n * s - 2 * s * s - 3 * s - 2),
+         -(s * s + 2 * n - s - 4),
+         -(n - s - 4), 1)),
+    "w2": lambda n: (
+        families.named_spec("w2", n=n),
+        (-4 * n + 28, -(41 - 7 * n), -(48 - 6 * n), -(2 * n - 2), -(n - 6), 1)),
+}
 
 
 def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
@@ -834,7 +792,9 @@ def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
     violations = []
     max_dev = 0.0
     for name, params in grid:
-        spec, expected = _identity_instance(name, params)
+        if name not in _IDENTITIES:
+            raise ValueError(f"unknown identity {name!r}")
+        spec, expected = _IDENTITIES[name](**params)
         g = families.build(spec)
         part = families.canonical_partition(spec)
         q = spectral.quotient_matrix(g, part)

@@ -5,12 +5,19 @@ Two independent routes are kept for every decision: a direct search
 and a structural criterion route (odd-component counting over vertex
 subsets).  The test suite relies on both routes agreeing on exhaustive
 small-graph sweeps, so neither side may call into the other.
+
+The criterion route scans the vertex subsets of a graph once: a private
+table holds o(g-S) for every subset mask S, and the Berge-Tutte
+deficiency, the k-extendability criterion and the 1-excludability
+criterion all read it.  The table of the most recent graph is memoised,
+so checking one graph several ways pays for one scan.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, _component_masks, _mask_to_vertices, delete_vertices, is_connected
 
@@ -154,28 +161,48 @@ def brute_force_matching_number(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Berge-Tutte deficiency by exhaustive subset scan
+# Odd-component table and Berge-Tutte deficiency (criterion route)
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _odd_component_table(g: Graph) -> bytes:
+    """o(g-S) for every vertex subset S, indexed by the mask of S.
+
+    Exponential in n; refuses n > SUBSET_SCAN_CAP.  Filled by remaining
+    set R = V-S in increasing mask order: the component C of R's lowest
+    vertex is flooded, and o(R) = o(R-C) + (|C| odd), where R-C < R has
+    already been filled.
+    """
+    if g.n > SUBSET_SCAN_CAP:
+        raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
+    adj = g.adj
+    full = (1 << g.n) - 1
+    odd = bytearray(full + 1)
+    for rem in range(1, full + 1):
+        comp = 0
+        frontier = rem & -rem
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & rem & ~comp
+        odd[rem] = odd[rem & ~comp] + (comp.bit_count() & 1)
+    return bytes(odd[::-1])  # mask S holds o(R) for R = full - S
+
 
 def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
     """max over S of (odd components of g-S) - |S|, with a maximizing S.
 
     Exponential in n; refuses n > SUBSET_SCAN_CAP.  The matching number
-    satisfies 2*nu = n - deficiency.
+    satisfies 2*nu = n - deficiency.  The first maximizing S in mask order
+    is returned.
     """
-    if g.n > SUBSET_SCAN_CAP:
-        raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
-    full = (1 << g.n) - 1
-    best = -1
-    best_mask = 0
-    for smask in range(full + 1):
-        odd = sum(1 for c in _component_masks(g.adj, full & ~smask)
-                  if c.bit_count() % 2 == 1)
-        d = odd - smask.bit_count()
-        if d > best:
-            best = d
-            best_mask = smask
-    return best, frozenset(_mask_to_vertices(best_mask))
+    table = _odd_component_table(g)
+    best = max(range(len(table)), key=lambda s: table[s] - s.bit_count())
+    return table[best] - best.bit_count(), frozenset(_mask_to_vertices(best))
 
 
 # ---------------------------------------------------------------------------
@@ -258,29 +285,20 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if g.n > SUBSET_SCAN_CAP:
-        raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
+    table = _odd_component_table(g)
     if g.n % 2 == 1:
         return Verdict(False, "criterion", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
         return Verdict(False, "criterion", witness=frozenset(), reason="too-few-vertices")
-    full = (1 << g.n) - 1
     # Perfect matching precondition, via the subset-scan route.
-    for smask in range(full + 1):
-        odd = sum(1 for c in _component_masks(g.adj, full & ~smask)
-                  if c.bit_count() % 2 == 1)
+    for smask, odd in enumerate(table):
         if odd > smask.bit_count():
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="no-perfect-matching")
-    for smask in range(full + 1):
-        if smask.bit_count() < 2 * k:
-            continue
-        if not _has_k_independent_edges(g, smask, k):
-            continue
-        odd = sum(1 for c in _component_masks(g.adj, full & ~smask)
-                  if c.bit_count() % 2 == 1)
-        if odd > smask.bit_count() - 2 * k:
+    for smask, odd in enumerate(table):
+        s = smask.bit_count()
+        if 2 * k <= s and odd > s - 2 * k and _has_k_independent_edges(g, smask, k):
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-violated")
@@ -377,17 +395,15 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
 
     Requires a connected input; the direct checker has no such restriction.
     """
-    if g.n > SUBSET_SCAN_CAP:
-        raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
+    table = _odd_component_table(g)
     if g.n == 0 or not is_connected(g):
         raise ValueError("criterion check requires a connected graph")
     full = (1 << g.n) - 1
-    for smask in range(full + 1):
-        comps = _component_masks(g.adj, full & ~smask)
-        odd = sum(1 for c in comps if c.bit_count() % 2 == 1)
+    for smask, odd in enumerate(table):
         s = smask.bit_count()
         if odd <= s - 2:
             continue  # both conditions already satisfied
+        comps = _component_masks(g.adj, full & ~smask)
         bridged = any(_component_has_odd_bridge(g, c) for c in comps)
         if bridged:
             return Verdict(False, "criterion",

@@ -136,6 +136,38 @@ def test_verify_option_validation(capsys):
     assert code == 2 and "--k" in err
 
 
+def test_verify_lemma_rejects_options_the_suite_does_not_take(capsys):
+    # exit 2 is a usage error; exit 1 would claim a violation was found
+    code, _, err = run_cli(capsys, "verify", "--lemma", "l2.1",
+                           "--grid", "foo=3")
+    assert code == 2 and "'foo'" in err and "trials, seed" in err
+    code, _, err = run_cli(capsys, "verify", "--lemma", "l2.1",
+                           "--grid", "n=6..8")
+    assert code == 2 and "'n_values'" in err
+
+
+def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("# no graphs\n")
+    for lemma in ("l2.9", "l2.10"):
+        code, _, err = run_cli(capsys, "verify", "--lemma", lemma,
+                               "--input", str(path))
+        assert code == 2 and f"empty graph source: {path}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--input", "-", "--k", "0"),
+    ("analyze", "--input", "-", "--k", "-1"),
+    ("thresholds", "--n", "6..10", "--k", "0"),
+    ("verify", "--theorem", "t11", "--k", "0", "--n", "6"),
+])
+def test_k_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "--k must be >= 1" in capsys.readouterr().err
+
+
 def test_thresholds_text_and_row(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--n", "6..12", "--k", "1")
     assert code == 0

@@ -175,9 +175,13 @@ def test_charpoly_identity_grid_covers_all_displayed_formulas():
 def test_charpoly_mismatch_is_reported(monkeypatch):
     # a deliberately corrupted formula must surface verbatim, not pass silently
     import matchspec.enumeration as enum_mod
-    real = enum_mod._phi_f3
-    monkeypatch.setattr(enum_mod, "_phi_f3",
-                        lambda n: tuple(c + 1 for c in real(n)))
+    real = enum_mod._IDENTITIES["thm13-f3"]
+
+    def corrupted(**params):
+        spec, coeffs = real(**params)
+        return spec, tuple(c + 1 for c in coeffs)
+
+    monkeypatch.setitem(enum_mod._IDENTITIES, "thm13-f3", corrupted)
     report = verify_charpoly_identities(grid=[("thm13-f3", {"n": 10})])
     assert not report.ok
     assert "thm13-f3" in report.violations[0]

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from matchspec.enumeration import enumerate_connected
 from matchspec.families import (BridgedCompletes, PendantComplete, build,
                                 build_named)
 from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
@@ -235,3 +237,54 @@ def test_excludable_equivalence_n8(n8_fixture_path):
         if min_degree(g) < 2:
             continue
         assert is_1_excludable(g).holds == is_1_excludable_criterion(g).holds, line
+
+
+# --- every criterion witness re-checked on all connected n <= 7 -------------
+
+def _induced(g, vertices):
+    sub, _ = delete_vertices(g, [v for v in range(g.n) if v not in vertices])
+    return sub
+
+
+def test_criterion_witnesses_recheck_n_le_7():
+    # each witness is re-checked by graphs.odd_components and the direct route,
+    # never by the subset table that produced it
+    reasons = Counter()
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            d, s = berge_tutte_deficiency(g)
+            assert odd_components(g, s) - len(s) == d
+            assert matching_number(g) == (n - d) // 2
+            for k in (1, 2):
+                v = is_k_extendable_chen(g, k)
+                assert v.holds == is_k_extendable(g, k).holds
+                if v.holds:
+                    continue
+                reasons[v.reason] += 1
+                s = v.witness
+                if v.reason == "no-perfect-matching":
+                    assert odd_components(g, s) > len(s)
+                    assert not has_perfect_matching(g)
+                elif v.reason == "criterion-violated":
+                    assert odd_components(g, s) > len(s) - 2 * k
+                    assert matching_number(_induced(g, s)) >= k
+                else:
+                    assert v.reason == is_k_extendable(g, k).reason
+                    assert s == frozenset()
+            if n % 2 == 1 or min_degree(g) < 2:
+                continue
+            v = is_1_excludable_criterion(g)
+            assert v.holds == is_1_excludable(g).holds
+            if v.holds:
+                continue
+            reasons[v.reason] += 1
+            s = v.witness
+            if v.reason == "criterion-i":
+                assert odd_components(g, s) > len(s) - 2
+                assert find_odd_bridges(_induced(g, set(range(n)) - s))
+            else:
+                assert v.reason == "criterion-ii"
+                assert odd_components(g, s) > len(s)
+    assert reasons == {"odd-order": 1754, "too-few-vertices": 8,
+                       "no-perfect-matching": 35, "criterion-violated": 167,
+                       "criterion-i": 11, "criterion-ii": 2}
