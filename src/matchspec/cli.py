@@ -19,6 +19,8 @@ from .theorems import TheoremId
 FIXTURES_ENV = "MATCHSPEC_FIXTURES"
 THRESHOLDS_SCHEMA = "matchspec/thresholds/1"
 ANALYZE_SCHEMA = "matchspec/analyze/1"
+# the lemma suites that take their graphs from a graph6 file
+INPUT_LEMMAS = ("l2.9", "l2.10")
 
 
 def _read_input(path: str) -> str:
@@ -230,20 +232,22 @@ def cmd_verify(args) -> int:
         _emit_sweep(report, args.out)
         return 0 if not report.counterexamples else 1
 
+    if args.input and (args.charpolys or args.lemma.lower() not in INPUT_LEMMAS):
+        raise ValueError(
+            f"--input is read only by --theorem and by --lemma "
+            f"{' / '.join(INPUT_LEMMAS)}")
     if args.charpolys:
         report = verify_charpoly_identities(tol=args.tolerance)
     else:
         options = _parse_grid(args.grid)
         if args.input:
-            lemma = args.lemma.lower()
-            if lemma in ("l2.9", "l2.10"):
-                src = File(args.input)
-                lines = src.graph6_lines()
-                if not lines:
-                    raise ValueError(f"empty graph source: {args.input}")
-                n = graphs.parse_graph6(lines[0]).n
-                options.setdefault("n_values", (n,))
-                options["sources"] = {n: src}
+            src = File(args.input)
+            lines = src.graph6_lines()
+            if not lines:
+                raise ValueError(f"empty graph source: {args.input}")
+            n = graphs.parse_graph6(lines[0]).n
+            options.setdefault("n_values", (n,))
+            options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)
     _emit_lemma(report, args.out)
     return 0 if report.ok else 1

@@ -10,8 +10,24 @@ test fixture.
 Sweeps evaluate a threshold statement over a source, collecting the graphs
 that satisfy the hypothesis but fail the conclusion, tagging each with the
 registered exception family it matches (an unmatched one is a genuine
-counterexample).  Filters run cheapest first: degree filter, then the
-size/spectral hypothesis, and matching enumeration only on survivors.
+counterexample).  A sweep works on chunks of graph6 lines, each as one
+batch of arrays:
+
+1. decode the chunk into an (N, n, n) uint8 adjacency tensor, with every
+   check `parse_graph6` makes done on the whole batch; a line that fails
+   one is parsed again by `parse_graph6`, whose message is raised with the
+   source and line number;
+2. edge counts, minimum degree and connectivity for the whole batch;
+3. the hypothesis: size statements compare the edge count with the
+   threshold.  Spectral statements first drop the graphs whose spectral
+   radius bound, the smaller of Stanley's (-1 + sqrt(1 + 8m)) / 2
+   (Stanley, Linear Algebra Appl. 87, 1987) and Hong's sqrt(2m - n + 1)
+   for connected graphs (Hong, Linear Algebra Appl. 108, 1988), is below
+   the threshold less the tolerance by more than PRUNE_MARGIN (1e-6), then
+   eigensolve the rest in one batched call and keep those with
+   rho >= threshold - tolerance, as `theorems.hypothesis_status` does;
+4. `Graph` objects only for the graphs that meet the hypothesis: the
+   conclusion by matching search, and recognition of the failures.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 from random import Random
 
@@ -38,6 +54,11 @@ ENUMERATION_CAP = 7
 # Published counts of connected graphs up to isomorphism (n = 1..7).
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
+# A graph is dropped from a spectral sweep without an eigensolve only when
+# its Stanley/Hong bound falls short of the threshold (less the tolerance)
+# by more than this: far above the bound's floating-point rounding error.
+PRUNE_MARGIN = 1e-6
+
 SWEEP_SCHEMA = "matchspec/sweep-report/1"
 LEMMA_SCHEMA = "matchspec/lemma-report/1"
 
@@ -45,6 +66,26 @@ LEMMA_SCHEMA = "matchspec/lemma-report/1"
 # ---------------------------------------------------------------------------
 # Enumeration of all connected graphs on n <= 7 vertices
 # ---------------------------------------------------------------------------
+
+def _connected(rows: np.ndarray) -> np.ndarray:
+    """Which graphs of a batch are connected.
+
+    rows[g, v] is the neighbour bit mask of vertex v in graph g, in an
+    unsigned dtype at least n bits wide.  Reachability from vertex 0 grows
+    one step per pass over the whole batch at once.
+    """
+    n = rows.shape[1]
+    reach = np.ones(len(rows), dtype=rows.dtype)
+    for _ in range(n):
+        acc = reach.copy()
+        for v in range(n):
+            has = (reach >> v) & 1
+            acc |= rows[:, v] * has
+        if np.array_equal(acc, reach):
+            break
+        reach = acc
+    return reach == (1 << n) - 1
+
 
 @lru_cache(maxsize=None)
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
@@ -72,18 +113,8 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         rows[:, i] |= bit << j
         rows[:, j] |= bit << i
 
-    # vectorized reachability from vertex 0
-    reach = np.ones(total, dtype=np.uint8)
-    for _ in range(n):
-        acc = reach.copy()
-        for v in range(n):
-            has = (reach >> v) & 1
-            acc |= rows[:, v] * has
-        if np.array_equal(acc, reach):
-            break
-        reach = acc
-    todo = reach == (1 << n) - 1
-    del rows, reach
+    todo = _connected(rows)
+    del rows
 
     # edge-slot images of every vertex permutation
     slot = {p: i for i, p in enumerate(pairs)}
@@ -129,6 +160,10 @@ class BuiltIn:
     def graph6_lines(self) -> list[str]:
         return [to_graph6(g) for g in enumerate_connected(self.n)]
 
+    def line_number(self, index: int) -> int:
+        """1-based position of the index-th graph6 line."""
+        return index + 1
+
     def describe(self) -> str:
         return f"builtin:n={self.n}"
 
@@ -139,14 +174,19 @@ class File:
 
     path: str
 
-    def graph6_lines(self) -> list[str]:
-        out = []
+    def _numbered_lines(self):
         with open(self.path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    out.append(line)
-        return out
+                    yield number, line
+
+    def graph6_lines(self) -> list[str]:
+        return [line for _, line in self._numbered_lines()]
+
+    def line_number(self, index: int) -> int:
+        """1-based file line of the index-th graph6 line (reads the file again)."""
+        return next(islice(self._numbered_lines(), index, None))[0]
 
     def describe(self) -> str:
         return f"file:{self.path}"
@@ -204,25 +244,95 @@ class SweepReport:
         return rows
 
 
+def _located(source, index: int, message: str) -> ValueError:
+    return ValueError(
+        f"{source.describe()}:{source.line_number(index)}: {message}")
+
+
+def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode graph6 lines of order n into one (N, n, n) uint8 adjacency tensor.
+
+    Returns the tensor and the indices of the lines that fail any check
+    `parse_graph6` makes for order n: line width, header byte, character
+    range and zero padding bits.  Those rows of the tensor are garbage.
+    """
+    count = len(lines)
+    nbits = comb(n, 2)
+    width = 1 + (nbits + 5) // 6
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
+    # code points, longer lines cut and shorter ones padded with NUL (below '?')
+    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
+    body = cells[:, 1:] - np.uint32(63)  # characters below '?' wrap past 63
+    bad = (lengths != width) | (cells[:, 0] != n + 63) | (body > 63).any(axis=1)
+    bits = np.unpackbits((body.astype(np.uint8) << 2)[:, :, None], axis=2, count=6)
+    bits = bits.reshape(count, -1)
+    bad |= bits[:, nbits:].any(axis=1)
+    adj = np.zeros((count, n, n), dtype=np.uint8)
+    j, i = np.tril_indices(n, -1)  # graph6 slot order: (0,1), (0,2), (1,2), (0,3), ...
+    adj[:, i, j] = bits[:, :nbits]
+    adj[:, j, i] = bits[:, :nbits]
+    return adj, np.flatnonzero(bad)
+
+
+def _bit_rows(adj: np.ndarray) -> np.ndarray:
+    """Per-vertex neighbour bit masks, shape (N, n), of an adjacency tensor."""
+    n = adj.shape[1]
+    dtype = np.min_scalar_type((1 << n) - 1)
+    return adj @ np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
+
+
+def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tol: float,
+                     min_deg: int | None = None) -> np.ndarray:
+    """Which graphs of a batch pass the degree filter and meet t's hypothesis.
+
+    Decides exactly as `theorems.hypothesis_status` does, graph by graph.
+    A spectral hypothesis eigensolves only the graphs whose Stanley/Hong
+    bound (`spectral.radius_upper_bound`) reaches the threshold less the
+    tolerance and PRUNE_MARGIN.
+    """
+    n = adj.shape[1]
+    deg = adj.sum(axis=2, dtype=np.int16)
+    low = deg.min(axis=1, initial=n)
+    keep = np.ones(len(adj), dtype=bool)
+    if min_deg is not None:
+        keep &= (n > 0) & (low >= min_deg)
+    if not keep.any():
+        return keep  # like the per-graph path: no range check without a candidate
+    threshold = theorems.hypothesis_threshold(t, n)
+    keep &= _connected(_bit_rows(adj))
+    if not t.about_extension:
+        keep &= low >= 2
+    m = deg.sum(axis=1, dtype=np.int64) // 2
+    if t.uses_size:
+        return keep & (m >= threshold)
+    bound = spectral.radius_upper_bound(m[keep], n)
+    keep[keep] = bound >= threshold - tol - PRUNE_MARGIN
+    rho = np.linalg.eigvalsh(adj[keep].astype(np.float64))[:, -1]
+    keep[keep] = rho >= threshold - tol
+    return keep
+
+
 def _sweep_chunk(args) -> tuple[int, int, list]:
-    lines, kind, k, expected_n, min_deg, tol = args
+    source, start, lines, kind, k, expected_n, min_deg, tol = args
     t = TheoremId(kind, k)
-    scanned = 0
-    hyp = 0
-    events = []
-    for g6 in lines:
-        g = parse_graph6(g6)
+    adj, suspects = _decode_graph6(lines, expected_n)
+    # parse_graph6 names the fault of a rejected line, or decodes a form
+    # the batch check does not (a ">>graph6<<" header, surrounding blanks)
+    for i in suspects:
+        try:
+            g = parse_graph6(lines[i])
+        except ValueError as exc:
+            raise _located(source, start + i, str(exc)) from None
         if g.n != expected_n:
-            raise ValueError(
+            raise _located(
+                source, start + i,
                 f"mixed vertex counts in source: expected n={expected_n}, "
-                f"found n={g.n} in {g6!r}")
-        scanned += 1
-        if min_deg is not None and (g.n == 0 or graphs.min_degree(g) < min_deg):
-            continue
-        met, _, _ = theorems.hypothesis_status(g, t, tol)
-        if not met:
-            continue
-        hyp += 1
+                f"found n={g.n} in {lines[i]!r}")
+        adj[i] = spectral.adjacency_matrix(g)
+    met = np.flatnonzero(_hypothesis_mask(adj, t, tol, min_deg))
+    events = []
+    for i, row in zip(met, _bit_rows(adj[met]).tolist()):
+        g = Graph(expected_n, tuple(row))
         if t.about_extension:
             conclusion = matching.is_k_extendable(g, t.k).holds
         else:
@@ -230,29 +340,34 @@ def _sweep_chunk(args) -> tuple[int, int, list]:
         if conclusion:
             continue
         rec = families.recognize(g, theorems.exception_candidates(t, g.n))
-        events.append((g6, rec))
-    return scanned, hyp, events
+        events.append((lines[i], rec))
+    return len(lines), len(met), events
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
                   jobs: int = 1, tolerance: float = theorems.SPECTRAL_TOL,
-                  chunk_size: int = 4096) -> SweepReport:
+                  chunk_size: int = 1024) -> SweepReport:
     """Evaluate theorem t over every graph in the source.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
-    identical for any worker count (wall_time aside).
+    identical for any worker count (wall_time aside).  A malformed line, or
+    one of another order than the first, raises ValueError naming the
+    source and line.
     """
     start = time.perf_counter()
     lines = source.graph6_lines()
     if not lines:
         raise ValueError("empty graph source")
-    expected_n = parse_graph6(lines[0]).n
+    try:
+        expected_n = parse_graph6(lines[0]).n
+    except ValueError as exc:
+        raise _located(source, 0, str(exc)) from None
     if expected_n % 2 != 0:
         raise ValueError(f"sweeps need even n, got n={expected_n}")
 
-    chunks = [lines[i:i + chunk_size] for i in range(0, len(lines), chunk_size)]
-    args = [(c, t.kind, t.k, expected_n, min_degree, tolerance) for c in chunks]
-    if jobs > 1 and len(chunks) > 1:
+    args = [(source, i, lines[i:i + chunk_size], t.kind, t.k, expected_n,
+             min_degree, tolerance) for i in range(0, len(lines), chunk_size)]
+    if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_chunk, args))
     else:
@@ -309,7 +424,10 @@ class LemmaReport:
                           sort_keys=True)
 
 
-def _check_grid_cap(values, cap: int, what: str) -> None:
+def _check_grid_cap(values, cap: int, what: str, key: str) -> None:
+    if not values:
+        raise ValueError(f"{what} needs at least one even {key}, "
+                         f"got an empty range ({key}_values={tuple(values)})")
     if max(values) > cap:
         raise ValueError(f"{what} is capped at n <= {cap}, got {max(values)}")
 
@@ -386,7 +504,7 @@ def _registry_grid(n_values) -> list[tuple[str, dict]]:
 
 def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
     # vertices with equal neighborhoods (up to each other) get equal Perron weight
-    _check_grid_cap(n_values, 14, "the spectral family grid")
+    _check_grid_cap(n_values, 14, "the spectral family grid", "n")
     violations = []
     max_dev = 0.0
     instances = 0
@@ -408,7 +526,7 @@ def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
 
 def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
     # equitable quotient's largest root equals the graph's spectral radius
-    _check_grid_cap(n_values, 14, "the spectral family grid")
+    _check_grid_cap(n_values, 14, "the spectral family grid", "n")
     violations = []
     max_dev = 0.0
     instances = 0
@@ -556,7 +674,7 @@ def _sources_for(n_values, sources):
 
 def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     # graphs with o(G-S) >= |S|+2 for some S stay below the size bound
-    _check_grid_cap(n_values, 8, "the exhaustive subset-scan suite")
+    _check_grid_cap(n_values, 8, "the exhaustive subset-scan suite", "n")
     violations = []
     max_m_ratio = 0.0
     instances = 0
@@ -577,7 +695,7 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
 
 def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
     # spectral version of the same bound, plus the attaining families
-    _check_grid_cap(n_values, 8, "the exhaustive subset-scan suite")
+    _check_grid_cap(n_values, 8, "the exhaustive subset-scan suite", "n")
     violations = []
     max_dev = 0.0
     instances = 0
@@ -611,7 +729,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
 def _verify_bridged_extremes(l_values=(6, 8, 10, 12), tol: float = 1e-9):
     # across odd splits p+q=l, size and rho peak at the pendant shape and
     # then at the {3, l-3} split
-    _check_grid_cap(l_values, 14, "the bridged-completes grid")
+    _check_grid_cap(l_values, 14, "the bridged-completes grid", "l")
     violations = []
     min_gap = float("inf")
     instances = 0

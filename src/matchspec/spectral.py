@@ -70,6 +70,20 @@ def spectral_radius(g: Graph) -> SpectralResult:
     return SpectralResult(rho, tuple(float(x) for x in vec), residual)
 
 
+def radius_upper_bound(m, n: int) -> np.ndarray:
+    """Upper bound on the spectral radius of connected graphs with n vertices
+    and m edges, elementwise over an array of edge counts.
+
+    The smaller of Stanley's (-1 + sqrt(1 + 8m)) / 2, which holds for every
+    graph (Stanley, Linear Algebra Appl. 87, 1987), and Hong's
+    sqrt(2m - n + 1), which holds for connected graphs (Hong, Linear Algebra
+    Appl. 108, 1988).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    return np.minimum((np.sqrt(1.0 + 8.0 * m) - 1.0) / 2.0,
+                      np.sqrt(2.0 * m - n + 1.0))
+
+
 def power_iteration_rho(g: Graph, iterations: int = 20000, tol: float = 1e-13) -> float:
     """Plain power iteration; used only as a cross-check of the dense solver.
 
@@ -341,7 +355,8 @@ def theta(n: int) -> float:
 
 __all__ = [
     "SpectralResult", "adjacency_matrix", "adjacency_matrix_exact",
-    "eigenvalues", "spectral_radius", "power_iteration_rho", "Polynomial",
+    "eigenvalues", "spectral_radius", "radius_upper_bound",
+    "power_iteration_rho", "Polynomial",
     "characteristic_polynomial", "Partition", "QuotientMatrix",
     "quotient_matrix", "largest_real_root", "theta", "DEFAULT_ROOT_TOL",
 ]

@@ -182,38 +182,36 @@ def exception_candidates(t: TheoremId, n: int) -> list[tuple[str, dict]]:
 # Verdicts
 # ---------------------------------------------------------------------------
 
+def hypothesis_threshold(t: TheoremId, n: int) -> float | int:
+    """The edge count or spectral radius t's hypothesis asks for at order n.
+
+    Raises on orders outside the statement's range.
+    """
+    if t.kind == "t11":
+        return size_threshold_extendable(n, t.k)
+    if t.kind == "t13":
+        return size_threshold_excludable(n)
+    if t.kind == "t14":
+        return spectral_threshold_extendable(n, t.k)
+    return spectral_threshold_excludable(n)
+
+
 def hypothesis_status(g: Graph, t: TheoremId,
                       tolerance: float = SPECTRAL_TOL):
     """(hypothesis_met, threshold, measured) without the conclusion check.
 
-    Sweeps use this so expensive matching enumeration only runs on graphs
-    that actually satisfy the hypothesis.
+    Every hypothesis asks for a connected graph, the exclusion statements
+    (t13, t16) also for minimum degree 2.  Size hypotheses compare the edge
+    count with the threshold exactly; spectral ones use
+    `rho >= threshold - tolerance`.
     """
-    n = g.n
-    if t.about_extension:
-        _check_extension_range(n, t.k)
-    else:
-        _check_exclusion_range(n)
-
-    if t.kind == "t11":
-        threshold: float | int = size_threshold_extendable(n, t.k)
+    threshold = hypothesis_threshold(t, g.n)
+    structural = is_connected(g) and (t.about_extension or min_degree(g) >= 2)
+    if t.uses_size:
         measured: float | int = g.m
-        structural = is_connected(g)
         met = structural and measured >= threshold
-    elif t.kind == "t13":
-        threshold = size_threshold_excludable(n)
-        measured = g.m
-        structural = is_connected(g) and min_degree(g) >= 2
-        met = structural and measured >= threshold
-    elif t.kind == "t14":
-        threshold = spectral_threshold_extendable(n, t.k)
+    else:
         measured = spectral.spectral_radius(g).rho
-        structural = is_connected(g)
-        met = structural and measured >= threshold - tolerance
-    else:  # t16
-        threshold = spectral_threshold_excludable(n)
-        measured = spectral.spectral_radius(g).rho
-        structural = is_connected(g) and min_degree(g) >= 2
         met = structural and measured >= threshold - tolerance
     return met, threshold, measured
 
@@ -264,6 +262,6 @@ __all__ = [
     "TheoremId", "TheoremVerdict", "size_threshold_extendable",
     "size_threshold_excludable", "spectral_threshold_extendable",
     "spectral_threshold_excludable", "exception_candidates",
-    "hypothesis_status", "theorem_verdict", "parse_theorem_token",
-    "SPECTRAL_TOL",
+    "hypothesis_threshold", "hypothesis_status", "theorem_verdict",
+    "parse_theorem_token", "SPECTRAL_TOL",
 ]

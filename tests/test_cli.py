@@ -155,6 +155,42 @@ def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
         assert code == 2 and f"empty graph source: {path}" in err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("G~~~~", "graph6 body has 4 chars, expected 5 for n=8"),
+    ("E~~?", "mixed vertex counts in source: expected n=8, found n=6 in 'E~~?'"),
+])
+def test_verify_names_file_and_line_of_a_bad_graph(capsys, tmp_path,
+                                                   n8_fixture_path, bad, message):
+    with open(n8_fixture_path) as fh:
+        good = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    # the bad line follows comments and blank lines, in the first chunk of
+    # the sweep or in the second (chunks hold 1024 graphs)
+    head = ["# header", "", good[0], "# note", good[1]]
+    path = tmp_path / "bad.g6"
+    for skip in (0, 1024):
+        where = len(head) + skip + 1
+        lines = head + good[2:2 + skip] + [bad] + good[2 + skip:3000]
+        path.write_text("\n".join(lines) + "\n")
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "verify", "--theorem", "t13",
+                                     "--input", str(path), "--jobs", jobs)
+            assert code == 2 and out == ""
+            assert err == f"error: file:{path}:{where}: {message}\n"
+
+
+def test_verify_empty_lemma_grid_is_a_usage_error(capsys):
+    for grid, key in (("n=8..6", "n"), ("n=5..5", "n"), ("l=7..7", "l")):
+        lemma = "l2.11" if key == "l" else "l2.4"
+        code, _, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", grid)
+        assert code == 2 and f"even {key}" in err and f"{key}_values=()" in err
+
+
+def test_verify_rejects_input_it_would_ignore(capsys, n8_fixture_path):
+    for argv in (("--lemma", "l2.4"), ("--lemma", "l2.11"), ("--charpolys",)):
+        code, out, err = run_cli(capsys, "verify", *argv, "--input", n8_fixture_path)
+        assert code == 2 and out == "" and "--input" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "--input", "-", "--k", "0"),
     ("analyze", "--input", "-", "--k", "-1"),

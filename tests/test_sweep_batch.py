@@ -1,0 +1,106 @@
+"""The batched sweep path against the per-graph one, on every graph with n <= 8.
+
+A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
+drops graphs whose Stanley/Hong spectral-radius bound is already below a
+spectral threshold, and eigensolves the rest in one call.  These tests
+check each of those steps against `parse_graph6`, `spectral_radius` and
+`hypothesis_status`, graph by graph.
+"""
+
+import os
+import re
+import shutil
+
+import numpy as np
+import pytest
+
+from matchspec import enumeration, spectral, theorems
+from matchspec.enumeration import BuiltIn, File, sweep_theorem
+from matchspec.graphs import is_connected, parse_graph6
+from matchspec.theorems import TheoremId
+
+THEOREMS = [TheoremId("t11", 1), TheoremId("t11", 2), TheoremId("t13"),
+            TheoremId("t14", 1), TheoremId("t14", 2), TheoremId("t16")]
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
+GOLDEN = {"t11-k1": (TheoremId("t11", 1), None), "t13": (TheoremId("t13"), 2),
+          "t14-k1": (TheoremId("t14", 1), None), "t16": (TheoremId("t16"), 2)}
+
+
+@pytest.fixture(scope="module")
+def by_order(n8_fixture_path):
+    """order -> (graphs, batched adjacency tensor) for n = 4, 6, 8."""
+    out = {}
+    for source in (BuiltIn(4), BuiltIn(6), File(n8_fixture_path)):
+        lines = source.graph6_lines()
+        gs = [parse_graph6(line) for line in lines]
+        adj, suspects = enumeration._decode_graph6(lines, gs[0].n)
+        assert suspects.size == 0
+        out[gs[0].n] = (gs, adj)
+    return out
+
+
+def test_batched_decode_matches_parse_graph6(by_order):
+    for gs, adj in by_order.values():
+        expected = np.array([spectral.adjacency_matrix(g) for g in gs])
+        assert np.array_equal(adj, expected)
+
+
+@pytest.mark.parametrize("t", THEOREMS, ids=str)
+def test_batched_hypothesis_matches_per_graph(by_order, t):
+    for gs, adj in by_order.values():
+        try:
+            expected = [theorems.hypothesis_status(g, t)[0] for g in gs]
+        except ValueError as exc:  # order outside the statement's range
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+            continue
+        batched = enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+        assert batched.tolist() == expected
+
+
+def test_radius_bound_holds_on_every_connected_graph(by_order):
+    for gs, _ in by_order.values():
+        connected = [g for g in gs if is_connected(g)]
+        rho = np.array([spectral.spectral_radius(g).rho for g in connected])
+        bound = spectral.radius_upper_bound([g.m for g in connected], gs[0].n)
+        # equality (complete graphs, for Stanley) up to eigensolver rounding
+        assert np.all(rho <= bound + 1e-12)
+
+
+def test_hypothesis_counts_at_n8(by_order):
+    _, adj = by_order[8]
+    counts = [int(enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL,
+                                                min_deg).sum())
+              for t, min_deg in GOLDEN.values()]
+    assert counts == [44, 812, 16, 334]
+
+
+def test_sweep_takes_lines_with_the_graph6_header(tmp_path):
+    # the batch check rejects them; parse_graph6 accepts and decodes them
+    lines = BuiltIn(6).graph6_lines()
+    path = tmp_path / "header.g6"
+    path.write_text("".join(f">>graph6<<{ln}\n" if i % 3 else f"{ln}\n"
+                            for i, ln in enumerate(lines)))
+    plain = sweep_theorem(BuiltIn(6), TheoremId("t13"), min_degree=2)
+    headed = sweep_theorem(File(str(path)), TheoremId("t13"), min_degree=2)
+    assert headed.hypothesis_count == plain.hypothesis_count > 0
+    assert [e[1:] for e in headed.exceptions_found] == [e[1:] for e in plain.exceptions_found]
+
+
+def test_reports_match_golden_for_any_jobs(tmp_path, monkeypatch, n8_fixture_path):
+    # the golden reports name the fixture by the benchmark's relative path
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(".perfbench_work")
+    shutil.copy(n8_fixture_path, os.path.join(".perfbench_work", "connected_n8.g6"))
+    source = File(os.path.join(".perfbench_work", "connected_n8.g6"))
+    for name, (t, min_deg) in GOLDEN.items():
+        with open(os.path.join(GOLDEN_DIR, f"sweep-{name}.json")) as fh:
+            golden = fh.read()
+        for jobs, chunk_size in ((1, 1024), (2, 1500)):
+            report = sweep_theorem(source, t, min_degree=min_deg, jobs=jobs,
+                                   chunk_size=chunk_size)
+            assert report.to_json(include_timing=False) == golden
+    for t in (TheoremId("t11", 2), TheoremId("t14", 2)):
+        serial = sweep_theorem(source, t, jobs=1)
+        parallel = sweep_theorem(source, t, jobs=2, chunk_size=1500)
+        assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
