@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
             lines = src.graph6_lines()
             if not lines:
                 raise ValueError(f"empty graph source: {args.input}")
-            n = graphs.parse_graph6(lines[0]).n
+            n = enumeration._source_order(src, lines)
             options.setdefault("n_values", (n,))
             options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)

@@ -59,6 +59,9 @@ CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # by more than this: far above the bound's floating-point rounding error.
 PRUNE_MARGIN = 1e-6
 
+# graph6 lines decoded as one batch by sweeps and the deficiency suites
+SOURCE_CHUNK = 1024
+
 SWEEP_SCHEMA = "matchspec/sweep-report/1"
 LEMMA_SCHEMA = "matchspec/lemma-report/1"
 
@@ -312,10 +315,10 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tol: float,
     return keep
 
 
-def _sweep_chunk(args) -> tuple[int, int, list]:
-    source, start, lines, kind, k, expected_n, min_deg, tol = args
-    t = TheoremId(kind, k)
-    adj, suspects = _decode_graph6(lines, expected_n)
+def _decode_source_lines(source, start: int, lines: list[str], n: int) -> np.ndarray:
+    """`_decode_graph6` with the fault of a rejected line raised as ValueError
+    naming the source and line; `start` is the index of `lines[0]`."""
+    adj, suspects = _decode_graph6(lines, n)
     # parse_graph6 names the fault of a rejected line, or decodes a form
     # the batch check does not (a ">>graph6<<" header, surrounding blanks)
     for i in suspects:
@@ -323,12 +326,27 @@ def _sweep_chunk(args) -> tuple[int, int, list]:
             g = parse_graph6(lines[i])
         except ValueError as exc:
             raise _located(source, start + i, str(exc)) from None
-        if g.n != expected_n:
+        if g.n != n:
             raise _located(
                 source, start + i,
-                f"mixed vertex counts in source: expected n={expected_n}, "
+                f"mixed vertex counts in source: expected n={n}, "
                 f"found n={g.n} in {lines[i]!r}")
         adj[i] = spectral.adjacency_matrix(g)
+    return adj
+
+
+def _source_order(source, lines: list[str]) -> int:
+    """Order of the source's first graph, which every other line must share."""
+    try:
+        return parse_graph6(lines[0]).n
+    except ValueError as exc:
+        raise _located(source, 0, str(exc)) from None
+
+
+def _sweep_chunk(args) -> tuple[int, int, list]:
+    source, start, lines, kind, k, expected_n, min_deg, tol = args
+    t = TheoremId(kind, k)
+    adj = _decode_source_lines(source, start, lines, expected_n)
     met = np.flatnonzero(_hypothesis_mask(adj, t, tol, min_deg))
     events = []
     for i, row in zip(met, _bit_rows(adj[met]).tolist()):
@@ -346,7 +364,7 @@ def _sweep_chunk(args) -> tuple[int, int, list]:
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
                   jobs: int = 1, tolerance: float = theorems.SPECTRAL_TOL,
-                  chunk_size: int = 1024) -> SweepReport:
+                  chunk_size: int = SOURCE_CHUNK) -> SweepReport:
     """Evaluate theorem t over every graph in the source.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
@@ -358,10 +376,7 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     lines = source.graph6_lines()
     if not lines:
         raise ValueError("empty graph source")
-    try:
-        expected_n = parse_graph6(lines[0]).n
-    except ValueError as exc:
-        raise _located(source, 0, str(exc)) from None
+    expected_n = _source_order(source, lines)
     if expected_n % 2 != 0:
         raise ValueError(f"sweeps need even n, got n={expected_n}")
 
@@ -640,25 +655,31 @@ def _no_pm_size_bound(n: int) -> int:
     return comb(n - 2, 2) + 2  # n >= 10 or n = 4
 
 
-def _graphs_without_pm(source) -> list[Graph]:
+def _graphs_without_pm(source, n: int) -> list[Graph]:
     """Connected graphs from the source with some S: o(G-S) >= |S|+2.
 
     For even order that is exactly 'no perfect matching' (deficiency >= 2
     by parity); the blossom test filters, and the witness subset is then
-    confirmed by an explicit scan.
+    confirmed by an explicit scan.  The source is decoded as a sweep
+    decodes it, so a malformed line or one of another order than n raises
+    ValueError naming the source and line.
     """
+    if n % 2 != 0:
+        raise ValueError("the deficiency bound suites need even n")
+    lines = source.graph6_lines()
     out = []
-    for g6 in source.graph6_lines():
-        g = parse_graph6(g6)
-        if g.n % 2 != 0:
-            raise ValueError("the deficiency bound suites need even n")
-        if matching.has_perfect_matching(g):
-            continue
-        d, witness = matching.berge_tutte_deficiency(g)
-        if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
-            raise AssertionError(
-                f"deficiency witness failed to re-validate on {g6}")
-        out.append(g)
+    for start in range(0, len(lines), SOURCE_CHUNK):
+        chunk = lines[start:start + SOURCE_CHUNK]
+        adj = _decode_source_lines(source, start, chunk, n)
+        for g6, row in zip(chunk, _bit_rows(adj).tolist()):
+            g = Graph(n, tuple(row))
+            if matching.has_perfect_matching(g):
+                continue
+            d, witness = matching.berge_tutte_deficiency(g)
+            if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
+                raise AssertionError(
+                    f"deficiency witness failed to re-validate on {g6}")
+            out.append(g)
     return out
 
 
@@ -682,7 +703,7 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     for n, source in _sources_for(n_values, sources).items():
         bound = _no_pm_size_bound(n)
         hit = 0
-        for g in _graphs_without_pm(source):
+        for g in _graphs_without_pm(source, n):
             instances += 1
             hit = max(hit, g.m)
             if g.m > bound:
@@ -713,7 +734,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
         best = 0.0
-        for g in _graphs_without_pm(source):
+        for g in _graphs_without_pm(source, n):
             instances += 1
             rho = spectral.spectral_radius(g).rho
             best = max(best, rho)

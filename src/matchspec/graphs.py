@@ -380,23 +380,9 @@ def all_pairs(n: int):
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def brute_force_is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Min-over-permutations reference check; only for tiny graphs in tests."""
-    from itertools import permutations
-    if a.n != b.n or a.m != b.m:
-        return False
-    target = set(b.edges())
-    for perm in permutations(range(a.n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in target
-               for u, v in a.edges()):
-            return True
-    return False
-
-
 __all__ = [
     "Graph", "from_edge_list", "empty_graph", "complete_graph", "cycle_graph",
     "path_graph", "parse_graph6", "to_graph6", "parse_edge_list_text",
     "disjoint_union", "join", "delete_vertices", "components", "is_connected",
     "min_degree", "odd_components", "are_isomorphic", "all_pairs",
-    "brute_force_is_isomorphic",
 ]

@@ -6,6 +6,18 @@ and a structural criterion route (odd-component counting over vertex
 subsets).  The test suite relies on both routes agreeing on exhaustive
 small-graph sweeps, so neither side may call into the other.
 
+The direct route computes one maximum matching M per graph and reuses it.
+A k-matching F extends exactly when g - V(F) has a perfect matching: M
+minus the edges touching V(F) leaves at most 2k vertices exposed, and one
+augmenting search (Edmonds' blossom algorithm) from each vertex still
+exposed, on the adjacency masks with V(F) masked out, decides it.  An
+edge e of M is avoided by a perfect matching exactly when one search from
+an end of e succeeds in g - e; every edge outside M is avoided by M
+itself (Lovasz-Plummer, Matching Theory, 1986).  No Graph is built inside
+these loops, and both direct checks memoise their verdicts for the last
+few graphs, so asking about one graph several times pays for one
+decision.
+
 The criterion route scans the vertex subsets of a graph once: a private
 table holds o(g-S) for every subset mask S, and the Berge-Tutte
 deficiency, the k-extendability criterion and the 1-excludability
@@ -19,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _component_masks, _mask_to_vertices, delete_vertices, is_connected
+from .graphs import Graph, _component_masks, _mask_to_vertices, is_connected
 
 SUBSET_SCAN_CAP = 20
 
@@ -54,8 +66,13 @@ class Verdict:
 # Maximum matching (blossom algorithm)
 # ---------------------------------------------------------------------------
 
-def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
-    n = g.n
+def _find_augmenting_path(adj, match: list[int], root: int) -> bool:
+    """Search for an augmenting path from the exposed vertex `root`.
+
+    `adj` holds per-vertex neighbour bit masks and `match` the current
+    matching (-1 = exposed).  On success the path is flipped in `match`.
+    """
+    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -63,16 +80,16 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = set()
+        seen = 0
         while True:
             a = base[a]
-            seen.add(a)
+            seen |= 1 << a
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if b in seen:
+            if seen >> b & 1:
                 return b
             b = parent[match[b]]
 
@@ -86,7 +103,11 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
 
     while queue:
         v = queue.popleft()
-        for to in g.neighbors(v):
+        nb = adj[v]
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -117,22 +138,65 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     return False
 
 
+def _maximum_match(adj) -> list[int]:
+    """Partner of every vertex in a maximum matching (-1 = exposed).
+
+    A greedy pass matches each vertex to its lowest free neighbour, then one
+    augmenting search runs from each vertex still exposed.
+    """
+    n = len(adj)
+    match = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        if free >> v & 1:
+            cand = adj[v] & free
+            if cand:
+                u = (cand & -cand).bit_length() - 1
+                match[v] = u
+                match[u] = v
+                free &= ~(1 << v | 1 << u)
+    for v in range(n):
+        if match[v] == -1:
+            _find_augmenting_path(adj, match, v)
+    return match
+
+
+def _perfect_after_deleting(adj, match: list[int], drop: int) -> bool:
+    """Does the graph minus the vertex set `drop` have a perfect matching?
+
+    `match` is a perfect matching of the whole graph and is left unchanged.
+    The M-partners of dropped vertices that survive are the only exposed
+    vertices; a perfect matching P of what remains exists exactly when an
+    augmenting path starts at every one of them in turn (the symmetric
+    difference with P holds one from each exposed vertex).
+    """
+    mate = match.copy()
+    exposed = 0
+    rest = drop
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        partner = mate[low.bit_length() - 1]
+        if not drop >> partner & 1:
+            exposed |= 1 << partner
+            mate[partner] = -1
+    if not exposed:
+        return True
+    keep = ~drop
+    sub = [a & keep for a in adj]
+    while exposed:
+        low = exposed & -exposed
+        exposed ^= low
+        root = low.bit_length() - 1
+        if mate[root] == -1 and not _find_augmenting_path(sub, mate, root):
+            return False
+    return True
+
+
 def max_matching(g: Graph) -> MatchingResult:
     """A maximum matching of g."""
-    n = g.n
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in g.neighbors(v):
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    for v in range(n):
-        if match[v] == -1:
-            _find_augmenting_path(g, match, v)
-    edges = tuple(sorted((min(v, match[v]), max(v, match[v]))
-                         for v in range(n) if match[v] > v))
+    match = _maximum_match(g.adj)
+    edges = tuple(sorted((v, match[v]) for v in range(g.n) if match[v] > v))
     return MatchingResult(edges)
 
 
@@ -141,23 +205,7 @@ def matching_number(g: Graph) -> int:
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and matching_number(g) == g.n // 2
-
-
-def brute_force_matching_number(g: Graph) -> int:
-    """Independent oracle: exhaustive search over all matchings (tiny graphs)."""
-    edges = g.edges()
-
-    def rec(i: int, used: int) -> int:
-        best = 0
-        for j in range(i, len(edges)):
-            u, v = edges[j]
-            if used >> u & 1 or used >> v & 1:
-                continue
-            best = max(best, 1 + rec(j + 1, used | 1 << u | 1 << v))
-        return best
-
-    return rec(0, 0)
+    return g.n % 2 == 0 and -1 not in _maximum_match(g.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +276,16 @@ def _matchings_of_size(g: Graph, k: int):
     yield from rec(0, 0, [])
 
 
+@lru_cache(maxsize=8)
 def is_k_extendable(g: Graph, k: int) -> Verdict:
     """Direct check: every matching of size k extends to a perfect matching.
 
     Follows the definition's preconditions: graphs of odd order, of order
     below 2k+2, or without a perfect matching are not k-extendable (returned
-    as holds=False, never as an error).
+    as holds=False, never as an error).  One maximum matching M is computed;
+    each k-matching F is then decided by a search warm-started from M on
+    g - V(F).  Matchings covering a vertex set already shown to leave a
+    perfect matching are not searched again.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -241,14 +293,20 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
         return Verdict(False, "direct", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
         return Verdict(False, "direct", witness=frozenset(), reason="too-few-vertices")
-    if not has_perfect_matching(g):
+    match = _maximum_match(g.adj)
+    if -1 in match:
         return Verdict(False, "direct", witness=frozenset(), reason="no-perfect-matching")
+    extended = set()
     for matching in _matchings_of_size(g, k):
-        covered = [v for e in matching for v in e]
-        rest, _ = delete_vertices(g, covered)
-        if not has_perfect_matching(rest):
+        drop = 0
+        for u, v in matching:
+            drop |= 1 << u | 1 << v
+        if drop in extended:
+            continue
+        if not _perfect_after_deleting(g.adj, match, drop):
             return Verdict(False, "direct", witness=matching,
                            reason="non-extendable-matching")
+        extended.add(drop)
     return Verdict(True, "direct")
 
 
@@ -309,26 +367,33 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
 # 1-excludability
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def is_1_excludable(g: Graph) -> Verdict:
-    """Direct check: for every edge e, g-e has a perfect matching."""
+    """Direct check: for every edge e, g-e has a perfect matching.
+
+    One maximum matching M is computed; it already avoids every edge outside
+    M.  Each edge e = uv of M is decided by one augmenting search from u in
+    g - e, warm-started from M - e.
+    """
     if g.n % 2 == 1:
         return Verdict(False, "direct", witness=frozenset(), reason="odd-order")
     edges = g.edges()
     if not edges:
         return Verdict(True, "direct")
-    base = max_matching(g)
-    if base.size < g.n // 2:
+    match = _maximum_match(g.adj)
+    if -1 in match:
         return Verdict(False, "direct", witness=edges[0],
                        reason="no-perfect-matching")
-    in_base = set(base.edges)
     for e in edges:
-        if e not in in_base:
-            continue  # base matching itself avoids e
         u, v = e
-        adj = list(g.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        if not has_perfect_matching(Graph(g.n, tuple(adj))):
+        if match[u] != v:
+            continue  # M itself avoids e
+        sub = list(g.adj)
+        sub[u] &= ~(1 << v)
+        sub[v] &= ~(1 << u)
+        mate = match.copy()
+        mate[u] = mate[v] = -1
+        if not _find_augmenting_path(sub, mate, u):
             return Verdict(False, "direct", witness=e, reason="edge-forced")
     return Verdict(True, "direct")
 
@@ -418,8 +483,7 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
 
 __all__ = [
     "MatchingResult", "Verdict", "max_matching", "matching_number",
-    "has_perfect_matching", "brute_force_matching_number",
-    "berge_tutte_deficiency", "is_k_extendable", "is_k_extendable_chen",
+    "has_perfect_matching", "berge_tutte_deficiency", "is_k_extendable", "is_k_extendable_chen",
     "is_1_excludable", "is_1_excludable_criterion", "find_odd_bridges",
     "SUBSET_SCAN_CAP",
 ]

@@ -41,10 +41,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def adjacency_matrix_exact(g: Graph) -> list[list[int]]:
-    return [[1 if g.has_edge(v, u) else 0 for u in range(g.n)] for v in range(g.n)]
-
-
 def eigenvalues(g: Graph) -> list[float]:
     """All adjacency eigenvalues in nonincreasing order."""
     if g.n == 0:
@@ -82,31 +78,6 @@ def radius_upper_bound(m, n: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     return np.minimum((np.sqrt(1.0 + 8.0 * m) - 1.0) / 2.0,
                       np.sqrt(2.0 * m - n + 1.0))
-
-
-def power_iteration_rho(g: Graph, iterations: int = 20000, tol: float = 1e-13) -> float:
-    """Plain power iteration; used only as a cross-check of the dense solver.
-
-    Iterates on A + I so bipartite spectra (where +rho and -rho tie) still
-    converge; the shift is removed from the Rayleigh quotient at the end.
-    """
-    if g.n == 0:
-        raise ValueError("spectral radius undefined for the empty graph")
-    a = adjacency_matrix(g) + np.eye(g.n)
-    x = np.ones(g.n) / np.sqrt(g.n)
-    rho = 0.0
-    for _ in range(iterations):
-        y = a @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        y /= norm
-        new_rho = float(y @ a @ y)
-        if abs(new_rho - rho) <= tol:
-            return new_rho - 1.0
-        rho = new_rho
-        x = y
-    return rho - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +325,8 @@ def theta(n: int) -> float:
 
 
 __all__ = [
-    "SpectralResult", "adjacency_matrix", "adjacency_matrix_exact",
-    "eigenvalues", "spectral_radius", "radius_upper_bound",
-    "power_iteration_rho", "Polynomial",
+    "SpectralResult", "adjacency_matrix", "eigenvalues", "spectral_radius",
+    "radius_upper_bound", "Polynomial",
     "characteristic_polynomial", "Partition", "QuotientMatrix",
     "quotient_matrix", "largest_real_root", "theta", "DEFAULT_ROOT_TOL",
 ]

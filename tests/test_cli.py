@@ -155,6 +155,23 @@ def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
         assert code == 2 and f"empty graph source: {path}" in err
 
 
+@pytest.mark.parametrize("lines, where, message", [
+    (["E~~?", "# note", "G~~~~{"], 3,
+     "mixed vertex counts in source: expected n=6, found n=8 in 'G~~~~{'"),
+    (["E~~?", "E~~"], 2, "graph6 body has 2 chars, expected 3 for n=6"),
+    (["", "E~~", "E~~?"], 2, "graph6 body has 2 chars, expected 3 for n=6"),
+])
+def test_verify_deficiency_lemma_names_file_and_line(capsys, tmp_path,
+                                                     lines, where, message):
+    path = tmp_path / "bad.g6"
+    path.write_text("\n".join(lines) + "\n")
+    for lemma in ("l2.9", "l2.10"):
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma,
+                                 "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: file:{path}:{where}: {message}\n"
+
+
 @pytest.mark.parametrize("bad, message", [
     ("G~~~~", "graph6 body has 4 chars, expected 5 for n=8"),
     ("E~~?", "mixed vertex counts in source: expected n=8, found n=6 in 'E~~?'"),

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,11 +12,11 @@ from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
                               join, min_degree, odd_components, parse_graph6,
                               path_graph)
 from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
-                                brute_force_matching_number, find_odd_bridges,
-                                has_perfect_matching, is_1_excludable,
-                                is_1_excludable_criterion, is_k_extendable,
-                                is_k_extendable_chen, matching_number,
-                                max_matching)
+                                find_odd_bridges, has_perfect_matching,
+                                is_1_excludable, is_1_excludable_criterion,
+                                is_k_extendable, is_k_extendable_chen,
+                                matching_number, max_matching)
+from oracles import brute_force_matching_number
 
 PETERSEN = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -288,3 +289,62 @@ def test_criterion_witnesses_recheck_n_le_7():
     assert reasons == {"odd-order": 1754, "too-few-vertices": 8,
                        "no-perfect-matching": 35, "criterion-violated": 167,
                        "criterion-i": 11, "criterion-ii": 2}
+
+
+# --- warm-started direct route against a from-scratch reference --------------
+
+def _reference_k_extendable(g, k):
+    """Delete V(F) and rerun max_matching on the copy, for every k-matching F
+    in lexicographic edge-index order (the direct route's order)."""
+    if g.n % 2 == 1:
+        return False, "odd-order", frozenset()
+    if g.n < 2 * k + 2:
+        return False, "too-few-vertices", frozenset()
+    if max_matching(g).size < g.n // 2:
+        return False, "no-perfect-matching", frozenset()
+    for f in combinations(g.edges(), k):
+        covered = [v for e in f for v in e]
+        if len(set(covered)) < 2 * k:
+            continue  # not a matching
+        rest, _ = delete_vertices(g, covered)
+        if max_matching(rest).size < rest.n // 2:
+            return False, "non-extendable-matching", f
+    return True, None, None
+
+
+def _reference_1_excludable(g):
+    """Drop each edge in turn and rerun max_matching on the copy."""
+    if g.n % 2 == 1:
+        return False, "odd-order", frozenset()
+    edges = g.edges()
+    if not edges:
+        return True, None, None
+    if max_matching(g).size < g.n // 2:
+        return False, "no-perfect-matching", edges[0]
+    for e in edges:
+        rest = from_edge_list(g.n, [x for x in edges if x != e])
+        if max_matching(rest).size < g.n // 2:
+            return False, "edge-forced", e
+    return True, None, None
+
+
+def _direct_matches_reference(g):
+    for k in (1, 2):
+        v = is_k_extendable(g, k)
+        expected = _reference_k_extendable(g, k)
+        assert (v.holds, v.reason, v.witness) == expected, (g.adj, k)
+    v = is_1_excludable(g)
+    assert (v.holds, v.reason, v.witness) == _reference_1_excludable(g), g.adj
+
+
+def test_direct_route_matches_reference_n_le_7():
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            _direct_matches_reference(g)
+
+
+def test_direct_route_matches_reference_n8(n8_fixture_path):
+    with open(n8_fixture_path) as fh:
+        for line in fh:
+            if line.strip():
+                _direct_matches_reference(parse_graph6(line))

@@ -9,10 +9,10 @@ from matchspec.families import build, build_named, canonical_partition, named_sp
 from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list, join)
 from matchspec.spectral import (Partition, Polynomial, adjacency_matrix,
-                                adjacency_matrix_exact,
                                 characteristic_polynomial, eigenvalues,
-                                largest_real_root, power_iteration_rho,
-                                quotient_matrix, spectral_radius, theta)
+                                largest_real_root, quotient_matrix,
+                                spectral_radius, theta)
+from oracles import adjacency_matrix_exact, power_iteration_rho
 
 
 def random_graph(rng, n, p=0.5):
