@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import enumeration, families, graphs, matching, spectral, theorems
 from .enumeration import BuiltIn, File, sweep_theorem, verify_charpoly_identities, verify_lemma
@@ -21,6 +21,16 @@ THRESHOLDS_SCHEMA = "matchspec/thresholds/1"
 ANALYZE_SCHEMA = "matchspec/analyze/1"
 # the lemma suites that take their graphs from a graph6 file
 INPUT_LEMMAS = ("l2.9", "l2.10")
+
+
+def _emit(out: str, doc: dict, rows: list[list] | None, print_text) -> None:
+    """Print a command's output: doc as JSON, rows as CSV, or print_text()."""
+    if out == "json":
+        print(enumeration.json_text(doc))
+    elif out == "csv":
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        print_text()
 
 
 def _read_input(path: str) -> str:
@@ -112,11 +122,7 @@ def cmd_analyze(args) -> int:
                 "recognized": list(v.recognized) if v.recognized else None,
             }
     doc["theorems"] = verdicts
-
-    if args.out == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _print_analysis(doc)
+    _emit(args.out, doc, None, lambda: _print_analysis(doc))
     return 0
 
 
@@ -197,7 +203,8 @@ def _source_for(args, n: int | None):
 
 
 def _parse_grid(text: str | None) -> dict:
-    """Parse '--grid n=6..14,trials=200' into verifier options."""
+    """Parse '--grid n=6..14,trials=200' into verifier options: n=LO..HI and
+    l=LO..HI keep the range's even values; trials and seed take integers."""
     if not text:
         return {}
     options: dict = {}
@@ -205,18 +212,27 @@ def _parse_grid(text: str | None) -> dict:
         if "=" not in item:
             raise ValueError(f"bad grid item {item!r} (expected key=value)")
         key, val = (p.strip() for p in item.split("=", 1))
-        if ".." in val:
+        if key in ("n", "l"):
+            if ".." not in val:
+                raise ValueError(f"grid key {key!r} takes a range LO..HI, got {val!r}")
             lo, hi = (int(x) for x in val.split("..", 1))
-            values = tuple(v for v in range(lo, hi + 1))
-            if key == "n":
-                options["n_values"] = tuple(v for v in values if v % 2 == 0)
-            elif key == "l":
-                options["l_values"] = tuple(v for v in values if v % 2 == 0)
-            else:
-                raise ValueError(f"ranges are only supported for n/l, not {key!r}")
-        else:
+            options[f"{key}_values"] = tuple(v for v in range(lo, hi + 1) if v % 2 == 0)
+        elif key in ("trials", "seed"):
             options[key] = int(val)
+        else:
+            raise ValueError(f"unknown grid key {key!r}; the keys are n, l (ranges "
+                             "LO..HI) and trials, seed (integers)")
     return options
+
+
+@dataclass(frozen=True)
+class _ReadFile(File):
+    """A File read once, up front; a faulty line is located by reading it again."""
+
+    lines: tuple[str, ...] = ()
+
+    def graph6_lines(self) -> list[str]:
+        return list(self.lines)
 
 
 def cmd_verify(args) -> int:
@@ -229,7 +245,8 @@ def cmd_verify(args) -> int:
         source = _source_for(args, args.n)
         report = sweep_theorem(source, t, min_degree=args.min_degree,
                                jobs=args.jobs, tolerance=args.tolerance)
-        _emit_sweep(report, args.out)
+        _emit(args.out, report.to_json_dict(), report.csv_rows(),
+              lambda: _print_sweep(report))
         return 0 if not report.counterexamples else 1
 
     if args.input and (args.charpolys or args.lemma.lower() not in INPUT_LEMMAS):
@@ -241,57 +258,41 @@ def cmd_verify(args) -> int:
     else:
         options = _parse_grid(args.grid)
         if args.input:
-            src = File(args.input)
-            lines = src.graph6_lines()
-            if not lines:
+            src = _ReadFile(args.input, tuple(File(args.input).graph6_lines()))
+            if not src.lines:
                 raise ValueError(f"empty graph source: {args.input}")
-            n = enumeration._source_order(src, lines)
+            n = enumeration._source_order(src, src.lines)
             options.setdefault("n_values", (n,))
             options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)
-    _emit_lemma(report, args.out)
+    _emit(args.out, report.to_json_dict(), report.csv_rows(),
+          lambda: _print_lemma(report))
     return 0 if report.ok else 1
 
 
-def _emit_sweep(report, out: str) -> None:
-    if out == "json":
-        print(report.to_json())
-    elif out == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerows(report.csv_rows())
-    else:
-        print(f"theorem {report.theorem} over {report.source}"
-              f" (min_degree={report.min_degree})")
-        print(f"graphs scanned:    {report.graphs_scanned}")
-        print(f"hypothesis met:    {report.hypothesis_count}")
-        print(f"counterexamples:   {len(report.counterexamples)}")
-        for g6 in report.counterexamples:
-            print(f"  COUNTEREXAMPLE {g6}")
-        print(f"exceptions found:  {len(report.exceptions_found)}")
-        for g6, fam, params in report.exceptions_found:
-            tag = f"{fam} {params}" if fam else "UNRECOGNIZED"
-            print(f"  {g6}  ->  {tag}")
-        print(f"wall time:         {report.wall_time:.3f}s")
+def _print_sweep(report) -> None:
+    print(f"theorem {report.theorem} over {report.source}"
+          f" (min_degree={report.min_degree})")
+    print(f"graphs scanned:    {report.graphs_scanned}")
+    print(f"hypothesis met:    {report.hypothesis_count}")
+    print(f"counterexamples:   {len(report.counterexamples)}")
+    for g6 in report.counterexamples:
+        print(f"  COUNTEREXAMPLE {g6}")
+    print(f"exceptions found:  {len(report.exceptions_found)}")
+    for g6, fam, params in report.exceptions_found:
+        tag = f"{fam} {params}" if fam else "UNRECOGNIZED"
+        print(f"  {g6}  ->  {tag}")
+    print(f"wall time:         {report.wall_time:.3f}s")
 
 
-def _emit_lemma(report, out: str) -> None:
-    if out == "json":
-        print(report.to_json())
-    elif out == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["lemma", "instances", "violations", "max_equality_gap"])
-        writer.writerow([report.lemma, report.instances, len(report.violations),
-                         report.max_equality_gap])
-        for v in report.violations:
-            writer.writerow(["violation", v, "", ""])
-    else:
-        print(f"{report.lemma}: {report.instances} instances, "
-              f"{len(report.violations)} violations "
-              f"(gap {report.max_equality_gap:.4g}, {report.wall_time:.3f}s)")
-        for nt in report.notes:
-            print(f"  note: {nt}")
-        for v in report.violations:
-            print(f"  VIOLATION: {v}")
+def _print_lemma(report) -> None:
+    print(f"{report.lemma}: {report.instances} instances, "
+          f"{len(report.violations)} violations "
+          f"(gap {report.max_equality_gap:.4g}, {report.wall_time:.3f}s)")
+    for nt in report.notes:
+        print(f"  note: {nt}")
+    for v in report.violations:
+        print(f"  VIOLATION: {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,31 +328,17 @@ def cmd_thresholds(args) -> int:
         rows.append(row)
     if not rows:
         raise ValueError(f"no even n >= {2 * k + 2} in range {args.n!r}")
-
-    if args.out == "json":
-        print(json.dumps({"schema": THRESHOLDS_SCHEMA, "rows": rows},
-                         indent=2, sort_keys=True))
-        return 0
-    header = ["n", "k", "size_extendable", "spectral_extendable",
-              "size_excludable", "spectral_excludable"]
-    if args.out == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[h] for h in header])
-        return 0
-    widths = [4, 3, 16, 20, 16, 20]
-    print("".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        cells = []
-        for h, w in zip(header, widths):
-            val = row[h]
-            if isinstance(val, float):
-                cells.append(f"{val:.6f}".ljust(w))
-            else:
-                cells.append(str(val if val is not None else "-").ljust(w))
-        print("".join(cells))
+    header = list(rows[0])
+    table = [header] + [[row[h] for h in header] for row in rows]
+    _emit(args.out, {"schema": THRESHOLDS_SCHEMA, "rows": rows}, table,
+          lambda: _print_thresholds(table))
     return 0
+
+
+def _print_thresholds(table: list[list]) -> None:
+    for row in table:
+        print("".join(("-" if val is None else _fmt(val)).ljust(w)
+                      for val, w in zip(row, (4, 3, 16, 20, 16, 20))))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ PRUNE_MARGIN = 1e-6
 # graph6 lines decoded as one batch by sweeps and the deficiency suites
 SOURCE_CHUNK = 1024
 
+# the lemma suites' one tolerance for comparisons of floating-point values
+LEMMA_TOL = 1e-9
+
 SWEEP_SCHEMA = "matchspec/sweep-report/1"
 LEMMA_SCHEMA = "matchspec/lemma-report/1"
 
@@ -199,8 +202,20 @@ class File:
 # Theorem sweeps
 # ---------------------------------------------------------------------------
 
+def json_text(doc: dict) -> str:
+    """The JSON form of every document matchspec prints: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class _Report:
+    """The JSON text shared by the sweep and lemma reports."""
+
+    def to_json(self, include_timing: bool = True) -> str:
+        return json_text(self.to_json_dict(include_timing))
+
+
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     theorem: str
     n: int
     k: int | None
@@ -231,10 +246,6 @@ class SweepReport:
         if include_timing:
             doc["wall_time"] = self.wall_time
         return doc
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timing), indent=2,
-                          sort_keys=True)
 
     def csv_rows(self) -> list[list]:
         rows = [["graph6", "status", "family", "params"]]
@@ -407,7 +418,7 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_Report):
     lemma: str
     grid: dict
     instances: int
@@ -434,9 +445,10 @@ class LemmaReport:
             doc["wall_time"] = self.wall_time
         return doc
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timing), indent=2,
-                          sort_keys=True)
+    def csv_rows(self) -> list[list]:
+        return [["lemma", "instances", "violations", "max_equality_gap"],
+                [self.lemma, self.instances, len(self.violations), self.max_equality_gap],
+                *(["violation", v, "", ""] for v in self.violations)]
 
 
 def _check_grid_cap(values, cap: int, what: str, key: str) -> None:
@@ -483,7 +495,7 @@ def _verify_subgraph_monotonicity(trials: int = 100, seed: int = 20240601):
         rho_h = spectral.spectral_radius(h).rho
         gap = rho_g - rho_h
         min_gap = min(min_gap, gap)
-        if gap <= 1e-9:
+        if gap <= LEMMA_TOL:
             violations.append(
                 f"rho({to_graph6(h)}) = {rho_h} !< rho({to_graph6(g)}) = {rho_g}")
         done += 1
@@ -517,7 +529,7 @@ def _registry_grid(n_values) -> list[tuple[str, dict]]:
     return out
 
 
-def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
+def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14)):
     # vertices with equal neighborhoods (up to each other) get equal Perron weight
     _check_grid_cap(n_values, 14, "the spectral family grid", "n")
     violations = []
@@ -531,7 +543,7 @@ def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
                 if g.adj[i] & ~(1 << j) == g.adj[j] & ~(1 << i):
                     dev = abs(perron[i] - perron[j])
                     max_dev = max(max_dev, dev)
-                    if dev > tol:
+                    if dev > LEMMA_TOL:
                         violations.append(
                             f"{fid}{params}: perron[{i}] != perron[{j}] "
                             f"(|diff| = {dev})")
@@ -539,34 +551,40 @@ def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
     return ({"n_values": n_values}, instances, violations, max_dev, [])
 
 
-def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14), tol: float = 1e-9):
+def _quotient_root(spec: families.FamilySpec):
+    """(exact charpoly of the canonical quotient, its largest root, the
+    eigensolver's rho), or None when the partition is not equitable."""
+    g = families.build(spec)
+    q = spectral.quotient_matrix(g, families.canonical_partition(spec))
+    if not q.equitable:
+        return None
+    poly = characteristic_polynomial(q.as_int_rows())
+    root = largest_real_root(poly, 0.0, float(g.n))
+    return poly, root, spectral.spectral_radius(g).rho
+
+
+def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14)):
     # equitable quotient's largest root equals the graph's spectral radius
     _check_grid_cap(n_values, 14, "the spectral family grid", "n")
     violations = []
     max_dev = 0.0
     instances = 0
     for fid, params in _registry_grid(n_values):
-        spec = families.named_spec(fid, **params)
-        g = families.build(spec)
-        part = families.canonical_partition(spec)
-        q = spectral.quotient_matrix(g, part)
-        if not q.equitable:
+        checked = _quotient_root(families.named_spec(fid, **params))
+        if checked is None:
             violations.append(f"{fid}{params}: canonical partition not equitable")
             continue
-        poly = characteristic_polynomial(q.as_int_rows())
-        root = largest_real_root(poly, 0.0, float(g.n))
-        rho = spectral.spectral_radius(g).rho
+        _, root, rho = checked
         dev = abs(root - rho)
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > LEMMA_TOL:
             violations.append(
                 f"{fid}{params}: quotient root {root} vs rho {rho}")
         instances += 1
     return ({"n_values": n_values}, instances, violations, max_dev, [])
 
 
-def _verify_interlacing(trials: int = 100, seed: int = 20240602,
-                        tol: float = 1e-9):
+def _verify_interlacing(trials: int = 100, seed: int = 20240602):
     # principal submatrix eigenvalues interlace the full spectrum
     rng = Random(seed)
     violations = []
@@ -584,7 +602,7 @@ def _verify_interlacing(trials: int = 100, seed: int = 20240602,
             high = lam[i] - mu[i]
             low = mu[i] - lam[n - t + i]
             max_dev = max(max_dev, -min(high, low, 0.0))
-            if high < -tol or low < -tol:
+            if high < -LEMMA_TOL or low < -LEMMA_TOL:
                 violations.append(
                     f"trial {trial}: interlacing broken at i={i} "
                     f"(mu={mu[i]}, window=[{lam[n - t + i]}, {lam[i]}])")
@@ -598,8 +616,7 @@ def _join_with_parts(s: int, parts: list[Graph]) -> Graph:
     return graphs.join(graphs.complete_graph(s), body)
 
 
-def _verify_packing_comparison(trials: int = 60, seed: int = 20240603,
-                               tol: float = 1e-9):
+def _verify_packing_comparison(trials: int = 60, seed: int = 20240603):
     # size and rho both rise when clique parts merge into one big clique
     # plus (t-1) copies of K_k; equality exactly when already of that shape
     rng = Random(seed)
@@ -629,7 +646,7 @@ def _verify_packing_comparison(trials: int = 60, seed: int = 20240603,
         rho_l = spectral.spectral_radius(left).rho
         rho_r = spectral.spectral_radius(right).rho
         if equality_case:
-            if size_l != size_r or abs(rho_l - rho_r) > tol:
+            if size_l != size_r or abs(rho_l - rho_r) > LEMMA_TOL:
                 violations.append(
                     f"equality case broken: sizes {sizes}, s={s}, k={k}, m={m}: "
                     f"|E| {size_l} vs {size_r}, rho {rho_l} vs {rho_r}")
@@ -638,7 +655,7 @@ def _verify_packing_comparison(trials: int = 60, seed: int = 20240603,
                     f"equality case not isomorphic: sizes {sizes}, s={s}, k={k}")
         else:
             min_strict_gap = min(min_strict_gap, size_r - size_l, rho_r - rho_l)
-            if size_l >= size_r or rho_l >= rho_r - tol:
+            if size_l >= size_r or rho_l >= rho_r - LEMMA_TOL:
                 violations.append(
                     f"strict case broken: sizes {sizes}, s={s}, k={k}, m={m}: "
                     f"|E| {size_l} vs {size_r}, rho {rho_l} vs {rho_r}")
@@ -714,7 +731,7 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     return ({"n_values": n_values}, instances, violations, max_m_ratio, notes)
 
 
-def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
+def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
     # spectral version of the same bound, plus the attaining families
     _check_grid_cap(n_values, 8, "the exhaustive subset-scan suite", "n")
     violations = []
@@ -730,7 +747,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
             bound = spectral.theta(n)
             attaining = families.build_named("lem210", n=n)
         rho_att = spectral.spectral_radius(attaining).rho
-        if abs(rho_att - bound) > tol:
+        if abs(rho_att - bound) > LEMMA_TOL:
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
         best = 0.0
@@ -738,7 +755,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
             instances += 1
             rho = spectral.spectral_radius(g).rho
             best = max(best, rho)
-            if rho > bound + tol:
+            if rho > bound + LEMMA_TOL:
                 violations.append(
                     f"n={n}: {to_graph6(g)} has rho={rho} > bound {bound}")
         notes.append(f"n={n}: max rho among qualifying graphs {best} "
@@ -747,7 +764,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None, tol: float = 1e-9):
     return ({"n_values": n_values}, instances, violations, max_dev, notes)
 
 
-def _verify_bridged_extremes(l_values=(6, 8, 10, 12), tol: float = 1e-9):
+def _verify_bridged_extremes(l_values=(6, 8, 10, 12)):
     # across odd splits p+q=l, size and rho peak at the pendant shape and
     # then at the {3, l-3} split
     _check_grid_cap(l_values, 14, "the bridged-completes grid", "l")
@@ -769,21 +786,21 @@ def _verify_bridged_extremes(l_values=(6, 8, 10, 12), tol: float = 1e-9):
         runner_rho = max((r for p, q, m, r in entries if 3 in (p, q) and 1 not in (p, q)),
                          default=None)
         for p, q, m, rho in entries:
-            if m > pend_m or rho > pend_rho + tol:
+            if m > pend_m or rho > pend_rho + LEMMA_TOL:
                 violations.append(
                     f"l={l}: split ({p},{q}) beats the pendant shape "
                     f"(m={m} vs {pend_m}, rho={rho} vs {pend_rho})")
             if 1 in (p, q):
                 continue
             min_gap = min(min_gap, pend_m - m, pend_rho - rho)
-            if m > runner_m or (runner_rho is not None and rho > runner_rho + tol):
+            if m > runner_m or (runner_rho is not None and rho > runner_rho + LEMMA_TOL):
                 violations.append(
                     f"l={l}: split ({p},{q}) beats the (3,{l - 3}) runner-up")
             if 3 in (p, q):
                 if m != runner_m:
                     violations.append(f"l={l}: runner-up size mismatch at ({p},{q})")
             else:
-                if m >= runner_m or rho >= runner_rho - tol:
+                if m >= runner_m or rho >= runner_rho - LEMMA_TOL:
                     violations.append(
                         f"l={l}: split ({p},{q}) ties the runner-up "
                         f"(m={m} vs {runner_m}, rho={rho} vs {runner_rho})")
@@ -934,20 +951,16 @@ def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
         if name not in _IDENTITIES:
             raise ValueError(f"unknown identity {name!r}")
         spec, expected = _IDENTITIES[name](**params)
-        g = families.build(spec)
-        part = families.canonical_partition(spec)
-        q = spectral.quotient_matrix(g, part)
-        if not q.equitable:
+        checked = _quotient_root(spec)
+        if checked is None:
             violations.append(f"{name}{params}: partition not equitable")
             continue
-        poly = characteristic_polynomial(q.as_int_rows())
+        poly, root, rho = checked
         if poly.coeffs != tuple(expected):
             violations.append(
                 f"{name}{params}: quotient charpoly {poly.coeffs} "
                 f"!= displayed formula {tuple(expected)}")
             continue
-        root = largest_real_root(poly, 0.0, float(g.n))
-        rho = spectral.spectral_radius(g).rho
         dev = abs(root - rho)
         max_dev = max(max_dev, dev)
         if dev > tol:

@@ -207,9 +207,6 @@ class QuotientMatrix:
     equitable: bool
     block_sizes: tuple[int, ...]
 
-    def as_exact_rows(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
-
     def as_int_rows(self) -> list[list[int]]:
         if not all(e.denominator == 1 for row in self.entries for e in row):
             raise ValueError("quotient matrix has non-integer entries")

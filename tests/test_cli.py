@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from matchspec import cli, theorems
+from matchspec import cli, enumeration, theorems
 from matchspec.families import build_named
 from matchspec.graphs import parse_graph6, to_graph6
 from matchspec.spectral import spectral_radius
@@ -144,6 +145,54 @@ def test_verify_lemma_rejects_options_the_suite_does_not_take(capsys):
     code, _, err = run_cli(capsys, "verify", "--lemma", "l2.1",
                            "--grid", "n=6..8")
     assert code == 2 and "'n_values'" in err
+
+
+@pytest.mark.parametrize("lemma, grid", [
+    ("l2.9", "sources=3"), ("l2.9", "n_values=8"), ("l2.11", "l_values=8"),
+    ("l2.2", "tol=1"), ("l2.11", "tol=5"), ("l2.4", "n=6"),
+])
+def test_verify_grid_takes_only_its_documented_keys(capsys, lemma, grid):
+    # exit 2 is a usage error; exit 1 would claim a violation was found
+    code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", grid)
+    assert code == 2 and out == ""
+    key = grid.split("=")[0]
+    assert f"grid key {key!r}" in err and "LO..HI" in err
+
+
+def test_verify_lemma_csv_and_json(capsys, monkeypatch):
+    # a negative tolerance makes every quotient-root comparison a violation
+    monkeypatch.setattr(enumeration, "LEMMA_TOL", -1.0)
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    report = enumeration.verify_lemma("l2.4", n_values=(6, 8))
+    assert report.instances > 0 and len(report.violations) == report.instances
+    argv = ("verify", "--lemma", "l2.4", "--grid", "n=6..8", "--out")
+    code, out, _ = run_cli(capsys, *argv, "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 1
+    assert rows[0] == ["lemma", "instances", "violations", "max_equality_gap"]
+    assert rows[1] == ["l2.4", str(report.instances), str(len(report.violations)),
+                       str(report.max_equality_gap)]
+    assert rows[2:] == [["violation", v, "", ""] for v in report.violations]
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 1 and out == report.to_json() + "\n"
+
+
+def test_verify_deficiency_lemma_reads_its_input_once(capsys, monkeypatch,
+                                                      n8_fixture_path):
+    reads = []
+    numbered_lines = enumeration.File._numbered_lines
+
+    def counted(self):
+        reads.append(self.path)
+        return numbered_lines(self)
+
+    monkeypatch.setattr(enumeration.File, "_numbered_lines", counted)
+    for lemma in ("l2.9", "l2.10"):
+        reads.clear()
+        code, out, _ = run_cli(capsys, "verify", "--lemma", lemma,
+                               "--input", n8_fixture_path)
+        assert code == 0 and "0 violations" in out
+        assert reads == [n8_fixture_path]
 
 
 def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
