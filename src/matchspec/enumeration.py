@@ -17,17 +17,12 @@ batch of arrays:
    check `parse_graph6` makes done on the whole batch; a line that fails
    one is parsed again by `parse_graph6`, whose message is raised with the
    source and line number;
-2. edge counts, minimum degree and connectivity for the whole batch;
-3. the hypothesis: size statements compare the edge count with the
-   threshold.  Spectral statements first drop the graphs whose spectral
-   radius bound, the smaller of Stanley's (-1 + sqrt(1 + 8m)) / 2
-   (Stanley, Linear Algebra Appl. 87, 1987) and Hong's sqrt(2m - n + 1)
-   for connected graphs (Hong, Linear Algebra Appl. 108, 1988), is below
-   the threshold less the tolerance by more than PRUNE_MARGIN (1e-6), then
-   eigensolve the rest in one batched call and keep those with
-   rho >= threshold - tolerance, as `theorems.hypothesis_status` does;
-4. `Graph` objects only for the graphs that meet the hypothesis: the
-   conclusion by matching search, and recognition of the failures.
+2. `theorems._hypothesis_mask` measures the whole batch and decides the
+   hypothesis by the rule a single graph's verdict uses;
+3. `Graph` objects only for the graphs that meet it, for the conclusion
+   and exception helpers of `theorems` that a verdict also calls.
+
+What a statement asks for is known to `theorems` alone.
 """
 
 from __future__ import annotations
@@ -54,11 +49,6 @@ ENUMERATION_CAP = 7
 # Published counts of connected graphs up to isomorphism (n = 1..7).
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
-# A graph is dropped from a spectral sweep without an eigensolve only when
-# its Stanley/Hong bound falls short of the threshold (less the tolerance)
-# by more than this: far above the bound's floating-point rounding error.
-PRUNE_MARGIN = 1e-6
-
 # graph6 lines decoded as one batch by sweeps and the deficiency suites
 SOURCE_CHUNK = 1024
 
@@ -72,26 +62,6 @@ LEMMA_SCHEMA = "matchspec/lemma-report/1"
 # ---------------------------------------------------------------------------
 # Enumeration of all connected graphs on n <= 7 vertices
 # ---------------------------------------------------------------------------
-
-def _connected(rows: np.ndarray) -> np.ndarray:
-    """Which graphs of a batch are connected.
-
-    rows[g, v] is the neighbour bit mask of vertex v in graph g, in an
-    unsigned dtype at least n bits wide.  Reachability from vertex 0 grows
-    one step per pass over the whole batch at once.
-    """
-    n = rows.shape[1]
-    reach = np.ones(len(rows), dtype=rows.dtype)
-    for _ in range(n):
-        acc = reach.copy()
-        for v in range(n):
-            has = (reach >> v) & 1
-            acc |= rows[:, v] * has
-        if np.array_equal(acc, reach):
-            break
-        reach = acc
-    return reach == (1 << n) - 1
-
 
 @lru_cache(maxsize=None)
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
@@ -119,7 +89,7 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         rows[:, i] |= bit << j
         rows[:, j] |= bit << i
 
-    todo = _connected(rows)
+    todo = graphs._connected(rows)
     del rows
 
     # edge-slot images of every vertex permutation
@@ -288,44 +258,6 @@ def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     return adj, np.flatnonzero(bad)
 
 
-def _bit_rows(adj: np.ndarray) -> np.ndarray:
-    """Per-vertex neighbour bit masks, shape (N, n), of an adjacency tensor."""
-    n = adj.shape[1]
-    dtype = np.min_scalar_type((1 << n) - 1)
-    return adj @ np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
-
-
-def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tol: float,
-                     min_deg: int | None = None) -> np.ndarray:
-    """Which graphs of a batch pass the degree filter and meet t's hypothesis.
-
-    Decides exactly as `theorems.hypothesis_status` does, graph by graph.
-    A spectral hypothesis eigensolves only the graphs whose Stanley/Hong
-    bound (`spectral.radius_upper_bound`) reaches the threshold less the
-    tolerance and PRUNE_MARGIN.
-    """
-    n = adj.shape[1]
-    deg = adj.sum(axis=2, dtype=np.int16)
-    low = deg.min(axis=1, initial=n)
-    keep = np.ones(len(adj), dtype=bool)
-    if min_deg is not None:
-        keep &= (n > 0) & (low >= min_deg)
-    if not keep.any():
-        return keep  # like the per-graph path: no range check without a candidate
-    threshold = theorems.hypothesis_threshold(t, n)
-    keep &= _connected(_bit_rows(adj))
-    if not t.about_extension:
-        keep &= low >= 2
-    m = deg.sum(axis=1, dtype=np.int64) // 2
-    if t.uses_size:
-        return keep & (m >= threshold)
-    bound = spectral.radius_upper_bound(m[keep], n)
-    keep[keep] = bound >= threshold - tol - PRUNE_MARGIN
-    rho = np.linalg.eigvalsh(adj[keep].astype(np.float64))[:, -1]
-    keep[keep] = rho >= threshold - tol
-    return keep
-
-
 def _decode_source_lines(source, start: int, lines: list[str], n: int) -> np.ndarray:
     """`_decode_graph6` with the fault of a rejected line raised as ValueError
     naming the source and line; `start` is the index of `lines[0]`."""
@@ -355,21 +287,14 @@ def _source_order(source, lines: list[str]) -> int:
 
 
 def _sweep_chunk(args) -> tuple[int, int, list]:
-    source, start, lines, kind, k, expected_n, min_deg, tol = args
-    t = TheoremId(kind, k)
+    source, start, lines, t, expected_n, min_deg, tol = args
     adj = _decode_source_lines(source, start, lines, expected_n)
-    met = np.flatnonzero(_hypothesis_mask(adj, t, tol, min_deg))
+    met = np.flatnonzero(theorems._hypothesis_mask(adj, t, tol, min_deg))
     events = []
-    for i, row in zip(met, _bit_rows(adj[met]).tolist()):
+    for i, row in zip(met, graphs._bit_rows(adj[met]).tolist()):
         g = Graph(expected_n, tuple(row))
-        if t.about_extension:
-            conclusion = matching.is_k_extendable(g, t.k).holds
-        else:
-            conclusion = matching.is_1_excludable(g).holds
-        if conclusion:
-            continue
-        rec = families.recognize(g, theorems.exception_candidates(t, g.n))
-        events.append((lines[i], rec))
+        if not theorems.conclusion_holds(g, t):
+            events.append((lines[i], theorems.recognize_exception(g, t)))
     return len(lines), len(met), events
 
 
@@ -391,8 +316,8 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     if expected_n % 2 != 0:
         raise ValueError(f"sweeps need even n, got n={expected_n}")
 
-    args = [(source, i, lines[i:i + chunk_size], t.kind, t.k, expected_n,
-             min_degree, tolerance) for i in range(0, len(lines), chunk_size)]
+    args = [(source, i, lines[i:i + chunk_size], t, expected_n, min_degree,
+             tolerance) for i in range(0, len(lines), chunk_size)]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_chunk, args))
@@ -688,7 +613,7 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     for start in range(0, len(lines), SOURCE_CHUNK):
         chunk = lines[start:start + SOURCE_CHUNK]
         adj = _decode_source_lines(source, start, chunk, n)
-        for g6, row in zip(chunk, _bit_rows(adj).tolist()):
+        for g6, row in zip(chunk, graphs._bit_rows(adj).tolist()):
             g = Graph(n, tuple(row))
             if matching.has_perfect_matching(g):
                 continue
@@ -830,7 +755,8 @@ def verify_lemma(lemma: str, **options) -> LemmaReport:
       n_values              -- orders for family/exhaustive suites
       sources               -- {n: GraphSource} overriding BuiltIn (l2.9/l2.10)
       l_values              -- even orders for the bridged-completes suite
-    An option the chosen suite does not take is a ValueError.
+    An option the chosen suite does not take is a ValueError, and so is a
+    grid on which the suite checks no instance.
     """
     lemma = lemma.lower()
     suite = _LEMMA_SUITES.get(lemma)
@@ -843,6 +769,8 @@ def verify_lemma(lemma: str, **options) -> LemmaReport:
                          f"it takes: {', '.join(accepted)}")
     start = time.perf_counter()
     grid, instances, violations, gap, notes = suite(**options)
+    if not instances:
+        raise ValueError(f"{lemma} checks no instance on the grid {grid}")
     return LemmaReport(lemma=lemma, grid=grid, instances=instances,
                        violations=tuple(violations), max_equality_gap=gap,
                        wall_time=time.perf_counter() - start, notes=tuple(notes))
@@ -945,6 +873,8 @@ def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
     """
     start = time.perf_counter()
     grid = list(grid) if grid is not None else default_identity_grid()
+    if not grid:
+        raise ValueError("charpoly-identities needs at least one grid point")
     violations = []
     max_dev = 0.0
     for name, params in grid:

@@ -9,6 +9,8 @@ Graph, so values can be shared freely across worker processes.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Graph:
     """Immutable simple graph: no loops, symmetric adjacency."""
@@ -289,6 +291,33 @@ def is_connected(g: Graph) -> bool:
         raise ValueError("connectivity undefined for the empty graph")
     full = (1 << g.n) - 1
     return len(_component_masks(g.adj, full)) == 1
+
+
+def _bit_rows(adj: np.ndarray) -> np.ndarray:
+    """Per-vertex neighbour bit masks, shape (N, n), of an adjacency tensor."""
+    n = adj.shape[1]
+    dtype = np.min_scalar_type((1 << n) - 1)
+    return adj @ np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
+
+
+def _connected(rows: np.ndarray) -> np.ndarray:
+    """Which graphs of a batch are connected.
+
+    rows[g, v] is the neighbour bit mask of vertex v in graph g, in an
+    unsigned dtype at least n bits wide.  Reachability from vertex 0 grows
+    one step per pass over the whole batch at once.
+    """
+    n = rows.shape[1]
+    reach = np.ones(len(rows), dtype=rows.dtype)
+    for _ in range(n):
+        acc = reach.copy()
+        for v in range(n):
+            has = (reach >> v) & 1
+            acc |= rows[:, v] * has
+        if np.array_equal(acc, reach):
+            break
+        reach = acc
+    return reach == (1 << n) - 1
 
 
 def min_degree(g: Graph) -> int:

@@ -1,10 +1,12 @@
-"""Size and spectral thresholds for matching extension/exclusion, plus
-per-graph verdicts against the four threshold statements.
+"""Size and spectral thresholds for matching extension/exclusion, and the
+one place that decides the four threshold statements.
 
 Each statement has the shape "hypothesis implies conclusion, unless the
 graph is one of finitely many listed exceptions"; a TheoremVerdict records
 all three pieces so a sweep can hunt for genuine counterexamples
-(hypothesis and not conclusion and not a listed exception).
+(hypothesis and not conclusion and not a listed exception).  A single
+graph and a sweep's batch measure differently but share one hypothesis
+rule (`_meets`), one conclusion and one exception lookup.
 """
 
 from __future__ import annotations
@@ -13,10 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from . import families, matching, spectral
-from .graphs import Graph, is_connected, min_degree
+from .graphs import Graph, _bit_rows, _connected, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
+
+# A graph is dropped from a spectral batch without an eigensolve only when
+# its Stanley/Hong bound falls short of the threshold (less the tolerance)
+# by more than this: far above the bound's floating-point rounding error.
+PRUNE_MARGIN = 1e-6
 
 THEOREM_KINDS = ("t11", "t13", "t14", "t16")
 _ALIASES = {"c12": ("t11", 1), "c15": ("t14", 1)}
@@ -163,11 +172,7 @@ def exception_candidates(t: TheoremId, n: int) -> list[tuple[str, dict]]:
             return [("thm13-f1", {})]
         if n == 8:
             return [("thm13-f2", {})]
-        # The n>=10 size exception is registered in both its recorded
-        # shapes; the pendant shape at these parameters has odd order and can
-        # never match an even-order graph, so sweeps settle which occurs.
-        return [("thm13-fact3-pendant", {"n": n + 1, "s": 4}),
-                ("thm13-fact3-split", {"n": n, "s": 4}),
+        return [("thm13-fact3-split", {"n": n, "s": 4}),
                 ("thm13-f3", {"n": n})]
     if t.kind == "t16":
         if n == 6:
@@ -196,24 +201,67 @@ def hypothesis_threshold(t: TheoremId, n: int) -> float | int:
     return spectral_threshold_excludable(n)
 
 
-def hypothesis_status(g: Graph, t: TheoremId,
-                      tolerance: float = SPECTRAL_TOL):
-    """(hypothesis_met, threshold, measured) without the conclusion check.
+def _meets(t: TheoremId, threshold, measured, connected, low, tolerance):
+    """t's hypothesis over measured values, scalars or arrays alike.
 
     Every hypothesis asks for a connected graph, the exclusion statements
-    (t13, t16) also for minimum degree 2.  Size hypotheses compare the edge
-    count with the threshold exactly; spectral ones use
+    (t13, t16) also for minimum degree `low` >= 2.  Size hypotheses compare
+    the edge count with the threshold exactly; spectral ones use
     `rho >= threshold - tolerance`.
     """
+    floor = threshold if t.uses_size else threshold - tolerance
+    return connected & (t.about_extension | (low >= 2)) & (measured >= floor)
+
+
+def hypothesis_status(g: Graph, t: TheoremId,
+                      tolerance: float = SPECTRAL_TOL):
+    """(hypothesis_met, threshold, measured) without the conclusion check."""
     threshold = hypothesis_threshold(t, g.n)
-    structural = is_connected(g) and (t.about_extension or min_degree(g) >= 2)
-    if t.uses_size:
-        measured: float | int = g.m
-        met = structural and measured >= threshold
-    else:
-        measured = spectral.spectral_radius(g).rho
-        met = structural and measured >= threshold - tolerance
+    measured = g.m if t.uses_size else spectral.spectral_radius(g).rho
+    met = _meets(t, threshold, measured, is_connected(g), min_degree(g), tolerance)
     return met, threshold, measured
+
+
+def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tolerance: float,
+                     min_deg: int | None = None) -> np.ndarray:
+    """Which graphs of an (N, n, n) adjacency batch pass the source's
+    minimum-degree filter and meet t's hypothesis.
+
+    Measures on its own (numpy connectivity, one batched eigensolve) and
+    decides by the rule `hypothesis_status` uses.  A spectral hypothesis
+    eigensolves only the graphs whose Stanley/Hong bound
+    (`spectral.radius_upper_bound`), raised by PRUNE_MARGIN, meets it.
+    """
+    n = adj.shape[1]
+    deg = adj.sum(axis=2, dtype=np.int16)
+    low = deg.min(axis=1, initial=n)
+    keep = np.ones(len(adj), dtype=bool)
+    if min_deg is not None:
+        keep &= (n > 0) & (low >= min_deg)
+    if not keep.any():
+        return keep  # like the per-graph path: no range check without a candidate
+    threshold = hypothesis_threshold(t, n)
+    connected = keep & _connected(_bit_rows(adj))  # filtered graphs never meet it
+    m = deg.sum(axis=1, dtype=np.int64) // 2
+    if t.uses_size:
+        return _meets(t, threshold, m, connected, low, tolerance)
+    rho = np.zeros(len(adj))
+    rho[connected] = spectral.radius_upper_bound(m[connected], n) + PRUNE_MARGIN
+    solve = _meets(t, threshold, rho, connected, low, tolerance)
+    rho[solve] = np.linalg.eigvalsh(adj[solve].astype(np.float64))[:, -1]
+    return solve & _meets(t, threshold, rho, connected, low, tolerance)
+
+
+def conclusion_holds(g: Graph, t: TheoremId) -> bool:
+    """t's conclusion: k-extendable for t11/t14, 1-excludable for t13/t16."""
+    if t.about_extension:
+        return matching.is_k_extendable(g, t.k).holds
+    return matching.is_1_excludable(g).holds
+
+
+def recognize_exception(g: Graph, t: TheoremId) -> tuple[str, dict] | None:
+    """The listed exception family of t that g belongs to, if any."""
+    return families.recognize(g, exception_candidates(t, g.n))
 
 
 def theorem_verdict(g: Graph, t: TheoremId,
@@ -225,19 +273,9 @@ def theorem_verdict(g: Graph, t: TheoremId,
     (odd parity is excluded by the range check) yield hypothesis_met=False.
     """
     met, threshold, measured = hypothesis_status(g, t, tolerance)
-    n = g.n
-
-    if t.about_extension:
-        conclusion = matching.is_k_extendable(g, t.k).holds
-    else:
-        conclusion = matching.is_1_excludable(g).holds
-
-    recognized = None
-    exception = False
-    if met and not conclusion:
-        recognized = families.recognize(g, exception_candidates(t, n))
-        exception = recognized is not None
-
+    conclusion = conclusion_holds(g, t)
+    recognized = recognize_exception(g, t) if met and not conclusion else None
+    exception = recognized is not None
     consistent = (not met) or conclusion or exception
     return TheoremVerdict(met, conclusion, exception, consistent,
                           threshold=threshold, measured=measured,
@@ -262,6 +300,7 @@ __all__ = [
     "TheoremId", "TheoremVerdict", "size_threshold_extendable",
     "size_threshold_excludable", "spectral_threshold_extendable",
     "spectral_threshold_excludable", "exception_candidates",
-    "hypothesis_threshold", "hypothesis_status", "theorem_verdict",
-    "parse_theorem_token", "SPECTRAL_TOL",
+    "hypothesis_threshold", "hypothesis_status", "conclusion_holds",
+    "recognize_exception", "theorem_verdict", "parse_theorem_token",
+    "SPECTRAL_TOL",
 ]

@@ -159,6 +159,17 @@ def test_verify_grid_takes_only_its_documented_keys(capsys, lemma, grid):
     assert f"grid key {key!r}" in err and "LO..HI" in err
 
 
+@pytest.mark.parametrize("lemma, grid", [
+    ("l2.1", "trials=0"), ("l2.4", "n=-4..2"), ("l2.9", "n=2..2"),
+])
+def test_verify_lemma_that_checks_nothing_is_a_usage_error(capsys, lemma, grid):
+    # "0 instances" is no evidence; l2.1 also used to print a non-JSON Infinity
+    code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", grid,
+                             "--out", "json")
+    assert code == 2 and out == ""
+    assert f"{lemma} checks no instance on the grid" in err
+
+
 def test_verify_lemma_csv_and_json(capsys, monkeypatch):
     # a negative tolerance makes every quotient-root comparison a violation
     monkeypatch.setattr(enumeration, "LEMMA_TOL", -1.0)

@@ -186,3 +186,8 @@ def test_charpoly_mismatch_is_reported(monkeypatch):
     assert not report.ok
     assert "thm13-f3" in report.violations[0]
     assert "!=" in report.violations[0]
+
+
+def test_charpoly_identities_need_a_grid_point():
+    with pytest.raises(ValueError, match="at least one grid point"):
+        verify_charpoly_identities(grid=[])

@@ -4,7 +4,8 @@ A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
 drops graphs whose Stanley/Hong spectral-radius bound is already below a
 spectral threshold, and eigensolves the rest in one call.  These tests
 check each of those steps against `parse_graph6`, `spectral_radius` and
-`hypothesis_status`, graph by graph.
+`hypothesis_status`, graph by graph, and whole sweeps against
+`theorem_verdict`.
 """
 
 import os
@@ -52,9 +53,9 @@ def test_batched_hypothesis_matches_per_graph(by_order, t):
             expected = [theorems.hypothesis_status(g, t)[0] for g in gs]
         except ValueError as exc:  # order outside the statement's range
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+                theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
             continue
-        batched = enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+        batched = theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
         assert batched.tolist() == expected
 
 
@@ -69,10 +70,35 @@ def test_radius_bound_holds_on_every_connected_graph(by_order):
 
 def test_hypothesis_counts_at_n8(by_order):
     _, adj = by_order[8]
-    counts = [int(enumeration._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL,
-                                                min_deg).sum())
+    counts = [int(theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL,
+                                             min_deg).sum())
               for t, min_deg in GOLDEN.values()]
     assert counts == [44, 812, 16, 334]
+
+
+@pytest.mark.parametrize("t", THEOREMS, ids=str)
+def test_sweep_matches_per_graph_verdicts(by_order, n8_fixture_path, t):
+    # a sweep and `theorem_verdict` share the conclusion and exception
+    # helpers; both routes must agree end to end on every graph
+    sources = {4: BuiltIn(4), 6: BuiltIn(6), 8: File(n8_fixture_path)}
+    for n, (gs, _) in by_order.items():
+        source = sources[n]
+        try:
+            met = [(g6, g) for g6, g in zip(source.graph6_lines(), gs)
+                   if theorems.hypothesis_status(g, t)[0]]
+        except ValueError as exc:  # order outside the statement's range
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                sweep_theorem(source, t)
+            continue
+        verdicts = [(g6, theorems.theorem_verdict(g, t)) for g6, g in met]
+        assert all(v.hypothesis_met for _, v in verdicts)
+        failing = sorted((g6, v.recognized) for g6, v in verdicts
+                         if not v.conclusion_met)
+        report = sweep_theorem(source, t)
+        assert report.hypothesis_count == len(met)
+        assert [(g6, (fam, params) if fam else None)
+                for g6, fam, params in report.exceptions_found] == failing
+        assert report.counterexamples == tuple(g6 for g6, rec in failing if rec is None)
 
 
 def test_sweep_takes_lines_with_the_graph6_header(tmp_path):
