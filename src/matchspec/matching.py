@@ -22,7 +22,14 @@ The criterion route scans the vertex subsets of a graph once: a private
 table holds o(g-S) for every subset mask S, and the Berge-Tutte
 deficiency, the k-extendability criterion and the 1-excludability
 criterion all read it.  The table of the most recent graph is memoised,
-so checking one graph several ways pays for one scan.
+so checking one graph several ways pays for one scan.  It is filled with
+numpy for every remaining set R = V-S at once: a batched flood grows the
+component C of R's lowest vertex one breadth-first layer per pass, then
+o(R) = o(R-C) + [|C| odd] is summed along the links R -> R-C.  The readers
+scan the table as arrays and run Python only on the subsets that could
+violate their criterion, in mask order, so every witness is the first in
+mask order.  At n = SUBSET_SCAN_CAP = 20 a table takes about 0.1 s and
+18 MB of work arrays to build, and keeps 1 MB.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .graphs import Graph, _component_masks, _mask_to_vertices, is_connected
 
@@ -212,33 +221,57 @@ def has_perfect_matching(g: Graph) -> bool:
 # Odd-component table and Berge-Tutte deficiency (criterion route)
 # ---------------------------------------------------------------------------
 
+_BYTE_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+_BYTE_POPCOUNT.flags.writeable = False
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """|S| for every subset mask S of n vertices (uint8, indexed by mask).
+
+    Built from the byte lookup, one outer sum per further byte.  Not to be
+    written to: for n <= 8 it is a read-only view of that lookup.
+    """
+    pc = _BYTE_POPCOUNT[:1 << min(n, 8)]
+    for low in range(8, n, 8):
+        pc = np.add.outer(_BYTE_POPCOUNT[:1 << min(n - low, 8)], pc).ravel()
+    return pc
+
+
 @lru_cache(maxsize=1)
 def _odd_component_table(g: Graph) -> bytes:
     """o(g-S) for every vertex subset S, indexed by the mask of S.
 
-    Exponential in n; refuses n > SUBSET_SCAN_CAP.  Filled by remaining
-    set R = V-S in increasing mask order: the component C of R's lowest
-    vertex is flooded, and o(R) = o(R-C) + (|C| odd), where R-C < R has
-    already been filled.
+    Exponential in n; refuses n > SUBSET_SCAN_CAP.  Filled for every
+    remaining set R = V-S at once, on 32-bit mask arrays:
+    - flood: the component C of R's lowest vertex starts as that vertex
+      and grows to (C + N(C)) & R, read from a table of C + N(C) for every
+      mask, until no mask grows (one pass per breadth-first layer);
+    - count: o(R) = [|C| odd] + o(R-C), summed along the links R -> R-C
+      -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most).
+    At n = SUBSET_SCAN_CAP (2^20 masks) a build takes about 0.1 s and
+    about 18 MB of work arrays; the table it keeps is 1 MB.
     """
     if g.n > SUBSET_SCAN_CAP:
         raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
-    adj = g.adj
-    full = (1 << g.n) - 1
-    odd = bytearray(full + 1)
-    for rem in range(1, full + 1):
-        comp = 0
-        frontier = rem & -rem
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & rem & ~comp
-        odd[rem] = odd[rem & ~comp] + (comp.bit_count() & 1)
-    return bytes(odd[::-1])  # mask S holds o(R) for R = full - S
+    closed = np.zeros(1 << g.n, dtype=np.uint32)  # C + N(C) for every mask C
+    for v, nb in enumerate(g.adj):
+        np.bitwise_or(closed[:1 << v], nb | 1 << v, out=closed[1 << v:2 << v])
+    rem = np.arange(1 << g.n, dtype=np.uint32)
+    comp = rem & -rem
+    while True:
+        grown = closed[comp]
+        grown &= rem
+        if (grown == comp).all():
+            break
+        comp = grown
+    del closed, grown  # freed before the count pass allocates its own
+    odd = _popcounts(g.n)[comp] & 1
+    rest = np.bitwise_xor(rem, comp, out=comp)  # R - C
+    del rem
+    while rest.any():
+        odd += odd[rest]
+        rest = rest[rest]
+    return odd[::-1].tobytes()  # mask S holds o(R) for R = full - S
 
 
 def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
@@ -248,9 +281,10 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
     satisfies 2*nu = n - deficiency.  The first maximizing S in mask order
     is returned.
     """
-    table = _odd_component_table(g)
-    best = max(range(len(table)), key=lambda s: table[s] - s.bit_count())
-    return table[best] - best.bit_count(), frozenset(_mask_to_vertices(best))
+    excess = np.frombuffer(_odd_component_table(g), dtype=np.uint8).astype(np.int16)
+    excess -= _popcounts(g.n)
+    best = int(np.argmax(excess))
+    return int(excess[best]), frozenset(_mask_to_vertices(best))
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +377,21 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    table = _odd_component_table(g)
+    odd = np.frombuffer(_odd_component_table(g), dtype=np.uint8)
     if g.n % 2 == 1:
         return Verdict(False, "criterion", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
         return Verdict(False, "criterion", witness=frozenset(), reason="too-few-vertices")
+    size = _popcounts(g.n)
     # Perfect matching precondition, via the subset-scan route.
-    for smask, odd in enumerate(table):
-        if odd > smask.bit_count():
-            return Verdict(False, "criterion",
-                           witness=frozenset(_mask_to_vertices(smask)),
-                           reason="no-perfect-matching")
-    for smask, odd in enumerate(table):
-        s = smask.bit_count()
-        if 2 * k <= s and odd > s - 2 * k and _has_k_independent_edges(g, smask, k):
+    tutte = odd > size
+    smask = int(np.argmax(tutte))
+    if tutte[smask]:
+        return Verdict(False, "criterion", witness=frozenset(_mask_to_vertices(smask)),
+                       reason="no-perfect-matching")
+    # here 2k <= n - 2, so odd + 2k cannot wrap around in uint8
+    for smask in np.flatnonzero((size >= 2 * k) & (odd + 2 * k > size)).tolist():
+        if _has_k_independent_edges(g, smask, k):
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-violated")
@@ -464,17 +499,16 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
     if g.n == 0 or not is_connected(g):
         raise ValueError("criterion check requires a connected graph")
     full = (1 << g.n) - 1
-    for smask, odd in enumerate(table):
-        s = smask.bit_count()
-        if odd <= s - 2:
-            continue  # both conditions already satisfied
+    odd = np.frombuffer(table, dtype=np.uint8)
+    # every other S has o(g-S) <= |S| - 2, which meets both conditions
+    for smask in np.flatnonzero(odd + 2 > _popcounts(g.n)).tolist():
         comps = _component_masks(g.adj, full & ~smask)
         bridged = any(_component_has_odd_bridge(g, c) for c in comps)
         if bridged:
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-i")
-        if odd > s:
+        if table[smask] > smask.bit_count():
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-ii")

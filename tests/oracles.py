@@ -9,6 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from matchspec.graphs import Graph
+from matchspec.matching import SUBSET_SCAN_CAP
 from matchspec.spectral import adjacency_matrix
 
 
@@ -26,6 +27,33 @@ def brute_force_matching_number(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+def odd_component_table_reference(g: Graph) -> bytes:
+    """o(g-S) for every vertex subset S, indexed by the mask of S.
+
+    Filled bit by bit, by remaining set R = V-S in increasing mask order:
+    the component C of R's lowest vertex is flooded, and o(R) = o(R-C) +
+    (|C| odd), where R-C < R has already been filled.
+    """
+    if g.n > SUBSET_SCAN_CAP:
+        raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
+    adj = g.adj
+    full = (1 << g.n) - 1
+    odd = bytearray(full + 1)
+    for rem in range(1, full + 1):
+        comp = 0
+        frontier = rem & -rem
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & rem & ~comp
+        odd[rem] = odd[rem & ~comp] + (comp.bit_count() & 1)
+    return bytes(odd[::-1])  # mask S holds o(R) for R = full - S
 
 
 def brute_force_is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -9,14 +10,15 @@ from matchspec.families import (BridgedCompletes, PendantComplete, build,
                                 build_named)
 from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
-                              join, min_degree, odd_components, parse_graph6,
-                              path_graph)
-from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
+                              is_connected, join, min_degree, odd_components,
+                              parse_graph6, path_graph)
+from matchspec.matching import (SUBSET_SCAN_CAP, _odd_component_table,
+                                berge_tutte_deficiency,
                                 find_odd_bridges, has_perfect_matching,
                                 is_1_excludable, is_1_excludable_criterion,
                                 is_k_extendable, is_k_extendable_chen,
                                 matching_number, max_matching)
-from oracles import brute_force_matching_number
+from oracles import brute_force_matching_number, odd_component_table_reference
 
 PETERSEN = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -93,6 +95,60 @@ def test_berge_tutte_examples():
     assert berge_tutte_deficiency(star) == (2, frozenset({0}))
     with pytest.raises(ValueError):
         berge_tutte_deficiency(empty_graph(SUBSET_SCAN_CAP + 1))
+
+
+# --- odd-component table against the bit-by-bit reference -------------------
+
+def _random_connected_graph(rng, n, p):
+    while True:
+        g = random_graph(rng, n, p)
+        if is_connected(g):
+            return g
+
+
+def test_odd_component_table_matches_reference(n8_fixture_path):
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    with open(n8_fixture_path) as fh:
+        graphs += [parse_graph6(line) for line in fh if line.strip()]
+    assert len(graphs) == 12113
+    rng = random.Random(41)
+    graphs += [_random_connected_graph(rng, n, p)
+               for n in range(10, 17) for p in (0.25, 0.6)]
+    graphs += [empty_graph(0), empty_graph(1), empty_graph(2), empty_graph(9),
+               disjoint_union(complete_graph(3), path_graph(4)),
+               disjoint_union(PETERSEN, disjoint_union(cycle_graph(5), empty_graph(2))),
+               cycle_graph(20)]
+    for g in graphs:
+        assert _odd_component_table(g) == odd_component_table_reference(g), g.adj
+
+
+def test_berge_tutte_deficiency_returns_first_maximiser():
+    ties = 0
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [empty_graph(6), PETERSEN, disjoint_union(complete_graph(3), path_graph(4))]
+    for g in graphs:
+        table = odd_component_table_reference(g)
+        excess = [table[s] - s.bit_count() for s in range(len(table))]
+        best = excess.index(max(excess))
+        ties += excess.count(excess[best]) > 1
+        expected = frozenset(v for v in range(g.n) if best >> v & 1)
+        assert berge_tutte_deficiency(g) == (excess[best], expected), g.adj
+    assert ties > 0
+    assert berge_tutte_deficiency(empty_graph(6)) == (6, frozenset())
+    assert berge_tutte_deficiency(path_graph(3)) == (1, frozenset())  # ties with {1}
+
+
+def test_odd_component_table_memory_at_n18():
+    # a cold table build keeps its work arrays within 32 bytes per subset mask
+    g = cycle_graph(18)
+    _odd_component_table.cache_clear()
+    tracemalloc.start()
+    try:
+        assert is_k_extendable_chen(g, 1).holds
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (1 << 18)
 
 
 # --- k-extendability --------------------------------------------------------
