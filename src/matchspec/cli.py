@@ -397,8 +397,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    if getattr(args, "tolerance", 1.0) <= 0:
-        parser.error("--tolerance must be positive")
+    if not 0 < getattr(args, "tolerance", 1.0) < float("inf"):  # nan too
+        parser.error("--tolerance must be positive and finite")
     if getattr(args, "k", None) is not None and args.k < 1:
         parser.error("--k must be >= 1")
     try:

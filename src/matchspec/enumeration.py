@@ -41,7 +41,6 @@ import numpy as np
 
 from . import families, graphs, matching, spectral, theorems
 from .graphs import Graph, all_pairs, from_edge_list, parse_graph6, to_graph6
-from .spectral import Polynomial, characteristic_polynomial, largest_real_root
 from .theorems import TheoremId
 
 ENUMERATION_CAP = 7
@@ -476,18 +475,6 @@ def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14)):
     return ({"n_values": n_values}, instances, violations, max_dev, [])
 
 
-def _quotient_root(spec: families.FamilySpec):
-    """(exact charpoly of the canonical quotient, its largest root, the
-    eigensolver's rho), or None when the partition is not equitable."""
-    g = families.build(spec)
-    q = spectral.quotient_matrix(g, families.canonical_partition(spec))
-    if not q.equitable:
-        return None
-    poly = characteristic_polynomial(q.as_int_rows())
-    root = largest_real_root(poly, 0.0, float(g.n))
-    return poly, root, spectral.spectral_radius(g).rho
-
-
 def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14)):
     # equitable quotient's largest root equals the graph's spectral radius
     _check_grid_cap(n_values, 14, "the spectral family grid", "n")
@@ -495,7 +482,7 @@ def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14)):
     max_dev = 0.0
     instances = 0
     for fid, params in _registry_grid(n_values):
-        checked = _quotient_root(families.named_spec(fid, **params))
+        checked = families._quotient_root(families.named_spec(fid, **params))
         if checked is None:
             violations.append(f"{fid}{params}: canonical partition not equitable")
             continue
@@ -664,14 +651,10 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
     instances = 0
     notes = []
     for n, source in _sources_for(n_values, sources).items():
-        if n == 6:
-            bound = largest_real_root(Polynomial((-8, -1, 1)), 0.0, 6.0)
-            attaining = families.build(
-                families.Join(families.Complete(2), families.Empty(4)))
-        else:
-            bound = spectral.theta(n)
-            attaining = families.build_named("lem210", n=n)
-        rho_att = spectral.spectral_radius(attaining).rho
+        # the bound is the attaining family's exact quotient root
+        attaining = (families.Join(families.Complete(2), families.Empty(4))
+                     if n == 6 else families.named_spec("lem210", n=n))
+        _, bound, rho_att = families._quotient_root(attaining)
         if abs(rho_att - bound) > LEMMA_TOL:
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
@@ -881,7 +864,7 @@ def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
         if name not in _IDENTITIES:
             raise ValueError(f"unknown identity {name!r}")
         spec, expected = _IDENTITIES[name](**params)
-        checked = _quotient_root(spec)
+        checked = families._quotient_root(spec)
         if checked is None:
             violations.append(f"{name}{params}: partition not equitable")
             continue

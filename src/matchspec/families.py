@@ -5,7 +5,8 @@ disjoint unions, joins, a complete-with-pendant shape, and two completes
 linked by a bridge.  Each named family in the registry expands to such a
 tree; `build` lays blocks out left to right so quotient matrices come out
 in a fixed row order, and `canonical_partition` returns the equitable
-partition that goes with that layout.
+partition that goes with that layout.  `_quotient_root` is the one place
+that takes the exact characteristic polynomial of that quotient.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from . import graphs
+from . import graphs, spectral
 from .graphs import Graph, are_isomorphic
 from .spectral import Partition
 
@@ -188,6 +189,18 @@ def _partition_blocks(spec: FamilySpec, offset: int) -> list[list[int]]:
                 [offset + p - 1],                              # p-side endpoint
                 list(range(offset, offset + p - 1))]           # p-clique minus endpoint
     raise ValueError(f"unsupported spec shape for canonical partition: {spec!r}")
+
+
+def _quotient_root(spec: FamilySpec):
+    """(exact charpoly of the canonical quotient, its largest root, the
+    eigensolver's rho), or None when the partition is not equitable."""
+    g = build(spec)
+    q = spectral.quotient_matrix(g, canonical_partition(spec))
+    if not q.equitable:
+        return None
+    poly = spectral.characteristic_polynomial(q.as_int_rows())
+    root = spectral.largest_real_root(poly, 0.0, float(g.n))
+    return poly, root, spectral.spectral_radius(g).rho
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,11 @@ _ALIASES = {"c12": ("t11", 1), "c15": ("t14", 1)}
 
 @dataclass(frozen=True)
 class TheoremId:
-    """One of the four threshold statements; t11/t14 are parameterized by k."""
+    """One of the four threshold statements; t11/t14 are parameterized by k.
+
+    The aliases c12 and c15 stand for t11 and t14 with k=1 and take no
+    other k.
+    """
 
     kind: str
     k: int | None = None
@@ -42,12 +46,16 @@ class TheoremId:
         kind = self.kind.lower()
         k = self.k
         if kind in _ALIASES:
-            kind, k = _ALIASES[kind]
+            kind, own_k = _ALIASES[kind]
+            if k not in (None, own_k):
+                raise ValueError(
+                    f"theorem {self.kind} stands for {kind} with k={own_k}, got k={k}")
+            k = own_k
         if kind not in THEOREM_KINDS:
             raise ValueError(f"unknown theorem id {self.kind!r}")
         if kind in ("t11", "t14"):
             if k is None or k < 1:
-                raise ValueError(f"theorem {kind} needs a positive k")
+                raise ValueError(f"theorem {kind} needs a positive k (--k)")
         else:
             if k is not None:
                 raise ValueError(f"theorem {kind} takes no k parameter")
@@ -99,45 +107,30 @@ def size_threshold_excludable(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def spectral_threshold_extendable(n: int, k: int) -> float:
-    """Spectral radius of K_{2k} v (K_{n-2k-1} u K1).
-
-    Computed both from the eigensolver on the built graph and as the
-    largest root of the cubic
-        x^3 - (n-3)x^2 - (2k+n-2)x - 4k^2 + 2kn - 4k;
-    the two must agree to 1e-9.
-    """
+    """Spectral radius of K_{2k} v (K_{n-2k-1} u K1), t14's attaining
+    family: the largest root of its quotient's exact characteristic
+    polynomial, checked against the eigensolver to SPECTRAL_TOL."""
     _check_extension_range(n, k)
-    g = families.build_named("thm11-exc1", n=n, k=k)
-    rho = spectral.spectral_radius(g).rho
-    cubic = spectral.Polynomial(
-        (-4 * k * k + 2 * k * n - 4 * k, -(2 * k + n - 2), -(n - 3), 1))
-    root = spectral.largest_real_root(cubic, 0.0, float(n))
-    if abs(root - rho) > SPECTRAL_TOL:
-        raise AssertionError(
-            f"threshold routes disagree at (n={n}, k={k}): {root} vs {rho}")
-    return root
+    return _exact_radius(*_extension_exception(n, k))
 
 
 @lru_cache(maxsize=None)
 def spectral_threshold_excludable(n: int) -> float:
-    """Spectral radius of the exclusion threshold family for order n.
-
-    n=6 and n=8 use their special families; n >= 10 uses
-    K1 v (K2 u K_{n-3}), where the eigensolver value must also match the
-    largest root of x^3 + (3-n)x^2 - 3x + 3n - 11 to 1e-9.
-    """
+    """Spectral radius of t16's attaining family at order n (thm13-f1 for
+    n=6, thm13-f2 for n=8, K1 v (K2 u K_{n-3}) for n >= 10): the largest
+    root of its quotient's exact characteristic polynomial, checked against
+    the eigensolver to SPECTRAL_TOL."""
     _check_exclusion_range(n)
-    if n == 6:
-        return spectral.spectral_radius(families.build_named("thm13-f1")).rho
-    if n == 8:
-        return spectral.spectral_radius(families.build_named("thm13-f2")).rho
-    g = families.build_named("thm13-f3", n=n)
-    rho = spectral.spectral_radius(g).rho
-    cubic = spectral.Polynomial((3 * n - 11, -3, 3 - n, 1))
-    root = spectral.largest_real_root(cubic, 0.0, float(n))
+    return _exact_radius(*_exclusion_exception(n))
+
+
+def _exact_radius(family_id: str, params: dict) -> float:
+    """The exact route's spectral radius of a named family; raises
+    AssertionError if the eigensolver's disagrees."""
+    _, root, rho = families._quotient_root(families.named_spec(family_id, **params))
     if abs(root - rho) > SPECTRAL_TOL:
         raise AssertionError(
-            f"threshold routes disagree at n={n}: {root} vs {rho}")
+            f"threshold routes disagree for {family_id}{params}: {root} vs {rho}")
     return root
 
 
@@ -157,30 +150,32 @@ def _check_exclusion_range(n: int) -> None:
 # Exception registries
 # ---------------------------------------------------------------------------
 
+def _extension_exception(n: int, k: int) -> tuple[str, dict]:
+    """The family attaining t11's and t14's thresholds."""
+    return "thm11-exc1", {"n": n, "k": k}
+
+
+def _exclusion_exception(n: int) -> tuple[str, dict]:
+    """The family attaining t16's threshold (and listed for t13)."""
+    if n == 6:
+        return "thm13-f1", {}
+    if n == 8:
+        return "thm13-f2", {}
+    return "thm13-f3", {"n": n}
+
+
 def exception_candidates(t: TheoremId, n: int) -> list[tuple[str, dict]]:
     """The listed exception families of theorem t at order n."""
     if t.kind == "t11":
-        k = t.k
-        out = [("thm11-exc1", {"n": n, "k": k})]
-        if n == 2 * k + 4:
-            out.append(("thm11-exc2", {"k": k}))
+        out = [_extension_exception(n, t.k)]
+        if n == 2 * t.k + 4:
+            out.append(("thm11-exc2", {"k": t.k}))
         return out
     if t.kind == "t14":
-        return [("thm11-exc1", {"n": n, "k": t.k})]
-    if t.kind == "t13":
-        if n == 6:
-            return [("thm13-f1", {})]
-        if n == 8:
-            return [("thm13-f2", {})]
-        return [("thm13-fact3-split", {"n": n, "s": 4}),
-                ("thm13-f3", {"n": n})]
-    if t.kind == "t16":
-        if n == 6:
-            return [("thm13-f1", {})]
-        if n == 8:
-            return [("thm13-f2", {})]
-        return [("thm13-f3", {"n": n})]
-    raise ValueError(f"unknown theorem kind {t.kind!r}")
+        return [_extension_exception(n, t.k)]
+    if t.kind == "t13" and n not in (6, 8):
+        return [("thm13-fact3-split", {"n": n, "s": 4}), _exclusion_exception(n)]
+    return [_exclusion_exception(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +279,7 @@ def theorem_verdict(g: Graph, t: TheoremId,
 
 def parse_theorem_token(token: str, k: int | None = None) -> TheoremId:
     """Turn a CLI token like 't11', 'T13' or 'c12' into a TheoremId."""
-    token = token.lower().strip()
-    if token in _ALIASES:
-        return TheoremId(token)
-    if token in ("t11", "t14"):
-        if k is None:
-            raise ValueError(f"theorem {token} requires --k")
-        return TheoremId(token, k)
-    if token in ("t13", "t16"):
-        return TheoremId(token)
-    raise ValueError(f"unknown theorem {token!r}")
+    return TheoremId(token.strip(), k)
 
 
 __all__ = [

@@ -281,6 +281,30 @@ def test_k_below_one_is_a_usage_error(capsys, argv):
     assert "--k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--theorem", "c12", "--k", "3"), "c12 stands for t11 with k=1"),
+    (("--theorem", "c15", "--k", "2"), "c15 stands for t14 with k=1"),
+    (("--theorem", "t13", "--k", "2"), "t13 takes no k"),
+    (("--theorem", "t16", "--k", "1"), "t16 takes no k"),
+])
+def test_verify_k_the_theorem_does_not_take_is_a_usage_error(capsys, argv, message):
+    # a k that would be dropped is refused rather than ignored
+    code, out, err = run_cli(capsys, "verify", *argv, "--n", "6")
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "t16", "--n", "6"),
+    ("analyze", "--input", "-"),
+])
+def test_non_finite_tolerance_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, f"--tolerance={value}"])  # "-inf" alone reads as an option
+    assert exc.value.code == 2
+    assert "--tolerance must be" in capsys.readouterr().err
+
+
 def test_thresholds_text_and_row(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--n", "6..12", "--k", "1")
     assert code == 0

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from matchspec import spectral
 from matchspec.families import build_named
 from matchspec.graphs import cycle_graph, complete_graph, join, empty_graph
 from matchspec.matching import is_1_excludable, is_k_extendable
-from matchspec.spectral import spectral_radius
+from matchspec.spectral import Polynomial, largest_real_root, spectral_radius
 from matchspec.theorems import (TheoremId, exception_candidates,
                                 hypothesis_status, parse_theorem_token,
                                 size_threshold_excludable,
@@ -52,6 +55,36 @@ def test_spectral_threshold_excludable_values():
     assert abs(spectral_threshold_excludable(10) - ref) < 1e-9
 
 
+def test_spectral_threshold_excludable_small_orders_are_exact_roots():
+    # thm13-f1 and thm13-f2 have the quotient polynomials
+    # x^3 - 2x^2 - 7x + 4 and x^3 - 3x^2 - 13x + 9
+    f1 = largest_real_root(Polynomial((4, -7, -2, 1)), 0.0, 6.0)
+    f2 = largest_real_root(Polynomial((9, -13, -3, 1)), 0.0, 8.0)
+    assert spectral_threshold_excludable(6) == f1 == 3.6261980685272936
+    assert spectral_threshold_excludable(8) == f2 == 5.175747650082821
+
+
+@pytest.mark.parametrize("n, family_id", [(6, "thm13-f1"), (8, "thm13-f2")])
+def test_spectral_threshold_excludable_checks_the_eigensolver(monkeypatch, n,
+                                                               family_id):
+    # a second route exists at n = 6 and 8: an eigensolver that drifts from
+    # the exact root is caught, not returned
+    target = build_named(family_id)
+    original = spectral.spectral_radius
+
+    def drifting(g):
+        result = original(g)
+        return replace(result, rho=result.rho + 1e-6) if g == target else result
+
+    monkeypatch.setattr(spectral, "spectral_radius", drifting)
+    spectral_threshold_excludable.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=family_id):
+            spectral_threshold_excludable(n)
+    finally:
+        spectral_threshold_excludable.cache_clear()
+
+
 def test_threshold_monotonicity():
     for k in (1, 2):
         sizes = [size_threshold_extendable(n, k) for n in range(2 * k + 2, 21, 2)]
@@ -74,6 +107,11 @@ def test_theorem_id_validation():
         TheoremId("t13", 1)
     with pytest.raises(ValueError):
         TheoremId("t99")
+    assert TheoremId("c12", 1) == TheoremId("t11", 1)
+    with pytest.raises(ValueError, match="c12"):
+        TheoremId("c12", 3)  # an alias takes no other k than its own
+    with pytest.raises(ValueError):
+        parse_theorem_token("c15", 2)
     assert parse_theorem_token("T16").kind == "t16"
     with pytest.raises(ValueError):
         parse_theorem_token("t14")  # k required
