@@ -18,6 +18,20 @@ these loops, and both direct checks memoise their verdicts for the last
 few graphs, so asking about one graph several times pays for one
 decision.
 
+k-extendability builds the k-matchings as numpy rows, in lexicographic
+edge order and in blocks of bounded size, and certifies a large block at
+once before any search.  g - V(F) has a perfect matching iff the minor
+det T[V-V(F)] of the Tutte matrix is a nonzero polynomial (Lovasz, "On
+determinants, matchings, and random algorithms", 1979); with B = T^-1 it
+equals det T * Pf(B[V(F), V(F)])^2 (the identity behind Rabin and
+Vazirani, "Maximum matchings in general graphs through randomization",
+1989).  T is inverted once per graph over GF(TUTTE_PRIME) at fixed weights.
+A nonzero Pfaffian is a proof whatever the weights, since a polynomial
+with a nonzero value is not the zero polynomial; a zero may be an unlucky
+weight choice, so it is re-checked by the blossom search.  Blocks of at
+most _CERTIFY_ROWS k-matchings, k = 1 on small graphs among them, skip the
+inverse, which would cost more than their searches.
+
 The criterion route scans the vertex subsets of a graph once: a private
 table holds o(g-S) for every subset mask S, and the Berge-Tutte
 deficiency, the k-extendability criterion and the 1-excludability
@@ -37,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -291,23 +306,114 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
 # k-extendability
 # ---------------------------------------------------------------------------
 
-def _matchings_of_size(g: Graph, k: int):
-    """All matchings of size k, as tuples of edges in index-increasing order."""
-    edges = g.edges()
+TUTTE_PRIME = 2_147_483_629  # < 2^31, so a product of two residues fits in int64
+_BLOCK_ROWS = 1 << 14  # k-matchings held as arrays at once
+_CERTIFY_ROWS = 200  # about where the certificate starts to cost less than searching
 
-    def rec(start: int, used: int, acc: list):
-        if len(acc) == k:
-            yield tuple(acc)
-            return
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if used >> u & 1 or used >> v & 1:
-                continue
-            acc.append(edges[i])
-            yield from rec(i + 1, used | 1 << u | 1 << v, acc)
-            acc.pop()
 
-    yield from rec(0, 0, [])
+def _k_matching_blocks(meets: np.ndarray, k: int):
+    """Every k-matching as rows of k edge indices, in lexicographic order.
+
+    `meets[i, j]` says whether edges i and j share a vertex (true for i = j).
+    Yields int64 arrays of at most _BLOCK_ROWS rows (or of m rows, if the
+    graph has more edges than that), so memory stays bounded however many
+    k-matchings there are.  Each block of (k-1)-matchings is extended by
+    every later edge that shares no vertex with it; np.nonzero walks the
+    rows in order and each row's edges in increasing index, which keeps the
+    order lexicographic.
+    """
+    m = len(meets)
+    if k == 1:
+        for start in range(0, m, _BLOCK_ROWS):
+            yield np.arange(start, min(start + _BLOCK_ROWS, m))[:, None]
+        return
+    later = np.arange(m)
+    step = max(1, _BLOCK_ROWS // m)
+    for prefixes in _k_matching_blocks(meets, k - 1):
+        for start in range(0, len(prefixes), step):
+            rows = prefixes[start:start + step]
+            free = later > rows[:, -1:]
+            for col in rows.T:
+                free &= ~meets[col]
+            row, nxt = np.nonzero(free)
+            if len(row):
+                yield np.column_stack((rows[row], nxt))
+
+
+@lru_cache(maxsize=1)
+def _tutte_inverse(g: Graph) -> np.ndarray | None:
+    """Inverse over GF(TUTTE_PRIME) of the Tutte matrix of g, or None.
+
+    T[u, v] = w(u, v) = -T[v, u] for every edge u < v, with a fixed weight
+    w(u, v) in [1, p-1] hashed from (u, v); None when T is singular at those
+    weights.  The inverse of a skew-symmetric matrix is skew-symmetric.
+    Gauss-Jordan elimination on [T | I], one pivot column per pass.
+    """
+    n, p = g.n, TUTTE_PRIME
+    ends = np.array(g.edges(), dtype=np.uint64).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    key = (u << np.uint64(32) | v) * np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64
+    w = ((key ^ key >> np.uint64(29)) % np.uint64(p - 1)).astype(np.int64) + 1
+    a = np.zeros((n, 2 * n), dtype=np.int64)
+    a[u.astype(np.intp), v.astype(np.intp)] = w
+    a[v.astype(np.intp), u.astype(np.intp)] = p - w
+    a[:, n:] = np.eye(n, dtype=np.int64)
+    for c in range(n):
+        r = c + int(np.argmax(a[c:, c] != 0))
+        if not a[r, c]:
+            return None
+        if r != c:
+            a[[c, r]] = a[[r, c]]
+        row = a[c] * pow(int(a[c, c]), -1, p) % p
+        a = (a - np.multiply.outer(a[:, c], row)) % p  # clears row c, refilled below
+        a[c] = row
+    inverse = a[:, n:].copy()
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _pfaffians(b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pf(b[S, S]) mod TUTTE_PRIME for the vertex set S of each row of cols.
+
+    The order of S fixes only the sign.
+    """
+    flat = b.ravel()
+    known = {(i, j): flat[cols[:, i] * len(b) + cols[:, j]]
+             for i, j in combinations(range(cols.shape[1]), 2)}
+    return _pfaffian(tuple(range(cols.shape[1])), known)
+
+
+def _pfaffian(rest: tuple[int, ...], known: dict) -> np.ndarray:
+    """Pf over the columns `rest`, expanded along the first of them:
+    Pf(S) = sum_j (-1)^j b[s0, sj] Pf(S - s0 - sj).  `known` holds every
+    column pair and keeps each subset's Pfaffian, computed once for all rows.
+    """
+    if rest not in known:
+        first, others = rest[0], rest[1:]
+        total = np.zeros_like(known[rest[:2]])
+        for j, c in enumerate(others):
+            term = known[first, c] * _pfaffian(others[:j] + others[j + 1:], known) % TUTTE_PRIME
+            total += -term if j % 2 else term
+        known[rest] = total % TUTTE_PRIME
+    return known[rest]
+
+
+def _first_per_vertex_set(cols: np.ndarray) -> np.ndarray:
+    """Indices, in increasing order, of the rows of cols (vertex ids) whose
+    vertex set no earlier row has.
+
+    Each set is a bit mask in 64-bit words; a stable sort of the masks puts
+    the first row of every set at the start of its run of equal masks.
+    """
+    bits = np.left_shift(1, cols & 63)
+    words = [np.bitwise_or.reduce(np.where(cols >> 6 == w, bits, 0), axis=1)
+             for w in range(int(cols.max()) // 64 + 1)]
+    order = np.lexsort(words)
+    same = np.ones(len(order) - 1, dtype=bool)  # row order[i + 1] repeats order[i]
+    for word in words:
+        ranked = word[order]
+        same &= ranked[1:] == ranked[:-1]
+    return np.sort(order[np.concatenate(([True], ~same))])
 
 
 @lru_cache(maxsize=8)
@@ -316,10 +422,31 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
 
     Follows the definition's preconditions: graphs of odd order, of order
     below 2k+2, or without a perfect matching are not k-extendable (returned
-    as holds=False, never as an error).  One maximum matching M is computed;
-    each k-matching F is then decided by a search warm-started from M on
-    g - V(F).  Matchings covering a vertex set already shown to leave a
-    perfect matching are not searched again.
+    as holds=False, never as an error).  A k-matching F extends exactly when
+    g - V(F) has a perfect matching.
+
+    Large batches of k-matchings are settled by an algebraic certificate.
+    g - V(F) has a perfect matching iff det T[V-V(F)] != 0 for the Tutte
+    matrix T with indeterminate edge weights (Tutte 1947; Lovasz, "On
+    determinants, matchings, and random algorithms", 1979).  With B = T^-1,
+    det T[V-V(F)] = det T * det B[V(F), V(F)] (Jacobi's complementary minor,
+    as in Rabin and Vazirani, "Maximum matchings in general graphs through
+    randomization", J. Algorithms 10, 1989), and det B[V(F), V(F)] is the
+    square of its Pfaffian.  T is inverted once per graph over
+    GF(TUTTE_PRIME) at fixed weights, and the 2k x 2k Pfaffian is computed
+    for every vertex set of a block of k-matchings at once.  A nonzero value
+    proves that F extends, whatever the weights: the determinant polynomial
+    cannot be identically zero.  A zero may be an unlucky choice of weights,
+    so those k-matchings, and all of them if T is singular, are decided by
+    the blossom search below.  A block of at most _CERTIFY_ROWS k-matchings
+    skips the certificate: searching it costs less than inverting T.  That
+    covers k = 1 up to that many edges and most graphs of order 8 or less.
+
+    The blossom search computes one maximum matching M per graph and decides
+    F by a search warm-started from M on g - V(F).  Matchings covering a
+    vertex set already shown to leave a perfect matching are not searched
+    again.  The witness is the first non-extendable k-matching in
+    lexicographic edge-index order.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -330,17 +457,28 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     match = _maximum_match(g.adj)
     if -1 in match:
         return Verdict(False, "direct", witness=frozenset(), reason="no-perfect-matching")
+    edges = g.edges()
+    ends = np.array(edges, dtype=np.int64)
+    a, b = ends.T[:, :, None]
+    meets = (a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)
     extended = set()
-    for matching in _matchings_of_size(g, k):
-        drop = 0
-        for u, v in matching:
-            drop |= 1 << u | 1 << v
-        if drop in extended:
-            continue
-        if not _perfect_after_deleting(g.adj, match, drop):
-            return Verdict(False, "direct", witness=matching,
-                           reason="non-extendable-matching")
-        extended.add(drop)
+    for rows in _k_matching_blocks(meets, k):
+        inverse = _tutte_inverse(g) if len(rows) > _CERTIFY_ROWS else None
+        if inverse is not None:
+            cols = ends[rows].reshape(len(rows), 2 * k)
+            first = _first_per_vertex_set(cols)
+            rows = rows[first][_pfaffians(inverse, cols[first]) == 0]
+        for row in rows.tolist():
+            drop = 0
+            for i in row:
+                u, v = edges[i]
+                drop |= 1 << u | 1 << v
+            if drop in extended:
+                continue
+            if not _perfect_after_deleting(g.adj, match, drop):
+                return Verdict(False, "direct", witness=tuple(edges[i] for i in row),
+                               reason="non-extendable-matching")
+            extended.add(drop)
     return Verdict(True, "direct")
 
 

@@ -12,6 +12,7 @@ from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
                               is_connected, join, min_degree, odd_components,
                               parse_graph6, path_graph)
+from matchspec import matching
 from matchspec.matching import (SUBSET_SCAN_CAP, _odd_component_table,
                                 berge_tutte_deficiency,
                                 find_odd_bridges, has_perfect_matching,
@@ -384,11 +385,17 @@ def _reference_1_excludable(g):
     return True, None, None
 
 
+def _assert_matches_reference(g, k):
+    v = is_k_extendable(g, k)
+    assert (v.holds, v.reason, v.witness) == _reference_k_extendable(g, k), (g.adj, k)
+    if v.reason == "non-extendable-matching":
+        assert type(v.witness) is tuple
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in v.witness)
+
+
 def _direct_matches_reference(g):
     for k in (1, 2):
-        v = is_k_extendable(g, k)
-        expected = _reference_k_extendable(g, k)
-        assert (v.holds, v.reason, v.witness) == expected, (g.adj, k)
+        _assert_matches_reference(g, k)
     v = is_1_excludable(g)
     assert (v.holds, v.reason, v.witness) == _reference_1_excludable(g), g.adj
 
@@ -404,3 +411,86 @@ def test_direct_route_matches_reference_n8(n8_fixture_path):
         for line in fh:
             if line.strip():
                 _direct_matches_reference(parse_graph6(line))
+
+
+def test_direct_route_matches_reference_at_benchmark_orders():
+    # the orders analyze-dense draws, where k-matchings are many and most
+    # are settled by the Pfaffian certificate rather than a blossom search
+    rng = random.Random(53)
+    matching._tutte_inverse.cache_clear()
+    verdicts = Counter()
+    for n in (10, 12, 14):
+        for p in (0.3, 0.5, 0.7, 0.9):
+            g = _random_connected_graph(rng, n, p)
+            for k in (1, 2, 3) if n <= 12 else (1, 2):
+                _assert_matches_reference(g, k)
+                verdicts[is_k_extendable(g, k).reason] += 1
+    assert verdicts[None] and verdicts["non-extendable-matching"]
+    # k = 1 with more edges than _CERTIFY_ROWS, and vertex ids past one
+    # 64-bit mask word
+    _assert_matches_reference(_random_connected_graph(rng, 24, 0.8), 1)
+    _assert_matches_reference(cycle_graph(66), 2)
+    assert matching._tutte_inverse.cache_info().misses >= 12
+
+
+# --- the Pfaffian certificate against the blossom search ---------------------
+
+def test_pfaffian_certificate_is_sound(n8_fixture_path, monkeypatch):
+    # every connected graph of order 6 or 8 with a perfect matching (k >= 2
+    # needs n >= 6, and odd orders have none): each vertex set the
+    # certificate passes is re-checked from scratch, and every verdict
+    # reached with the certificate on every block equals the one reached by
+    # blossom searches alone
+    graphs = list(enumerate_connected(6))
+    with open(n8_fixture_path) as fh:
+        graphs += [parse_graph6(line) for line in fh if line.strip()]
+    graphs = [g for g in graphs if has_perfect_matching(g)]
+    certified = []  # vertex sets, as rows of vertex ids, with a nonzero Pfaffian
+    pfaffians = matching._pfaffians
+
+    def recorded(b, cols):
+        pf = pfaffians(b, cols)
+        certified.append(cols[pf != 0])
+        return pf
+
+    monkeypatch.setattr(matching, "_pfaffians", recorded)
+    monkeypatch.setattr(matching, "_CERTIFY_ROWS", 0)
+    leaves_perfect = {}  # remaining vertices and their adjacency -> has a perfect matching
+    verdicts = []
+    certified_total = 0
+    for g in graphs:
+        for k in (2, 3):
+            if g.n < 2 * k + 2:
+                continue
+            is_k_extendable.cache_clear()
+            verdicts.append((g, k, is_k_extendable(g, k)))
+            for vertices in (row for cols in certified for row in cols.tolist()):
+                drop = sum(1 << v for v in vertices)
+                key = (drop, tuple(a & ~drop for v, a in enumerate(g.adj) if not drop >> v & 1))
+                if key not in leaves_perfect:
+                    rest, _ = delete_vertices(g, vertices)
+                    leaves_perfect[key] = 2 * max_matching(rest).size == rest.n
+                assert leaves_perfect[key], (g.adj, vertices)
+                certified_total += 1
+            certified.clear()
+    assert certified_total > 300000
+    monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
+    for g, k, v in verdicts:
+        is_k_extendable.cache_clear()
+        w = is_k_extendable(g, k)
+        assert (w.holds, w.reason, w.witness) == (v.holds, v.reason, v.witness), (g.adj, k)
+
+
+def test_k_extendable_memory_is_bounded_by_the_block():
+    # K16 has 120,120 3-matchings; held in one block, their index, vertex
+    # and mask arrays would take about 20 MB, against about 1.2 MB in blocks
+    g = complete_graph(16)
+    is_k_extendable.cache_clear()
+    matching._tutte_inverse.cache_clear()
+    tracemalloc.start()
+    try:
+        assert is_k_extendable(g, 3).holds
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
