@@ -1,9 +1,11 @@
 """Exhaustive graph sources and verification sweeps.
 
 The built-in source enumerates every connected graph on n <= 7 vertices,
-one representative per isomorphism class, by scanning all 2^C(n,2) labeled
-graphs and deduplicating on the minimum-over-permutations adjacency
-bit-string (the chosen representative IS that minimum).  Larger orders are
+one representative per isomorphism class.  A sieve over all 2^C(n,2)
+labeled edge bit-strings takes the least one not yet marked, which is the
+minimum of its class, and marks its whole orbit under the n! vertex
+permutations at once.  Every class is sieved; connectivity, an isomorphism
+invariant, is tested on the representatives only.  Larger orders are
 ingested from graph6 files produced externally; the n=8 file ships as a
 test fixture.
 
@@ -67,7 +69,11 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
     Each representative is the labeled graph whose edge bit-string (graph6
-    slot order) is minimal within its class.
+    slot order) is minimal within its class, and they come in increasing
+    bit-string order.  The sieve visits every class, connected or not: the
+    orbit of a representative is marked with one gather-sum over a table of
+    the slot images of all n! vertex permutations, and connectivity is
+    tested on the representative alone.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(
@@ -79,26 +85,15 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     pairs = all_pairs(n)
     nslots = len(pairs)
     total = 1 << nslots
-    masks = np.arange(total, dtype=np.uint32)
+    lo, hi = np.array(pairs).T
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[lo, hi] = slot[hi, lo] = np.arange(nslots)
+    # image[p, s]: the bit of the slot that vertex permutation p sends slot s to
+    perm = np.array(list(permutations(range(n))))
+    image = np.int64(1) << slot[perm[:, lo], perm[:, hi]]
 
-    # per-graph adjacency rows as n-bit masks
-    rows = np.zeros((total, n), dtype=np.uint8)
-    for idx, (i, j) in enumerate(pairs):
-        bit = ((masks >> np.uint32(idx)) & np.uint32(1)).astype(np.uint8)
-        rows[:, i] |= bit << j
-        rows[:, j] |= bit << i
-
-    todo = graphs._connected(rows)
-    del rows
-
-    # edge-slot images of every vertex permutation
-    slot = {p: i for i, p in enumerate(pairs)}
-    perm_maps = np.array(
-        [[slot[(min(pm[i], pm[j]), max(pm[i], pm[j]))] for (i, j) in pairs]
-         for pm in permutations(range(n))], dtype=np.int64)
-    weights = np.int64(1) << np.arange(nslots, dtype=np.int64)
-
-    reps = []
+    todo = np.ones(total, dtype=bool)
+    out = []
     ptr = 0
     chunk = 1 << 16
     while ptr < total:
@@ -108,17 +103,12 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
                 ptr += chunk
                 continue
             ptr += int(hits[0])
-        mask = ptr
-        reps.append(mask)
-        bits = np.array([(mask >> i) & 1 for i in range(nslots)], dtype=np.int64)
-        variants = bits[perm_maps] @ weights
-        todo[variants] = False
+        on = [i for i in range(nslots) if ptr >> i & 1]
+        todo[image[:, on].sum(axis=1)] = False
+        g = from_edge_list(n, [pairs[i] for i in on])
+        if graphs.is_connected(g):
+            out.append(g)
         ptr += 1
-
-    out = []
-    for mask in reps:
-        edges = [pairs[i] for i in range(nslots) if mask >> i & 1]
-        out.append(from_edge_list(n, edges))
     return tuple(out)
 
 
@@ -584,30 +574,59 @@ def _no_pm_size_bound(n: int) -> int:
     return comb(n - 2, 2) + 2  # n >= 10 or n = 4
 
 
+@lru_cache(maxsize=None)
+def _complete_perfect_matchings(n: int) -> np.ndarray:
+    """The (n-1)!! perfect matchings of K_n as an (M, n/2, 2) array of
+    vertex pairs; none (M = 0) for odd n."""
+    def extend(rest):
+        if not rest:
+            yield []
+            return
+        for i in range(1, len(rest)):
+            for tail in extend(rest[1:i] + rest[i + 1:]):
+                yield [(rest[0], rest[i])] + tail
+
+    found = list(extend(list(range(n))))
+    pairs = np.array(found, dtype=np.intp).reshape(len(found), n // 2, 2)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _covered_by_perfect_matching(adj: np.ndarray) -> np.ndarray:
+    """Which graphs of an (N, n, n) adjacency tensor contain one of the
+    perfect matchings of K_n, that is, have a perfect matching."""
+    pairs = _complete_perfect_matchings(adj.shape[1])
+    return adj[:, pairs[..., 0], pairs[..., 1]].all(-1).any(-1)
+
+
 def _graphs_without_pm(source, n: int) -> list[Graph]:
     """Connected graphs from the source with some S: o(G-S) >= |S|+2.
 
     For even order that is exactly 'no perfect matching' (deficiency >= 2
-    by parity); the blossom test filters, and the witness subset is then
-    confirmed by an explicit scan.  The source is decoded as a sweep
-    decodes it, so a malformed line or one of another order than n raises
-    ValueError naming the source and line.
+    by parity).  Each decoded chunk is tested against every perfect
+    matching of K_n at once: a graph whose edges contain one of them is
+    proved to have a perfect matching by that explicit matching, and is
+    dropped.  Only the graphs no matching covers become a `Graph`, and each
+    is confirmed by its Berge-Tutte witness, re-validated by an explicit
+    odd-component count, so no verdict rests on the filter alone.  The
+    source is decoded as a sweep decodes it, so a malformed line or one of
+    another order than n raises ValueError naming the source and line.
     """
     if n % 2 != 0:
-        raise ValueError("the deficiency bound suites need even n")
+        raise ValueError(f"{source.describe()}: the deficiency bound suites "
+                         f"need even n, got n={n}")
     lines = source.graph6_lines()
     out = []
     for start in range(0, len(lines), SOURCE_CHUNK):
         chunk = lines[start:start + SOURCE_CHUNK]
         adj = _decode_source_lines(source, start, chunk, n)
-        for g6, row in zip(chunk, graphs._bit_rows(adj).tolist()):
+        rest = np.flatnonzero(~_covered_by_perfect_matching(adj))
+        for i, row in zip(rest, graphs._bit_rows(adj[rest]).tolist()):
             g = Graph(n, tuple(row))
-            if matching.has_perfect_matching(g):
-                continue
             d, witness = matching.berge_tutte_deficiency(g)
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
-                    f"deficiency witness failed to re-validate on {g6}")
+                    f"deficiency witness failed to re-validate on {chunk[i]}")
             out.append(g)
     return out
 
@@ -651,6 +670,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
     instances = 0
     notes = []
     for n, source in _sources_for(n_values, sources).items():
+        qualifying = _graphs_without_pm(source, n)  # first: it names a bad source
         # the bound is the attaining family's exact quotient root
         attaining = (families.Join(families.Complete(2), families.Empty(4))
                      if n == 6 else families.named_spec("lem210", n=n))
@@ -659,7 +679,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
         best = 0.0
-        for g in _graphs_without_pm(source, n):
+        for g in qualifying:
             instances += 1
             rho = spectral.spectral_radius(g).rho
             best = max(best, rho)

@@ -8,8 +8,9 @@ from itertools import permutations
 
 import numpy as np
 
-from matchspec.graphs import Graph
-from matchspec.matching import SUBSET_SCAN_CAP
+from matchspec.graphs import Graph, odd_components, parse_graph6
+from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
+                                has_perfect_matching)
 from matchspec.spectral import adjacency_matrix
 
 
@@ -96,3 +97,20 @@ def power_iteration_rho(g: Graph, iterations: int = 20000, tol: float = 1e-13) -
         rho = new_rho
         x = y
     return rho - 1.0
+
+
+def graphs_without_pm_reference(lines: list[str]) -> list[str]:
+    """The graph6 lines, in order, of the graphs with no perfect matching.
+
+    One graph at a time: parse, blossom, then the Berge-Tutte witness,
+    re-validated by an explicit odd-component count.
+    """
+    out = []
+    for line in lines:
+        g = parse_graph6(line)
+        if has_perfect_matching(g):
+            continue
+        d, witness = berge_tutte_deficiency(g)
+        assert d >= 2 and odd_components(g, witness) >= len(witness) + 2, line
+        out.append(line)
+    return out

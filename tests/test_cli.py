@@ -7,7 +7,7 @@ import pytest
 
 from matchspec import cli, enumeration, theorems
 from matchspec.families import build_named
-from matchspec.graphs import parse_graph6, to_graph6
+from matchspec.graphs import cycle_graph, parse_graph6, to_graph6
 from matchspec.spectral import spectral_radius
 
 
@@ -213,6 +213,18 @@ def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--lemma", lemma,
                                "--input", str(path))
         assert code == 2 and f"empty graph source: {path}" in err
+
+
+def test_verify_deficiency_lemma_on_odd_order_input(capsys, tmp_path):
+    # a usage error that names the file and the order it read
+    path = tmp_path / "odd.g6"
+    path.write_text(to_graph6(cycle_graph(7)) + "\n")
+    for lemma in ("l2.9", "l2.10"):
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma,
+                                 "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: file:{path}: the deficiency bound suites "
+                       "need even n, got n=7\n")
 
 
 @pytest.mark.parametrize("lines, where, message", [

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from matchspec.enumeration import (CONNECTED_GRAPH_COUNTS, BuiltIn, File,
@@ -9,8 +12,12 @@ from matchspec.enumeration import (CONNECTED_GRAPH_COUNTS, BuiltIn, File,
                                    verify_lemma)
 from matchspec.graphs import (all_pairs, are_isomorphic, is_connected,
                               parse_graph6, to_graph6)
+from matchspec.matching import has_perfect_matching
+from matchspec.spectral import adjacency_matrix
 from matchspec.theorems import TheoremId
 from matchspec import enumeration
+
+from oracles import graphs_without_pm_reference
 
 
 # --- built-in enumeration ---------------------------------------------------
@@ -47,6 +54,37 @@ def test_representatives_are_min_bitstrings():
             assert relabeled >= mask
 
 
+# sha256 of the newline-joined graph6 lines of enumerate_connected(n)
+ENUMERATION_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec",
+    4: "eb3044c0e6b719df19467100993dfd0583066994461626084eb3e46eeb29efe6",
+    5: "bad40746036227cbfdceea3e505f039a6eb2972939b9a2c507f14c088f3ea56e",
+    6: "c727f559e01cb751f9f685b87dea4ce7ba7c7771420f2db80467b8399d689317",
+    7: "b6b2dbb7f539a6e2c86548111920a3ab24e409b4c32f603d87b444536be4c463",
+}
+
+
+def test_enumeration_output_is_pinned():
+    # the n <= 7 reports take their bytes from these lists, in this order
+    for n, digest in ENUMERATION_DIGESTS.items():
+        text = "\n".join(to_graph6(g) for g in enumerate_connected(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def test_enumeration_memory_at_n7():
+    # a cold sieve keeps one bool per labeled graph (2 MiB), not a row table
+    enumerate_connected.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_connected(7)) == CONNECTED_GRAPH_COUNTS[7]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * (1 << 20)
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_connected(8)
@@ -66,6 +104,26 @@ def test_file_source(tmp_path):
 
 def test_builtin_source():
     assert len(BuiltIn(6).graph6_lines()) == 112
+
+
+# --- the deficiency suites' perfect-matching filter ------------------------
+
+def test_perfect_matching_filter_agrees_with_blossom(n8_fixture_path):
+    # covered iff blossom finds a perfect matching; odd orders are never covered
+    batches = [enumerate_connected(n) for n in range(1, 8)]
+    batches.append([parse_graph6(line)
+                    for line in File(n8_fixture_path).graph6_lines()])
+    for batch in batches:
+        adj = np.array([adjacency_matrix(g) for g in batch], dtype=np.uint8)
+        covered = enumeration._covered_by_perfect_matching(adj)
+        assert covered.tolist() == [has_perfect_matching(g) for g in batch]
+
+
+def test_graphs_without_pm_match_the_blossom_loop(n8_fixture_path):
+    for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
+        got = [to_graph6(g) for g in enumeration._graphs_without_pm(source, n)]
+        assert got == graphs_without_pm_reference(source.graph6_lines())
+        assert got, n
 
 
 # --- sweeps -----------------------------------------------------------------
