@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
         t = theorems.parse_theorem_token(args.theorem, args.k)
         source = _source_for(args, args.n)
         report = sweep_theorem(source, t, min_degree=args.min_degree,
-                               jobs=args.jobs, tolerance=args.tolerance)
+                               tolerance=args.tolerance)
         _emit(args.out, report.to_json_dict(), report.csv_rows(),
               lambda: _print_sweep(report))
         return 0 if not report.counterexamples else 1
@@ -259,9 +259,9 @@ def cmd_verify(args) -> int:
         options = _parse_grid(args.grid)
         if args.input:
             src = _ReadFile(args.input, tuple(File(args.input).graph6_lines()))
-            if not src.lines:
-                raise ValueError(f"empty graph source: {args.input}")
-            n = enumeration._source_order(src, src.lines)
+            _, first = next(enumeration._source_chunks(  # the first line's order
+                src, enumeration.NO_PM_SUITES, chunk_size=1))
+            n = first.shape[1]
             options.setdefault("n_values", (n,))
             options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)
@@ -375,11 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charpolys", action="store_true",
                    help="check the displayed quotient polynomial formulas")
     p.add_argument("--k", type=int, help="k for t11/t14")
-    p.add_argument("--n", type=int, help="order for built-in/fixture sources")
-    p.add_argument("--input", help="graph6 file source")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int, help="order for built-in/fixture sources")
+    source.add_argument("--input", help="graph6 file source")
     p.add_argument("--min-degree", type=int, default=None)
     p.add_argument("--grid", help="e.g. 'n=6..14' or 'trials=200,seed=7'")
-    p.add_argument("--jobs", type=int, default=1)
+    # ignored (sweeps run in one process); parsed so command lines passing it work
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", choices=("text", "json", "csv"), default="text")
     p.add_argument("--tolerance", type=float, default=theorems.SPECTRAL_TOL)
     p.set_defaults(func=cmd_verify)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import inspect
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
@@ -52,6 +51,9 @@ CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 # graph6 lines decoded as one batch by sweeps and the deficiency suites
 SOURCE_CHUNK = 1024
+
+# the deficiency suites (l2.9, l2.10), as their source errors name them
+NO_PM_SUITES = "the deficiency bound suites"
 
 # the lemma suites' one tolerance for comparisons of floating-point values
 LEMMA_TOL = 1e-9
@@ -247,81 +249,75 @@ def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     return adj, np.flatnonzero(bad)
 
 
-def _decode_source_lines(source, start: int, lines: list[str], n: int) -> np.ndarray:
-    """`_decode_graph6` with the fault of a rejected line raised as ValueError
-    naming the source and line; `start` is the index of `lines[0]`."""
-    adj, suspects = _decode_graph6(lines, n)
-    # parse_graph6 names the fault of a rejected line, or decodes a form
-    # the batch check does not (a ">>graph6<<" header, surrounding blanks)
-    for i in suspects:
+def _source_chunks(source, needs: str, n: int | None = None,
+                   chunk_size: int = SOURCE_CHUNK):
+    """Read the source once and yield (lines, adj) per chunk of graph6
+    lines, adj being their (N, n, n) adjacency tensor.
+
+    The order is n if given, else the first line's; every line must share
+    it.  An empty source, an odd order (`needs` says what needs an even one)
+    and a faulty line raise ValueError naming the source, and the line.
+    """
+    lines = source.graph6_lines()
+    if not lines:
+        raise ValueError(
+            f"empty graph source: {getattr(source, 'path', source.describe())}")
+    if n is None:
         try:
-            g = parse_graph6(lines[i])
+            n = parse_graph6(lines[0]).n
         except ValueError as exc:
-            raise _located(source, start + i, str(exc)) from None
-        if g.n != n:
-            raise _located(
-                source, start + i,
-                f"mixed vertex counts in source: expected n={n}, "
-                f"found n={g.n} in {lines[i]!r}")
-        adj[i] = spectral.adjacency_matrix(g)
-    return adj
-
-
-def _source_order(source, lines: list[str]) -> int:
-    """Order of the source's first graph, which every other line must share."""
-    try:
-        return parse_graph6(lines[0]).n
-    except ValueError as exc:
-        raise _located(source, 0, str(exc)) from None
-
-
-def _sweep_chunk(args) -> tuple[int, int, list]:
-    source, start, lines, t, expected_n, min_deg, tol = args
-    adj = _decode_source_lines(source, start, lines, expected_n)
-    met = np.flatnonzero(theorems._hypothesis_mask(adj, t, tol, min_deg))
-    events = []
-    for i, row in zip(met, graphs._bit_rows(adj[met]).tolist()):
-        g = Graph(expected_n, tuple(row))
-        if not theorems.conclusion_holds(g, t):
-            events.append((lines[i], theorems.recognize_exception(g, t)))
-    return len(lines), len(met), events
+            raise _located(source, 0, str(exc)) from None
+    if n % 2 != 0:
+        raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
+    for start in range(0, len(lines), chunk_size):
+        chunk = lines[start:start + chunk_size]
+        adj, suspects = _decode_graph6(chunk, n)
+        # parse_graph6 names the fault of a rejected line, or decodes a form
+        # the batch check does not (a ">>graph6<<" header, surrounding blanks)
+        for i in suspects:
+            try:
+                g = parse_graph6(chunk[i])
+            except ValueError as exc:
+                raise _located(source, start + i, str(exc)) from None
+            if g.n != n:
+                raise _located(
+                    source, start + i,
+                    f"mixed vertex counts in source: expected n={n}, "
+                    f"found n={g.n} in {chunk[i]!r}")
+            adj[i] = spectral.adjacency_matrix(g)
+        yield chunk, adj
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
                   jobs: int = 1, tolerance: float = theorems.SPECTRAL_TOL,
                   chunk_size: int = SOURCE_CHUNK) -> SweepReport:
-    """Evaluate theorem t over every graph in the source.
+    """Evaluate theorem t over every graph in the source, in one process.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
-    identical for any worker count (wall_time aside).  A malformed line, or
-    one of another order than the first, raises ValueError naming the
-    source and line.
+    identical for any chunk size (wall_time aside).  `jobs` is accepted and
+    ignored.  An empty source, one of odd order, a malformed line, or one of
+    another order than the first raises ValueError naming the source, and
+    the line where there is one.
     """
     start = time.perf_counter()
-    lines = source.graph6_lines()
-    if not lines:
-        raise ValueError("empty graph source")
-    expected_n = _source_order(source, lines)
-    if expected_n % 2 != 0:
-        raise ValueError(f"sweeps need even n, got n={expected_n}")
-
-    args = [(source, i, lines[i:i + chunk_size], t, expected_n, min_degree,
-             tolerance) for i in range(0, len(lines), chunk_size)]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_chunk, args))
-    else:
-        results = [_sweep_chunk(a) for a in args]
-
-    scanned = sum(r[0] for r in results)
-    hyp = sum(r[1] for r in results)
-    events = sorted((e for r in results for e in r[2]), key=lambda e: e[0])
+    scanned = hyp = 0
+    events = []
+    for lines, adj in _source_chunks(source, "sweeps", chunk_size=chunk_size):
+        n = adj.shape[1]
+        met = np.flatnonzero(theorems._hypothesis_mask(adj, t, tolerance, min_degree))
+        scanned += len(lines)
+        hyp += len(met)
+        for i, row in zip(met, graphs._bit_rows(adj[met]).tolist()):
+            g = Graph(n, tuple(row))
+            if not theorems.conclusion_holds(g, t):
+                events.append((lines[i], theorems.recognize_exception(g, t)))
+    events.sort(key=lambda e: e[0])
     counterexamples = tuple(g6 for g6, rec in events if rec is None)
     exceptions = tuple(
         (g6, rec[0] if rec else None, rec[1] if rec else None)
         for g6, rec in events)
     return SweepReport(
-        theorem=str(t), n=expected_n, k=t.k, source=source.describe(),
+        theorem=str(t), n=n, k=t.k, source=source.describe(),
         min_degree=min_degree, graphs_scanned=scanned, hypothesis_count=hyp,
         counterexamples=counterexamples, exceptions_found=exceptions,
         wall_time=time.perf_counter() - start)
@@ -609,24 +605,19 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     dropped.  Only the graphs no matching covers become a `Graph`, and each
     is confirmed by its Berge-Tutte witness, re-validated by an explicit
     odd-component count, so no verdict rests on the filter alone.  The
-    source is decoded as a sweep decodes it, so a malformed line or one of
-    another order than n raises ValueError naming the source and line.
+    source is read as a sweep reads it, so an empty source, an odd n, a
+    malformed line or one of another order than n raises ValueError naming
+    the source, and the line where there is one.
     """
-    if n % 2 != 0:
-        raise ValueError(f"{source.describe()}: the deficiency bound suites "
-                         f"need even n, got n={n}")
-    lines = source.graph6_lines()
     out = []
-    for start in range(0, len(lines), SOURCE_CHUNK):
-        chunk = lines[start:start + SOURCE_CHUNK]
-        adj = _decode_source_lines(source, start, chunk, n)
+    for lines, adj in _source_chunks(source, NO_PM_SUITES, n):
         rest = np.flatnonzero(~_covered_by_perfect_matching(adj))
         for i, row in zip(rest, graphs._bit_rows(adj[rest]).tolist()):
             g = Graph(n, tuple(row))
             d, witness = matching.berge_tutte_deficiency(g)
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
-                    f"deficiency witness failed to re-validate on {chunk[i]}")
+                    f"deficiency witness failed to re-validate on {lines[i]}")
             out.append(g)
     return out
 

@@ -4,7 +4,7 @@ Vertices are small integers and adjacency is kept as per-vertex bit masks,
 which makes adjacency tests O(1) and component/subset scans cheap for the
 n <= 62 range this library targets (the graph6 short format ceiling).
 All graphs are immutable after construction; every operation returns a new
-Graph, so values can be shared freely across worker processes.
+Graph, so values can be shared freely.
 """
 
 from __future__ import annotations

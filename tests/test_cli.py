@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -225,6 +228,44 @@ def test_verify_deficiency_lemma_on_odd_order_input(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err == (f"error: file:{path}: the deficiency bound suites "
                        "need even n, got n=7\n")
+
+
+def test_verify_sweep_names_an_empty_or_odd_input(capsys, tmp_path):
+    # the sweep's source errors name the file, as the deficiency suites' do
+    empty = tmp_path / "empty.g6"
+    empty.write_text("# no graphs\n")
+    odd = tmp_path / "odd.g6"
+    odd.write_text(to_graph6(cycle_graph(7)) + "\n")
+    for path, message in ((empty, f"empty graph source: {empty}"),
+                          (odd, f"file:{odd}: sweeps need even n, got n=7")):
+        code, out, err = run_cli(capsys, "verify", "--theorem", "t11", "--k", "1",
+                                 "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_verify_refuses_n_together_with_input(capsys, n8_fixture_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--theorem", "t11", "--k", "1", "--n", "6",
+                  "--input", n8_fixture_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "--input" in err and "not allowed" in err
+
+
+def test_import_starts_no_process_machinery():
+    # sweeps run in one process, so importing the package and its CLI
+    # pulls in neither multiprocessing nor the process-pool executor
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, matchspec, matchspec.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} "
+            "& set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("lines, where, message", [
