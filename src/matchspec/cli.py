@@ -262,7 +262,11 @@ def cmd_verify(args) -> int:
             _, first = next(enumeration._source_chunks(  # the first line's order
                 src, enumeration.NO_PM_SUITES, chunk_size=1))
             n = first.shape[1]
-            options.setdefault("n_values", (n,))
+            orders = options.setdefault("n_values", (n,))
+            if n not in orders:
+                raise ValueError(
+                    f"{args.input} holds graphs of order {n}, which --grid leaves "
+                    f"out (its orders: {', '.join(map(str, orders)) or 'none'})")
             options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)
     _emit(args.out, report.to_json_dict(), report.csv_rows(),

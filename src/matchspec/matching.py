@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -398,24 +398,6 @@ def _pfaffian(rest: tuple[int, ...], known: dict) -> np.ndarray:
     return known[rest]
 
 
-def _first_per_vertex_set(cols: np.ndarray) -> np.ndarray:
-    """Indices, in increasing order, of the rows of cols (vertex ids) whose
-    vertex set no earlier row has.
-
-    Each set is a bit mask in 64-bit words; a stable sort of the masks puts
-    the first row of every set at the start of its run of equal masks.
-    """
-    bits = np.left_shift(1, cols & 63)
-    words = [np.bitwise_or.reduce(np.where(cols >> 6 == w, bits, 0), axis=1)
-             for w in range(int(cols.max()) // 64 + 1)]
-    order = np.lexsort(words)
-    same = np.ones(len(order) - 1, dtype=bool)  # row order[i + 1] repeats order[i]
-    for word in words:
-        ranked = word[order]
-        same &= ranked[1:] == ranked[:-1]
-    return np.sort(order[np.concatenate(([True], ~same))])
-
-
 @lru_cache(maxsize=8)
 def is_k_extendable(g: Graph, k: int) -> Verdict:
     """Direct check: every matching of size k extends to a perfect matching.
@@ -434,7 +416,7 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     randomization", J. Algorithms 10, 1989), and det B[V(F), V(F)] is the
     square of its Pfaffian.  T is inverted once per graph over
     GF(TUTTE_PRIME) at fixed weights, and the 2k x 2k Pfaffian is computed
-    for every vertex set of a block of k-matchings at once.  A nonzero value
+    for every k-matching of a block at once.  A nonzero value
     proves that F extends, whatever the weights: the determinant polynomial
     cannot be identically zero.  A zero may be an unlucky choice of weights,
     so those k-matchings, and all of them if T is singular, are decided by
@@ -443,10 +425,8 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     covers k = 1 up to that many edges and most graphs of order 8 or less.
 
     The blossom search computes one maximum matching M per graph and decides
-    F by a search warm-started from M on g - V(F).  Matchings covering a
-    vertex set already shown to leave a perfect matching are not searched
-    again.  The witness is the first non-extendable k-matching in
-    lexicographic edge-index order.
+    F by a search warm-started from M on g - V(F).  The witness is the first
+    non-extendable k-matching in lexicographic edge-index order.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -461,24 +441,18 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     ends = np.array(edges, dtype=np.int64)
     a, b = ends.T[:, :, None]
     meets = (a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)
-    extended = set()
     for rows in _k_matching_blocks(meets, k):
         inverse = _tutte_inverse(g) if len(rows) > _CERTIFY_ROWS else None
         if inverse is not None:
-            cols = ends[rows].reshape(len(rows), 2 * k)
-            first = _first_per_vertex_set(cols)
-            rows = rows[first][_pfaffians(inverse, cols[first]) == 0]
+            rows = rows[_pfaffians(inverse, ends[rows].reshape(len(rows), 2 * k)) == 0]
         for row in rows.tolist():
             drop = 0
             for i in row:
                 u, v = edges[i]
                 drop |= 1 << u | 1 << v
-            if drop in extended:
-                continue
             if not _perfect_after_deleting(g.adj, match, drop):
                 return Verdict(False, "direct", witness=tuple(edges[i] for i in row),
                                reason="non-extendable-matching")
-            extended.add(drop)
     return Verdict(True, "direct")
 
 
@@ -573,55 +547,46 @@ def is_1_excludable(g: Graph) -> Verdict:
 
 def find_odd_bridges(g: Graph) -> frozenset[tuple[int, int]]:
     """Bridges whose removal splits their component into two odd halves."""
-    full = (1 << g.n) - 1
     out = []
-    for comp in _component_masks(g.adj, full):
-        if comp.bit_count() % 2 == 1:
-            continue  # two odd halves sum to an even component
+    for comp in _component_masks(g.adj, (1 << g.n) - 1):
         out.extend(_odd_bridges_in_component(g, comp))
     return frozenset(out)
 
 
 def _odd_bridges_in_component(g: Graph, comp: int) -> list[tuple[int, int]]:
-    found = []
-    verts = _mask_to_vertices(comp)
-    for v in verts:
-        m = g.adj[v] & comp & (-1 << (v + 1))  # edges leaving v upward, inside comp
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            side = _flood_avoiding_edge(g, comp, v, u)
-            if not side >> u & 1:  # (v,u) is a bridge of the component
-                if side.bit_count() % 2 == 1 and (comp & ~side).bit_count() % 2 == 1:
-                    found.append((v, u))
-    return found
+    """Odd bridges (u < v) of the connected vertex set `comp` of g.
 
-
-def _flood_avoiding_edge(g: Graph, comp: int, v: int, u: int):
-    """Vertices reachable from v inside comp without using the edge (v,u)."""
-    seen = 1 << v
-    frontier = 1 << v
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            w = (f & -f).bit_length() - 1
-            f &= f - 1
-            nb = g.adj[w]
-            if w == v:
-                nb &= ~(1 << u)
-            elif w == u:
-                nb &= ~(1 << v)
-            nxt |= nb
-        frontier = nxt & comp & ~seen
-        seen |= frontier
-    return seen
-
-
-def _component_has_odd_bridge(g: Graph, comp: int) -> bool:
+    One depth-first search tracks discovery times, low points and subtree
+    sizes (Tarjan, "A note on finding the bridges of a graph", 1974): the
+    tree edge from v to its child u is a bridge iff low[u] > disc[v], and
+    removing it cuts off u's subtree, so it leaves two odd halves iff that
+    subtree has odd size.  The recursion is at most |comp| deep.
+    """
     if comp.bit_count() % 2 == 1:
-        return False
-    return bool(_odd_bridges_in_component(g, comp))
+        return []  # two odd halves sum to an even component
+    disc = [-1] * g.n
+    clock = count()
+    found = []
+
+    def visit(v: int, parent: int) -> tuple[int, int]:
+        disc[v] = low = next(clock)
+        size = 1
+        nb = g.adj[v] & comp & ~(1 << parent)
+        while nb:
+            u = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            if disc[u] >= 0:
+                low = min(low, disc[u])
+                continue
+            u_low, u_size = visit(u, v)
+            low = min(low, u_low)
+            size += u_size
+            if u_low > disc[v] and u_size % 2 == 1:
+                found.append((min(u, v), max(u, v)))
+        return low, size
+
+    visit((comp & -comp).bit_length() - 1, g.n)
+    return found
 
 
 def is_1_excludable_criterion(g: Graph) -> Verdict:
@@ -641,8 +606,7 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
     # every other S has o(g-S) <= |S| - 2, which meets both conditions
     for smask in np.flatnonzero(odd + 2 > _popcounts(g.n)).tolist():
         comps = _component_masks(g.adj, full & ~smask)
-        bridged = any(_component_has_odd_bridge(g, c) for c in comps)
-        if bridged:
+        if any(_odd_bridges_in_component(g, c) for c in comps):
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-i")

@@ -117,16 +117,6 @@ class Polynomial:
             return Polynomial((0,))
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def __str__(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0 and self.degree > 0:
-                continue
-            var = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            terms.append(f"{c}{'*' if var else ''}{var}")
-        return " + ".join(terms).replace("+ -", "- ")
-
 
 def characteristic_polynomial(matrix) -> Polynomial:
     """det(xI - M) for a square matrix, exactly (Faddeev-LeVerrier).
@@ -179,10 +169,6 @@ class Partition:
     def __post_init__(self):
         object.__setattr__(
             self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
-
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
 
     def validate(self, n: int) -> None:
         seen = set()

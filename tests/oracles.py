@@ -57,6 +57,38 @@ def odd_component_table_reference(g: Graph) -> bytes:
     return bytes(odd[::-1])  # mask S holds o(R) for R = full - S
 
 
+def odd_bridges_reference(g: Graph, keep=None) -> frozenset:
+    """Odd bridges of the subgraph of g induced on `keep` (default: all).
+
+    Deletes each edge (u, v) in turn and floods from u and from v over the
+    edges left: it is an odd bridge iff v is no longer reachable from u and
+    both sides have odd size.
+    """
+    keep = set(range(g.n) if keep is None else keep)
+    edges = [e for e in g.edges() if e[0] in keep and e[1] in keep]
+
+    def reach(start, nbrs):
+        seen, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    found = set()
+    for e in edges:
+        nbrs = {v: [] for v in keep}
+        for a, b in edges:
+            if (a, b) != e:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+        side = reach(e[0], nbrs)
+        if e[1] not in side and len(side) % 2 == 1 and len(reach(e[1], nbrs)) % 2 == 1:
+            found.add(e)
+    return frozenset(found)
+
+
 def brute_force_is_isomorphic(a: Graph, b: Graph) -> bool:
     """Min-over-permutations isomorphism check (tiny graphs)."""
     if a.n != b.n or a.m != b.m:

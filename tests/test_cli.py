@@ -209,6 +209,15 @@ def test_verify_deficiency_lemma_reads_its_input_once(capsys, monkeypatch,
         assert reads == [n8_fixture_path]
 
 
+def test_verify_deficiency_lemma_grid_must_hold_the_input_order(capsys,
+                                                               n8_fixture_path):
+    for lemma in ("l2.9", "l2.10"):
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", "n=4..6",
+                                 "--input", n8_fixture_path)
+        assert code == 2 and out == ""
+        assert n8_fixture_path in err and "order 8" in err and "4, 6" in err
+
+
 def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("# no graphs\n")

@@ -8,7 +8,8 @@ import pytest
 from matchspec.enumeration import enumerate_connected
 from matchspec.families import (BridgedCompletes, PendantComplete, build,
                                 build_named)
-from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
+from matchspec.graphs import (_component_masks, complete_graph, cycle_graph,
+                              delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
                               is_connected, join, min_degree, odd_components,
                               parse_graph6, path_graph)
@@ -19,7 +20,8 @@ from matchspec.matching import (SUBSET_SCAN_CAP, _odd_component_table,
                                 is_1_excludable, is_1_excludable_criterion,
                                 is_k_extendable, is_k_extendable_chen,
                                 matching_number, max_matching)
-from oracles import brute_force_matching_number, odd_component_table_reference
+from oracles import (brute_force_matching_number, odd_bridges_reference,
+                     odd_component_table_reference)
 
 PETERSEN = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -283,6 +285,38 @@ def test_find_odd_bridges():
     p4 = path_graph(4)
     assert (1, 2) not in find_odd_bridges(p4)
     assert find_odd_bridges(p4) == frozenset({(0, 1), (2, 3)})
+
+
+def test_find_odd_bridges_matches_reference(n8_fixture_path):
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    with open(n8_fixture_path) as fh:
+        graphs += [parse_graph6(line) for line in fh if line.strip()]
+    rng = random.Random(43)
+    graphs += [random_graph(rng, rng.randint(0, 16), rng.choice((0.1, 0.2, 0.35)))
+               for _ in range(300)]
+    assert sum(len(_component_masks(g.adj, (1 << g.n) - 1)) > 1 for g in graphs) > 100
+    with_bridges = 0
+    for g in graphs:
+        bridges = find_odd_bridges(g)
+        assert bridges == odd_bridges_reference(g), (g.n, g.edges())
+        with_bridges += bool(bridges)
+    assert with_bridges > 1000
+
+
+def test_odd_bridges_of_remaining_sets_match_reference():
+    # the criterion route asks for the odd bridges of each component of g - S
+    rng = random.Random(47)
+    with_bridges = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 16), rng.choice((0.2, 0.35, 0.6)))
+        rest = rng.getrandbits(g.n)
+        found = [e for comp in _component_masks(g.adj, rest)
+                 for e in matching._odd_bridges_in_component(g, comp)]
+        keep = [v for v in range(g.n) if rest >> v & 1]
+        assert len(found) == len(set(found))
+        assert set(found) == odd_bridges_reference(g, keep), (g.n, g.edges(), rest)
+        with_bridges += bool(found)
+    assert with_bridges > 50
 
 
 # --- exhaustive equivalence at n = 8 (delta >= 2) ---------------------------
