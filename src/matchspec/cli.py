@@ -10,7 +10,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 from . import enumeration, families, graphs, matching, spectral, theorems
 from .enumeration import BuiltIn, File, sweep_theorem, verify_charpoly_identities, verify_lemma
@@ -41,14 +40,16 @@ def _read_input(path: str) -> str:
 
 
 def _load_graph(args) -> graphs.Graph:
-    text = _read_input(args.input)
     if args.format == "edgelist":
-        return graphs.parse_edge_list_text(text)
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return graphs.parse_graph6(line)
-    raise ValueError("no graph found in input")
+        return graphs.parse_edge_list_text(_read_input(args.input))
+    if args.input == "-":
+        lines = map(graphs.graph6_text, sys.stdin.read().splitlines())
+    else:
+        lines = File(args.input).graph6_lines()
+    line = next(filter(None, lines), None)
+    if line is None:
+        raise ValueError("no graph found in input")
+    return graphs._from_graph6_text(line)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +168,9 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    text = args.family_opt if args.family_opt else args.family
-    if not text:
+    if not args.family:
         raise ValueError("no family specification given")
-    spec = families.parse_family_text(text)
+    spec = families.parse_family_text(args.family)
     g = families.build(spec)
     print(graphs.to_graph6(g))
     if args.edgelist:
@@ -225,16 +225,6 @@ def _parse_grid(text: str | None) -> dict:
     return options
 
 
-@dataclass(frozen=True)
-class _ReadFile(File):
-    """A File read once, up front; a faulty line is located by reading it again."""
-
-    lines: tuple[str, ...] = ()
-
-    def graph6_lines(self) -> list[str]:
-        return list(self.lines)
-
-
 def cmd_verify(args) -> int:
     picked = sum(bool(x) for x in (args.theorem, args.lemma, args.charpolys))
     if picked != 1:
@@ -258,7 +248,7 @@ def cmd_verify(args) -> int:
     else:
         options = _parse_grid(args.grid)
         if args.input:
-            src = _ReadFile(args.input, tuple(File(args.input).graph6_lines()))
+            src = File(args.input)
             _, first = next(enumeration._source_chunks(  # the first line's order
                 src, enumeration.NO_PM_SUITES, chunk_size=1))
             n = first.shape[1]
@@ -367,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named or textual family")
     p.add_argument("family", nargs="?", default=None,
                    help="e.g. 'thm13-f2', 'w2:n=10', 'K(2) v (K(3) u K1)'")
-    p.add_argument("--family", dest="family_opt", default=None,
-                   help="alternative to the positional form")
     p.add_argument("--edgelist", action="store_true",
                    help="also print the edge-list form")
     p.set_defaults(func=cmd_construct)

@@ -15,10 +15,9 @@ registered exception family it matches (an unmatched one is a genuine
 counterexample).  A sweep works on chunks of graph6 lines, each as one
 batch of arrays:
 
-1. decode the chunk into an (N, n, n) uint8 adjacency tensor, with every
-   check `parse_graph6` makes done on the whole batch; a line that fails
-   one is parsed again by `parse_graph6`, whose message is raised with the
-   source and line number;
+1. decode the chunk into an (N, n, n) uint8 adjacency tensor with the
+   graph6 decoder of `graphs`; a line it rejects is named with its fault
+   and the source and line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses;
 3. `Graph` objects only for the graphs that meet it, for the conclusion
@@ -33,15 +32,15 @@ import inspect
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, permutations
+from functools import cached_property, lru_cache
+from itertools import permutations
 from math import comb
 from random import Random
 
 import numpy as np
 
 from . import families, graphs, matching, spectral, theorems
-from .graphs import Graph, all_pairs, from_edge_list, parse_graph6, to_graph6
+from .graphs import Graph, all_pairs, from_edge_list, to_graph6
 from .theorems import TheoremId
 
 ENUMERATION_CAP = 7
@@ -137,23 +136,31 @@ class BuiltIn:
 
 @dataclass(frozen=True)
 class File:
-    """graph6 lines from a file; '#' comments and blank lines are skipped."""
+    """graph6 lines from a file, read once per instance and each line by
+    `graphs.graph6_text` (blank, '#' and bare `>>graph6<<` lines are skipped)."""
 
     path: str
 
-    def _numbered_lines(self):
-        with open(self.path) as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    yield number, line
+    def _numbered_lines(self) -> list[str]:
+        """Line k of the file by `graphs.graph6_text`, at index k - 1."""
+        with open(self.path, "rb") as fh:
+            try:
+                return [graphs.graph6_text(raw.decode()) for raw in fh]
+            except UnicodeDecodeError as exc:  # exc.object: the first line that fails
+                fh.seek(0)
+                number = next(k for k, raw in enumerate(fh, 1) if raw == exc.object)
+                raise ValueError(f"{self.describe()}:{number}: {exc}") from None
+
+    @cached_property
+    def _lines(self) -> list[str]:
+        return self._numbered_lines()
 
     def graph6_lines(self) -> list[str]:
-        return [line for _, line in self._numbered_lines()]
+        return [line for line in self._lines if line]
 
     def line_number(self, index: int) -> int:
-        """1-based file line of the index-th graph6 line (reads the file again)."""
-        return next(islice(self._numbered_lines(), index, None))[0]
+        """1-based file line of the index-th graph6 line."""
+        return [k for k, line in enumerate(self._lines, 1) if line][index]
 
     def describe(self) -> str:
         return f"file:{self.path}"
@@ -224,36 +231,12 @@ def _located(source, index: int, message: str) -> ValueError:
         f"{source.describe()}:{source.line_number(index)}: {message}")
 
 
-def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode graph6 lines of order n into one (N, n, n) uint8 adjacency tensor.
-
-    Returns the tensor and the indices of the lines that fail any check
-    `parse_graph6` makes for order n: line width, header byte, character
-    range and zero padding bits.  Those rows of the tensor are garbage.
-    """
-    count = len(lines)
-    nbits = comb(n, 2)
-    width = 1 + (nbits + 5) // 6
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
-    # code points, longer lines cut and shorter ones padded with NUL (below '?')
-    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
-    body = cells[:, 1:] - np.uint32(63)  # characters below '?' wrap past 63
-    bad = (lengths != width) | (cells[:, 0] != n + 63) | (body > 63).any(axis=1)
-    bits = np.unpackbits((body.astype(np.uint8) << 2)[:, :, None], axis=2, count=6)
-    bits = bits.reshape(count, -1)
-    bad |= bits[:, nbits:].any(axis=1)
-    adj = np.zeros((count, n, n), dtype=np.uint8)
-    j, i = np.tril_indices(n, -1)  # graph6 slot order: (0,1), (0,2), (1,2), (0,3), ...
-    adj[:, i, j] = bits[:, :nbits]
-    adj[:, j, i] = bits[:, :nbits]
-    return adj, np.flatnonzero(bad)
-
-
 def _source_chunks(source, needs: str, n: int | None = None,
                    chunk_size: int = SOURCE_CHUNK):
     """Read the source once and yield (lines, adj) per chunk of graph6
     lines, adj being their (N, n, n) adjacency tensor.
 
+    The source's lines are graph6 text as `graphs.graph6_text` leaves it.
     The order is n if given, else the first line's; every line must share
     it.  An empty source, an odd order (`needs` says what needs an even one)
     and a faulty line raise ValueError naming the source, and the line.
@@ -264,27 +247,22 @@ def _source_chunks(source, needs: str, n: int | None = None,
             f"empty graph source: {getattr(source, 'path', source.describe())}")
     if n is None:
         try:
-            n = parse_graph6(lines[0]).n
+            n = graphs._from_graph6_text(lines[0]).n
         except ValueError as exc:
             raise _located(source, 0, str(exc)) from None
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
     for start in range(0, len(lines), chunk_size):
         chunk = lines[start:start + chunk_size]
-        adj, suspects = _decode_graph6(chunk, n)
-        # parse_graph6 names the fault of a rejected line, or decodes a form
-        # the batch check does not (a ">>graph6<<" header, surrounding blanks)
-        for i in suspects:
+        adj, bad = graphs._decode_graph6(chunk, n)
+        if bad.size:  # name the line's fault, or else its order
+            line = chunk[bad[0]]
             try:
-                g = parse_graph6(chunk[i])
+                message = (f"mixed vertex counts in source: expected n={n}, "
+                           f"found n={graphs._from_graph6_text(line).n} in {line!r}")
             except ValueError as exc:
-                raise _located(source, start + i, str(exc)) from None
-            if g.n != n:
-                raise _located(
-                    source, start + i,
-                    f"mixed vertex counts in source: expected n={n}, "
-                    f"found n={g.n} in {chunk[i]!r}")
-            adj[i] = spectral.adjacency_matrix(g)
+                message = str(exc)
+            raise _located(source, start + int(bad[0]), message)
         yield chunk, adj
 
 

@@ -9,6 +9,8 @@ Graph, so values can be shared freely.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 
@@ -118,22 +120,51 @@ def path_graph(n: int) -> Graph:
 # graph6 codec (short format, n <= 62)
 # ---------------------------------------------------------------------------
 
-def _edge_slot_count(n: int) -> int:
-    return n * (n - 1) // 2
+def graph6_text(line: str) -> str:
+    """One input line stripped, nauty's optional `>>graph6<<` prefix dropped;
+    empty if it holds no graph (blank, a '#' comment or a bare header)."""
+    line = line.strip()
+    if not line.startswith(("#", ">>graph6<<")):  # one test for most lines
+        return line
+    return "" if line.startswith("#") else line[len(">>graph6<<"):]
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one line of graph6 (short format only).
+def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode graph6 text of order n into one (N, n, n) uint8 adjacency tensor.
 
     Bit layout: header byte n+63, then the upper triangle in column order
     x(0,1), x(0,2), x(1,2), x(0,3), ... packed big-endian into 6-bit
-    groups, each group offset by 63.
+    groups, each group offset by 63.  Also returns the indices of the lines
+    failing a check (width, header byte, character range, zero padding
+    bits), whose rows are garbage.
     """
-    line = text.strip()
+    count = len(lines)
+    nbits = comb(n, 2)
+    width = 1 + (nbits + 5) // 6
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
+    # code points, longer lines cut and shorter ones padded with NUL (below '?')
+    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
+    body = cells[:, 1:] - np.uint32(63)  # characters below '?' wrap past 63
+    bad = (lengths != width) | (cells[:, 0] != n + 63) | (body > 63).any(axis=1)
+    bits = np.unpackbits((body.astype(np.uint8) << 2)[:, :, None], axis=2, count=6)
+    bits = bits.reshape(count, -1)
+    bad |= bits[:, nbits:].any(axis=1)
+    adj = np.zeros((count, n, n), dtype=np.uint8)
+    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # (i, j) in slot order
+    adj[:, i, j] = bits[:, :nbits]
+    adj[:, j, i] = bits[:, :nbits]
+    return adj, np.flatnonzero(bad)
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one line of graph6 (short format only), read by `graph6_text`."""
+    return _from_graph6_text(graph6_text(text))
+
+
+def _from_graph6_text(line: str) -> Graph:
+    """Decode graph6 text as `graph6_text` leaves it, naming its first fault."""
     if not line:
         raise ValueError("empty graph6 line")
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
     first = ord(line[0])
     if first == 126:
         raise ValueError("long graph6 format (n > 62) is not supported")
@@ -141,29 +172,17 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(f"bad graph6 header byte {first}")
     n = first - 63
     body = line[1:]
-    nbits = _edge_slot_count(n)
-    nchars = (nbits + 5) // 6
+    nchars = (comb(n, 2) + 5) // 6
     if len(body) != nchars:
         raise ValueError(
             f"graph6 body has {len(body)} chars, expected {nchars} for n={n}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise ValueError(f"graph6 char {ch!r} out of range")
-        for k in range(5, -1, -1):
-            bits.append(val >> k & 1)
-    if any(bits[nbits:]):
+    adj, bad = _decode_graph6([line], n)
+    if bad.size:  # a character out of range, else a padding bit
+        for ch in body:
+            if not 63 <= ord(ch) <= 126:
+                raise ValueError(f"graph6 char {ch!r} out of range")
         raise ValueError("nonzero padding bits in graph6 body")
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(_bit_rows(adj)[0].tolist()))
 
 
 def to_graph6(g: Graph) -> str:
@@ -411,7 +430,7 @@ def all_pairs(n: int):
 
 __all__ = [
     "Graph", "from_edge_list", "empty_graph", "complete_graph", "cycle_graph",
-    "path_graph", "parse_graph6", "to_graph6", "parse_edge_list_text",
+    "path_graph", "graph6_text", "parse_graph6", "to_graph6", "parse_edge_list_text",
     "disjoint_union", "join", "delete_vertices", "components", "is_connected",
     "min_degree", "odd_components", "are_isomorphic", "all_pairs",
 ]

@@ -14,6 +14,23 @@ from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
 from matchspec.spectral import adjacency_matrix
 
 
+def reference_graph6_decode(line):
+    """Independent bit-level graph6 decoder: (n, sorted edge list)."""
+    n = ord(line[0]) - 63
+    bits = []
+    for ch in line[1:]:
+        val = ord(ch) - 63
+        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return n, sorted(edges)
+
+
 def brute_force_matching_number(g: Graph) -> int:
     """Exhaustive search over all matchings (tiny graphs)."""
     edges = g.edges()

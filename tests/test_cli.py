@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from matchspec import cli, enumeration, theorems
+from matchspec.enumeration import sweep_theorem
 from matchspec.families import build_named
 from matchspec.graphs import cycle_graph, parse_graph6, to_graph6
 from matchspec.spectral import spectral_radius
@@ -64,11 +65,27 @@ def test_analyze_edgelist_and_odd_order(capsys, tmp_path):
     assert "N/A (odd order)" in out
 
 
+def test_analyze_of_a_bare_graph6_header_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<\n"))
+    code, out, err = run_cli(capsys, "analyze", "--input", "-")
+    assert code == 2 and out == ""
+    assert err == "error: no graph found in input\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<\n>>graph6<<C~\n"))
+    code, out, _ = run_cli(capsys, "analyze", "--input", "-")
+    assert code == 0 and "graph6:           C~\n" in out
+
+
+def test_analyze_names_the_line_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C~\nCl\xff\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: file:{path}:2: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_construct_variants(capsys):
     code, out, _ = run_cli(capsys, "construct", "thm13-f2")
     assert code == 0 and parse_graph6(out.strip()).m == 19
-    code, out2, _ = run_cli(capsys, "construct", "--family", "thm13-f2")
-    assert code == 0 and out2 == out
     code, _, err = run_cli(capsys, "construct")
     assert code == 2
     code, out, _ = run_cli(capsys, "construct", "K(3)+K(5)", "--edgelist")
@@ -310,11 +327,52 @@ def test_verify_names_file_and_line_of_a_bad_graph(capsys, tmp_path,
         where = len(head) + skip + 1
         lines = head + good[2:2 + skip] + [bad] + good[2 + skip:3000]
         path.write_text("\n".join(lines) + "\n")
-        for jobs in ("1", "2"):
-            code, out, err = run_cli(capsys, "verify", "--theorem", "t13",
-                                     "--input", str(path), "--jobs", jobs)
-            assert code == 2 and out == ""
-            assert err == f"error: file:{path}:{where}: {message}\n"
+        code, out, err = run_cli(capsys, "verify", "--theorem", "t13",
+                                 "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: file:{path}:{where}: {message}\n"
+
+
+def test_verify_names_the_line_that_is_not_utf8(capsys, tmp_path, n8_fixture_path):
+    with open(n8_fixture_path, "rb") as fh:
+        good = [ln for ln in fh if ln.strip() and not ln.startswith(b"#")]
+    path = tmp_path / "bad.g6"
+    path.write_bytes(good[0] + b"G\xff" + good[1] + b"".join(good[2:50]))
+    for argv in (("--theorem", "t11", "--k", "1"), ("--lemma", "l2.9")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: file:{path}:2: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_verify_skips_a_bare_graph6_header_line(capsys, tmp_path, n8_fixture_path):
+    with open(n8_fixture_path) as fh:
+        text = fh.read()
+    path = tmp_path / "headed.g6"
+    path.write_text(">>graph6<<\n" + text)
+    for argv in (("--theorem", "t13", "--min-degree", "2"), ("--lemma", "l2.9")):
+        runs = [run_cli(capsys, "verify", *argv, "--input", source, "--out", "json")
+                for source in (n8_fixture_path, str(path))]
+        (plain_code, plain, _), (code, headed, err) = runs
+        assert code == plain_code == 0 and err == ""
+        plain, headed = json.loads(plain), json.loads(headed)
+        for doc in (plain, headed):
+            doc.pop("wall_time")
+            doc.pop("source", None)
+        assert headed == plain
+
+
+def test_verify_accepts_jobs_and_ignores_it(capsys, n8_fixture_path):
+    # the benchmark and older callers still pass jobs; the report is the same
+    source, t = enumeration.File(n8_fixture_path), theorems.TheoremId("t16")
+    expected = sweep_theorem(source, t, min_degree=2).to_json(include_timing=False)
+    report = sweep_theorem(source, t, min_degree=2, jobs=2)
+    assert report.to_json(include_timing=False) == expected
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "--theorem", "t16", "--min-degree", "2",
+                                 "--input", n8_fixture_path, "--jobs", jobs, "--out", "json")
+        doc = json.loads(out)
+        doc.pop("wall_time")
+        assert code == 0 and err == "" and enumeration.json_text(doc) == expected
 
 
 def test_verify_empty_lemma_grid_is_a_usage_error(capsys):

@@ -1,31 +1,15 @@
 import random
+import re
 
 import pytest
 
 from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
                               components, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
-                              is_connected, join, min_degree, odd_components,
-                              parse_edge_list_text, parse_graph6, path_graph,
-                              to_graph6)
-from oracles import brute_force_is_isomorphic
-
-
-def reference_graph6_decode(line):
-    """Independent bit-level decoder used as the codec oracle."""
-    n = ord(line[0]) - 63
-    bits = []
-    for ch in line[1:]:
-        val = ord(ch) - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return n, sorted(edges)
+                              graph6_text, is_connected, join, min_degree,
+                              odd_components, parse_edge_list_text,
+                              parse_graph6, path_graph, to_graph6)
+from oracles import brute_force_is_isomorphic, reference_graph6_decode
 
 
 def random_graph(rng, n, p=0.4):
@@ -88,18 +72,27 @@ def test_graph6_known_values():
 
 
 def test_graph6_errors():
-    with pytest.raises(ValueError):
-        parse_graph6("B")  # truncated body
-    with pytest.raises(ValueError):
-        parse_graph6("~??")  # long format header
-    with pytest.raises(ValueError):
-        parse_graph6("")
-    with pytest.raises(ValueError):
-        parse_graph6("A" + chr(20))  # char below 63
-    with pytest.raises(ValueError):
-        parse_graph6("A~")  # nonzero padding bits (only 1 data bit for n=2)
+    for line, message in (
+            ("B", "graph6 body has 0 chars, expected 1 for n=3"),  # truncated body
+            ("~??", "long graph6 format (n > 62) is not supported"),
+            ("", "empty graph6 line"),
+            (">>graph6<<", "empty graph6 line"),  # a bare header holds no graph
+            ("!", "bad graph6 header byte 33"),
+            ("A" + chr(20), "graph6 char '\\x14' out of range"),  # char below 63
+            ("C" + chr(127), "graph6 char '\\x7f' out of range"),  # char above 126
+            ("A~", "nonzero padding bits in graph6 body")):  # only 1 data bit for n=2
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph6(line)
     with pytest.raises(ValueError):
         to_graph6(empty_graph(63))
+
+
+def test_graph6_text_drops_what_holds_no_graph():
+    assert graph6_text("  C~ \n") == "C~"
+    assert graph6_text(">>graph6<<C~\n") == "C~"
+    assert parse_graph6(">>graph6<<C~") == complete_graph(4)
+    for line in ("", " \n", "# a comment", ">>graph6<<", " >>graph6<<\n"):
+        assert graph6_text(line) == ""
 
 
 def test_graph6_round_trip_and_oracle():

@@ -3,9 +3,9 @@
 A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
 drops graphs whose Stanley/Hong spectral-radius bound is already below a
 spectral threshold, and eigensolves the rest in one call.  These tests
-check each of those steps against `parse_graph6`, `spectral_radius` and
-`hypothesis_status`, graph by graph, and whole sweeps against
-`theorem_verdict`.
+check each of those steps against an independent graph6 decoder,
+`spectral_radius` and `hypothesis_status`, graph by graph, and whole
+sweeps against `theorem_verdict`.
 """
 
 import os
@@ -15,10 +15,11 @@ import shutil
 import numpy as np
 import pytest
 
-from matchspec import enumeration, spectral, theorems
+from matchspec import graphs, spectral, theorems
 from matchspec.enumeration import BuiltIn, File, sweep_theorem
 from matchspec.graphs import is_connected, parse_graph6
 from matchspec.theorems import TheoremId
+from oracles import reference_graph6_decode
 
 THEOREMS = [TheoremId("t11", 1), TheoremId("t11", 2), TheoremId("t13"),
             TheoremId("t14", 1), TheoremId("t14", 2), TheoremId("t16")]
@@ -34,21 +35,26 @@ def by_order(n8_fixture_path):
     for source in (BuiltIn(4), BuiltIn(6), File(n8_fixture_path)):
         lines = source.graph6_lines()
         gs = [parse_graph6(line) for line in lines]
-        adj, suspects = enumeration._decode_graph6(lines, gs[0].n)
-        assert suspects.size == 0
-        out[gs[0].n] = (gs, adj)
+        adj, bad = graphs._decode_graph6(lines, gs[0].n)
+        assert bad.size == 0
+        out[gs[0].n] = (lines, gs, adj)
     return out
 
 
-def test_batched_decode_matches_parse_graph6(by_order):
-    for gs, adj in by_order.values():
-        expected = np.array([spectral.adjacency_matrix(g) for g in gs])
-        assert np.array_equal(adj, expected)
+def test_batched_decode_matches_reference_decoder(by_order):
+    for n, (lines, gs, adj) in by_order.items():
+        for line, g, a in zip(lines, gs, adj):
+            rn, edges = reference_graph6_decode(line)
+            expected = np.zeros((n, n), dtype=np.uint8)
+            for i, j in edges:
+                expected[i, j] = expected[j, i] = 1
+            assert rn == n and np.array_equal(a, expected), line
+            assert g.edges() == edges, line
 
 
 @pytest.mark.parametrize("t", THEOREMS, ids=str)
 def test_batched_hypothesis_matches_per_graph(by_order, t):
-    for gs, adj in by_order.values():
+    for _, gs, adj in by_order.values():
         try:
             expected = [theorems.hypothesis_status(g, t)[0] for g in gs]
         except ValueError as exc:  # order outside the statement's range
@@ -60,7 +66,7 @@ def test_batched_hypothesis_matches_per_graph(by_order, t):
 
 
 def test_radius_bound_holds_on_every_connected_graph(by_order):
-    for gs, _ in by_order.values():
+    for _, gs, _ in by_order.values():
         connected = [g for g in gs if is_connected(g)]
         rho = np.array([spectral.spectral_radius(g).rho for g in connected])
         bound = spectral.radius_upper_bound([g.m for g in connected], gs[0].n)
@@ -69,7 +75,7 @@ def test_radius_bound_holds_on_every_connected_graph(by_order):
 
 
 def test_hypothesis_counts_at_n8(by_order):
-    _, adj = by_order[8]
+    _, _, adj = by_order[8]
     counts = [int(theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL,
                                              min_deg).sum())
               for t, min_deg in GOLDEN.values()]
@@ -81,7 +87,7 @@ def test_sweep_matches_per_graph_verdicts(by_order, n8_fixture_path, t):
     # a sweep and `theorem_verdict` share the conclusion and exception
     # helpers; both routes must agree end to end on every graph
     sources = {4: BuiltIn(4), 6: BuiltIn(6), 8: File(n8_fixture_path)}
-    for n, (gs, _) in by_order.items():
+    for n, (_, gs, _) in by_order.items():
         source = sources[n]
         try:
             met = [(g6, g) for g6, g in zip(source.graph6_lines(), gs)
@@ -102,18 +108,19 @@ def test_sweep_matches_per_graph_verdicts(by_order, n8_fixture_path, t):
 
 
 def test_sweep_takes_lines_with_the_graph6_header(tmp_path):
-    # the batch check rejects them; parse_graph6 accepts and decodes them
+    # File drops the prefix, so the reports name the graphs without it
     lines = BuiltIn(6).graph6_lines()
     path = tmp_path / "header.g6"
     path.write_text("".join(f">>graph6<<{ln}\n" if i % 3 else f"{ln}\n"
                             for i, ln in enumerate(lines)))
     plain = sweep_theorem(BuiltIn(6), TheoremId("t13"), min_degree=2)
     headed = sweep_theorem(File(str(path)), TheoremId("t13"), min_degree=2)
+    assert headed.graphs_scanned == plain.graphs_scanned == len(lines)
     assert headed.hypothesis_count == plain.hypothesis_count > 0
-    assert [e[1:] for e in headed.exceptions_found] == [e[1:] for e in plain.exceptions_found]
+    assert headed.exceptions_found == plain.exceptions_found
 
 
-def test_reports_match_golden_for_any_jobs(tmp_path, monkeypatch, n8_fixture_path):
+def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixture_path):
     # the golden reports name the fixture by the benchmark's relative path
     monkeypatch.chdir(tmp_path)
     os.mkdir(".perfbench_work")
@@ -122,11 +129,10 @@ def test_reports_match_golden_for_any_jobs(tmp_path, monkeypatch, n8_fixture_pat
     for name, (t, min_deg) in GOLDEN.items():
         with open(os.path.join(GOLDEN_DIR, f"sweep-{name}.json")) as fh:
             golden = fh.read()
-        for jobs, chunk_size in ((1, 1024), (2, 1500)):
-            report = sweep_theorem(source, t, min_degree=min_deg, jobs=jobs,
-                                   chunk_size=chunk_size)
+        for chunk_size in (1024, 1500):
+            report = sweep_theorem(source, t, min_degree=min_deg, chunk_size=chunk_size)
             assert report.to_json(include_timing=False) == golden
     for t in (TheoremId("t11", 2), TheoremId("t14", 2)):
-        serial = sweep_theorem(source, t, jobs=1)
-        parallel = sweep_theorem(source, t, jobs=2, chunk_size=1500)
-        assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
+        one, other = (sweep_theorem(source, t, chunk_size=size)
+                      for size in (1024, 1500))
+        assert one.to_json(include_timing=False) == other.to_json(include_timing=False)
