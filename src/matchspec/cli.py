@@ -32,21 +32,15 @@ def _emit(out: str, doc: dict, rows: list[list] | None, print_text) -> None:
         print_text()
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
-
-
 def _load_graph(args) -> graphs.Graph:
-    if args.format == "edgelist":
-        return graphs.parse_edge_list_text(_read_input(args.input))
     if args.input == "-":
-        lines = map(graphs.graph6_text, sys.stdin.read().splitlines())
+        lines, where = sys.stdin.read().splitlines(), "stdin"
     else:
-        lines = File(args.input).graph6_lines()
-    line = next(filter(None, lines), None)
+        source = File(args.input)
+        lines, where = source._numbered_lines(str.strip), source.describe()
+    if args.format == "edgelist":
+        return graphs.parse_edge_list(lines, where)
+    line = next(filter(None, map(graphs.graph6_text, lines)), None)
     if line is None:
         raise ValueError("no graph found in input")
     return graphs._from_graph6_text(line)
@@ -58,7 +52,6 @@ def _load_graph(args) -> graphs.Graph:
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    tol = args.tolerance
     doc: dict = {
         "schema": ANALYZE_SCHEMA,
         "graph6": graphs.to_graph6(g) if g.n <= 62 else None,
@@ -112,7 +105,7 @@ def cmd_analyze(args) -> int:
             candidates.append(TheoremId("t13"))
             candidates.append(TheoremId("t16"))
         for t in candidates:
-            v = theorems.theorem_verdict(g, t, tolerance=tol)
+            v = theorems.theorem_verdict(g, t)
             verdicts[str(t)] = {
                 "hypothesis_met": v.hypothesis_met,
                 "conclusion_met": v.conclusion_met,
@@ -189,6 +182,8 @@ def _source_for(args, n: int | None):
         return File(args.input)
     if n is None:
         raise ValueError("either --n or --input is required")
+    if n < 1:
+        raise ValueError(f"there are no graphs of order n={n}; --n takes an order >= 1")
     if n <= enumeration.ENUMERATION_CAP:
         return BuiltIn(n)
     fixtures = os.environ.get(FIXTURES_ENV)
@@ -212,16 +207,18 @@ def _parse_grid(text: str | None) -> dict:
         if "=" not in item:
             raise ValueError(f"bad grid item {item!r} (expected key=value)")
         key, val = (p.strip() for p in item.split("=", 1))
-        if key in ("n", "l"):
-            if ".." not in val:
-                raise ValueError(f"grid key {key!r} takes a range LO..HI, got {val!r}")
-            lo, hi = (int(x) for x in val.split("..", 1))
-            options[f"{key}_values"] = tuple(v for v in range(lo, hi + 1) if v % 2 == 0)
-        elif key in ("trials", "seed"):
-            options[key] = int(val)
-        else:
+        if key not in ("n", "l", "trials", "seed"):
             raise ValueError(f"unknown grid key {key!r}; the keys are n, l (ranges "
                              "LO..HI) and trials, seed (integers)")
+        try:
+            if key in ("n", "l"):
+                lo, hi = (int(x) for x in val.split("..", 1))
+                options[f"{key}_values"] = tuple(v for v in range(lo, hi + 1) if v % 2 == 0)
+            else:
+                options[key] = int(val)
+        except ValueError:
+            kind = "a range LO..HI" if key in ("n", "l") else "an integer"
+            raise ValueError(f"grid key {key!r} takes {kind}, got {val!r}") from None
     return options
 
 
@@ -233,8 +230,7 @@ def cmd_verify(args) -> int:
     if args.theorem:
         t = theorems.parse_theorem_token(args.theorem, args.k)
         source = _source_for(args, args.n)
-        report = sweep_theorem(source, t, min_degree=args.min_degree,
-                               tolerance=args.tolerance)
+        report = sweep_theorem(source, t, min_degree=args.min_degree)
         _emit(args.out, report.to_json_dict(), report.csv_rows(),
               lambda: _print_sweep(report))
         return 0 if not report.counterexamples else 1
@@ -244,7 +240,7 @@ def cmd_verify(args) -> int:
             f"--input is read only by --theorem and by --lemma "
             f"{' / '.join(INPUT_LEMMAS)}")
     if args.charpolys:
-        report = verify_charpoly_identities(tol=args.tolerance)
+        report = verify_charpoly_identities()
     else:
         options = _parse_grid(args.grid)
         if args.input:
@@ -351,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1,
                    help="check k-extendability for k=1..K")
     p.add_argument("--out", choices=("text", "json"), default="text")
-    p.add_argument("--tolerance", type=float, default=theorems.SPECTRAL_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="build a named or textual family")
@@ -375,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     # ignored (sweeps run in one process); parsed so command lines passing it work
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--tolerance", type=float, default=theorems.SPECTRAL_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("thresholds", help="tabulate size/spectral thresholds")
@@ -391,8 +385,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    if not 0 < getattr(args, "tolerance", 1.0) < float("inf"):  # nan too
-        parser.error("--tolerance must be positive and finite")
     if getattr(args, "k", None) is not None and args.k < 1:
         parser.error("--k must be >= 1")
     try:

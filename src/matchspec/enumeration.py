@@ -54,7 +54,7 @@ SOURCE_CHUNK = 1024
 # the deficiency suites (l2.9, l2.10), as their source errors name them
 NO_PM_SUITES = "the deficiency bound suites"
 
-# the lemma suites' one tolerance for comparisons of floating-point values
+# the one tolerance of the lemma suites and the charpoly identities for floats
 LEMMA_TOL = 1e-9
 
 SWEEP_SCHEMA = "matchspec/sweep-report/1"
@@ -141,11 +141,12 @@ class File:
 
     path: str
 
-    def _numbered_lines(self) -> list[str]:
-        """Line k of the file by `graphs.graph6_text`, at index k - 1."""
+    def _numbered_lines(self, rule=graphs.graph6_text) -> list[str]:
+        """Line k of the file by `rule`, at index k - 1; each line is decoded as
+        UTF-8 on its own, and one that fails raises ValueError naming it."""
         with open(self.path, "rb") as fh:
             try:
-                return [graphs.graph6_text(raw.decode()) for raw in fh]
+                return [rule(raw.decode()) for raw in fh]
             except UnicodeDecodeError as exc:  # exc.object: the first line that fails
                 fh.seek(0)
                 number = next(k for k, raw in enumerate(fh, 1) if raw == exc.object)
@@ -267,8 +268,7 @@ def _source_chunks(source, needs: str, n: int | None = None,
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
-                  jobs: int = 1, tolerance: float = theorems.SPECTRAL_TOL,
-                  chunk_size: int = SOURCE_CHUNK) -> SweepReport:
+                  jobs: int = 1, chunk_size: int = SOURCE_CHUNK) -> SweepReport:
     """Evaluate theorem t over every graph in the source, in one process.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
@@ -282,7 +282,7 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     events = []
     for lines, adj in _source_chunks(source, "sweeps", chunk_size=chunk_size):
         n = adj.shape[1]
-        met = np.flatnonzero(theorems._hypothesis_mask(adj, t, tolerance, min_degree))
+        met = np.flatnonzero(theorems._hypothesis_mask(adj, t, min_degree))
         scanned += len(lines)
         hyp += len(met)
         for i, row in zip(met, graphs._bit_rows(adj[met]).tolist()):
@@ -834,14 +834,14 @@ _IDENTITIES = {
 }
 
 
-def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
+def verify_charpoly_identities(grid=None) -> LemmaReport:
     """Exact coefficient check of every displayed quotient polynomial.
 
     For each grid point: build the family, take its canonical equitable
     partition, compute the quotient's characteristic polynomial exactly,
     and compare it coefficient-by-coefficient with the closed formula.
-    The quotient's largest root must also match the eigensolver's rho.
-    Mismatches are reported verbatim, never patched over.
+    The quotient's largest root must also match the eigensolver's rho to
+    LEMMA_TOL.  Mismatches are reported verbatim, never patched over.
     """
     start = time.perf_counter()
     grid = list(grid) if grid is not None else default_identity_grid()
@@ -865,7 +865,7 @@ def verify_charpoly_identities(grid=None, tol: float = 1e-9) -> LemmaReport:
             continue
         dev = abs(root - rho)
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > LEMMA_TOL:
             violations.append(
                 f"{name}{params}: formula root {root} vs rho {rho}")
     return LemmaReport(

@@ -204,19 +204,26 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def parse_edge_list_text(text: str) -> Graph:
-    """Parse the plain text format: first line n, then one 'u v' pair per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty edge list input")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+def parse_edge_list(lines, where: str = "edge list") -> Graph:
+    """Parse the plain text format from its lines: first n, then one 'u v'
+    pair per line; blank and '#' lines are skipped.  A line that does not
+    parse raises ValueError starting `where:K:`, K its 1-based number."""
+    n, edges = None, []
+    for number, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if n is None:
+                n = int(line)
+            elif len(parts) != 2:
+                raise ValueError(f"bad edge line: {line.strip()!r}")
+            else:
+                edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{where}:{number}: {exc}") from None
+    if n is None:
+        raise ValueError(f"{where}: empty edge list input")
     return from_edge_list(n, edges)
 
 
@@ -430,7 +437,7 @@ def all_pairs(n: int):
 
 __all__ = [
     "Graph", "from_edge_list", "empty_graph", "complete_graph", "cycle_graph",
-    "path_graph", "graph6_text", "parse_graph6", "to_graph6", "parse_edge_list_text",
+    "path_graph", "graph6_text", "parse_graph6", "to_graph6", "parse_edge_list",
     "disjoint_union", "join", "delete_vertices", "components", "is_connected",
     "min_degree", "odd_components", "are_isomorphic", "all_pairs",
 ]

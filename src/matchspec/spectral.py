@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import Graph
 
-DEFAULT_ROOT_TOL = 1e-12
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,15 +227,14 @@ def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
 # Root extraction
 # ---------------------------------------------------------------------------
 
-def largest_real_root(p: Polynomial, lo: float, hi: float,
-                      tol: float = DEFAULT_ROOT_TOL) -> float:
+def largest_real_root(p: Polynomial, lo: float, hi: float) -> float:
     """Largest real root of p in [lo, hi].
 
     Scans down from hi in unit steps to find the highest sign change, then
-    bisects and polishes with Newton.  Requires that p has a real root in
-    the bracket with a sign change at the unit-grid scale (true for the
-    Perron-type polynomials this library works with, whose largest root is
-    simple and separated).
+    bisects and polishes with Newton to a relative ROOT_TOL.  Requires that
+    p has a real root in the bracket with a sign change at the unit-grid
+    scale (true for the Perron-type polynomials this library works with,
+    whose largest root is simple and separated).
     """
     if hi < lo:
         raise ValueError("empty bracket")
@@ -253,7 +252,7 @@ def largest_real_root(p: Polynomial, lo: float, hi: float,
         nxt = max(lo, x - 1.0)
         fx, fn = f(x), f(nxt)
         if fn == 0.0:
-            return _polish(p, nxt, nxt, tol)
+            return _polish(p, nxt, nxt)
         if fx * fn < 0.0:
             a, b = nxt, x
             break
@@ -263,7 +262,7 @@ def largest_real_root(p: Polynomial, lo: float, hi: float,
     fa = f(a)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if b - a <= tol * max(1.0, abs(mid)):
+        if b - a <= ROOT_TOL * max(1.0, abs(mid)):
             break
         fm = f(mid)
         if fm == 0.0:
@@ -273,10 +272,10 @@ def largest_real_root(p: Polynomial, lo: float, hi: float,
             b = mid
         else:
             a, fa = mid, fm
-    return _polish(p, 0.5 * (a + b), a, tol, b=b if a != b else None)
+    return _polish(p, 0.5 * (a + b), a, b=b if a != b else None)
 
 
-def _polish(p: Polynomial, x: float, lo: float, tol: float, b: float | None = None):
+def _polish(p: Polynomial, x: float, lo: float, b: float | None = None):
     dp = p.derivative()
     for _ in range(50):
         fx = float(p(x))
@@ -287,7 +286,7 @@ def _polish(p: Polynomial, x: float, lo: float, tol: float, b: float | None = No
         nxt = x - step
         if b is not None and not (lo - 1e-9 <= nxt <= b + 1e-9):
             break
-        if abs(step) <= tol * max(1.0, abs(x)):
+        if abs(step) <= ROOT_TOL * max(1.0, abs(x)):
             x = nxt
             break
         x = nxt
@@ -311,5 +310,5 @@ __all__ = [
     "SpectralResult", "adjacency_matrix", "eigenvalues", "spectral_radius",
     "radius_upper_bound", "Polynomial",
     "characteristic_polynomial", "Partition", "QuotientMatrix",
-    "quotient_matrix", "largest_real_root", "theta", "DEFAULT_ROOT_TOL",
+    "quotient_matrix", "largest_real_root", "theta", "ROOT_TOL",
 ]

@@ -6,7 +6,9 @@ graph is one of finitely many listed exceptions"; a TheoremVerdict records
 all three pieces so a sweep can hunt for genuine counterexamples
 (hypothesis and not conclusion and not a listed exception).  A single
 graph and a sweep's batch measure differently but share one hypothesis
-rule (`_meets`), one conclusion and one exception lookup.
+rule (`_meets`), one conclusion and one exception lookup.  A spectral
+hypothesis, met with equality by its attaining family, is decided by
+`rho >= threshold - SPECTRAL_TOL`, a fixed band at that tie.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .graphs import Graph, _bit_rows, _connected, is_connected, min_degree
 SPECTRAL_TOL = 1e-9
 
 # A graph is dropped from a spectral batch without an eigensolve only when
-# its Stanley/Hong bound falls short of the threshold (less the tolerance)
+# its Stanley/Hong bound falls short of the threshold (less SPECTRAL_TOL)
 # by more than this: far above the bound's floating-point rounding error.
 PRUNE_MARGIN = 1e-6
 
@@ -196,29 +198,27 @@ def hypothesis_threshold(t: TheoremId, n: int) -> float | int:
     return spectral_threshold_excludable(n)
 
 
-def _meets(t: TheoremId, threshold, measured, connected, low, tolerance):
+def _meets(t: TheoremId, threshold, measured, connected, low):
     """t's hypothesis over measured values, scalars or arrays alike.
 
     Every hypothesis asks for a connected graph, the exclusion statements
     (t13, t16) also for minimum degree `low` >= 2.  Size hypotheses compare
     the edge count with the threshold exactly; spectral ones use
-    `rho >= threshold - tolerance`.
+    `rho >= threshold - SPECTRAL_TOL`.
     """
-    floor = threshold if t.uses_size else threshold - tolerance
+    floor = threshold if t.uses_size else threshold - SPECTRAL_TOL
     return connected & (t.about_extension | (low >= 2)) & (measured >= floor)
 
 
-def hypothesis_status(g: Graph, t: TheoremId,
-                      tolerance: float = SPECTRAL_TOL):
+def hypothesis_status(g: Graph, t: TheoremId):
     """(hypothesis_met, threshold, measured) without the conclusion check."""
     threshold = hypothesis_threshold(t, g.n)
     measured = g.m if t.uses_size else spectral.spectral_radius(g).rho
-    met = _meets(t, threshold, measured, is_connected(g), min_degree(g), tolerance)
+    met = _meets(t, threshold, measured, is_connected(g), min_degree(g))
     return met, threshold, measured
 
 
-def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tolerance: float,
-                     min_deg: int | None = None) -> np.ndarray:
+def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) -> np.ndarray:
     """Which graphs of an (N, n, n) adjacency batch pass the source's
     minimum-degree filter and meet t's hypothesis.
 
@@ -239,12 +239,12 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, tolerance: float,
     connected = keep & _connected(_bit_rows(adj))  # filtered graphs never meet it
     m = deg.sum(axis=1, dtype=np.int64) // 2
     if t.uses_size:
-        return _meets(t, threshold, m, connected, low, tolerance)
+        return _meets(t, threshold, m, connected, low)
     rho = np.zeros(len(adj))
     rho[connected] = spectral.radius_upper_bound(m[connected], n) + PRUNE_MARGIN
-    solve = _meets(t, threshold, rho, connected, low, tolerance)
+    solve = _meets(t, threshold, rho, connected, low)
     rho[solve] = np.linalg.eigvalsh(adj[solve].astype(np.float64))[:, -1]
-    return solve & _meets(t, threshold, rho, connected, low, tolerance)
+    return solve & _meets(t, threshold, rho, connected, low)
 
 
 def conclusion_holds(g: Graph, t: TheoremId) -> bool:
@@ -259,15 +259,14 @@ def recognize_exception(g: Graph, t: TheoremId) -> tuple[str, dict] | None:
     return families.recognize(g, exception_candidates(t, g.n))
 
 
-def theorem_verdict(g: Graph, t: TheoremId,
-                    tolerance: float = SPECTRAL_TOL) -> TheoremVerdict:
+def theorem_verdict(g: Graph, t: TheoremId) -> TheoremVerdict:
     """Evaluate hypothesis / conclusion / exception status of g under t.
 
-    Spectral hypotheses use `rho >= threshold - tolerance`.  Raises on
+    Spectral hypotheses use `rho >= threshold - SPECTRAL_TOL`.  Raises on
     orders outside the statement's range; all other hypothesis failures
     (odd parity is excluded by the range check) yield hypothesis_met=False.
     """
-    met, threshold, measured = hypothesis_status(g, t, tolerance)
+    met, threshold, measured = hypothesis_status(g, t)
     conclusion = conclusion_holds(g, t)
     recognized = recognize_exception(g, t) if met and not conclusion else None
     exception = recognized is not None

@@ -250,6 +250,14 @@ def test_charpoly_identity_grid_covers_all_displayed_formulas():
                      "w1", "thm13-fact3-split", "thm13-fact3-pendant", "w2"}
 
 
+def test_charpoly_roots_are_compared_with_lemma_tol(monkeypatch):
+    # a negative tolerance makes every quotient-root comparison a violation
+    monkeypatch.setattr(enumeration, "LEMMA_TOL", -1.0)
+    report = verify_charpoly_identities()
+    assert report.instances > 0 and len(report.violations) == report.instances
+    assert all("formula root" in v for v in report.violations)
+
+
 def test_charpoly_mismatch_is_reported(monkeypatch):
     # a deliberately corrupted formula must surface verbatim, not pass silently
     import matchspec.enumeration as enum_mod

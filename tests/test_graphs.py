@@ -7,7 +7,7 @@ from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
                               components, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
                               graph6_text, is_connected, join, min_degree,
-                              odd_components, parse_edge_list_text,
+                              odd_components, parse_edge_list,
                               parse_graph6, path_graph, to_graph6)
 from oracles import brute_force_is_isomorphic, reference_graph6_decode
 
@@ -110,10 +110,12 @@ def test_graph6_round_trip_and_oracle():
 
 
 def test_parse_edge_list_text():
-    g = parse_edge_list_text("4\n0 1\n1 2\n# comment\n2 3\n")
+    g = parse_edge_list("4\n0 1\n1 2\n# comment\n2 3\n".splitlines())
     assert g == path_graph(4)
     with pytest.raises(ValueError):
-        parse_edge_list_text("")
+        parse_edge_list([])
+    with pytest.raises(ValueError, match=r"^g\.txt:4: bad edge line: '1 2 3'$"):
+        parse_edge_list(["4", "0 1", "", "1 2 3"], "g.txt")
 
 
 # --- construction algebra ---------------------------------------------------

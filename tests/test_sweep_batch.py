@@ -26,6 +26,10 @@ THEOREMS = [TheoremId("t11", 1), TheoremId("t11", 2), TheoremId("t13"),
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
 GOLDEN = {"t11-k1": (TheoremId("t11", 1), None), "t13": (TheoremId("t13"), 2),
           "t14-k1": (TheoremId("t14", 1), None), "t16": (TheoremId("t16"), 2)}
+# every graph with n <= 8 whose rho is within 1e-6 of a spectral threshold
+SPECTRAL_TIES = {TheoremId("t14", 1): {"C}", "E~~?", "GTm~~{", "GUz~~{"},
+                 TheoremId("t14", 2): {"E~~o", "GT~~~{"},
+                 TheoremId("t16"): {"E~r?", "G?b~~{"}}
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +63,9 @@ def test_batched_hypothesis_matches_per_graph(by_order, t):
             expected = [theorems.hypothesis_status(g, t)[0] for g in gs]
         except ValueError as exc:  # order outside the statement's range
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+                theorems._hypothesis_mask(adj, t)
             continue
-        batched = theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL)
+        batched = theorems._hypothesis_mask(adj, t)
         assert batched.tolist() == expected
 
 
@@ -76,10 +80,31 @@ def test_radius_bound_holds_on_every_connected_graph(by_order):
 
 def test_hypothesis_counts_at_n8(by_order):
     _, _, adj = by_order[8]
-    counts = [int(theorems._hypothesis_mask(adj, t, theorems.SPECTRAL_TOL,
-                                             min_deg).sum())
+    counts = [int(theorems._hypothesis_mask(adj, t, min_deg).sum())
               for t, min_deg in GOLDEN.values()]
     assert counts == [44, 812, 16, 334]
+
+
+@pytest.mark.parametrize("t", SPECTRAL_TIES, ids=str)
+def test_spectral_tie_band_holds_only_graphs_at_the_threshold(by_order, t):
+    # the fixed band SPECTRAL_TOL decides nothing but exact ties: every other
+    # graph is at least 1e-4 from the threshold, and a tied graph is the
+    # attaining family or meets the conclusion (GUz~~{ is 1-extendable)
+    tied = set()
+    for n, (lines, gs, adj) in by_order.items():
+        try:
+            threshold = theorems.hypothesis_threshold(t, n)
+        except ValueError:  # order outside the statement's range
+            continue
+        gap = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] - threshold)
+        near = gap < 1e-6
+        assert gap[~near].min() >= 1e-4 > theorems.SPECTRAL_TOL
+        for i in np.flatnonzero(near):
+            v = theorems.theorem_verdict(gs[i], t)
+            assert v.hypothesis_met and (
+                v.conclusion_met or v.recognized == theorems.exception_candidates(t, n)[0])
+            tied.add(lines[i])
+    assert tied == SPECTRAL_TIES[t]
 
 
 @pytest.mark.parametrize("t", THEOREMS, ids=str)
