@@ -455,6 +455,19 @@ def test_tolerance_is_not_an_option(capsys, argv):
     assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "t16", "--n", "6"),
+    ("analyze", "--input", "-"),
+])
+def test_non_finite_tolerance_is_a_usage_error(capsys, argv, value):
+    # with the flag gone, argparse refuses these before any value is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, f"--tolerance={value}"])  # "-inf" alone reads as an option
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tolerance={value}" in capsys.readouterr().err
+
+
 def test_thresholds_text_and_row(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--n", "6..12", "--k", "1")
     assert code == 0
