@@ -11,7 +11,7 @@ against the published sequence before anything is written, and the
 connected n=8 classes land in the fixture sorted by graph6 string.
 
 Run from the repository root:  python scripts/make_n8_fixture.py
-Takes a couple of minutes.
+Takes about 40 s on a 2-core machine.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ THRESHOLDS_SCHEMA = "matchspec/thresholds/1"
 ANALYZE_SCHEMA = "matchspec/analyze/1"
 # the lemma suites that take their graphs from a graph6 file
 INPUT_LEMMAS = ("l2.9", "l2.10")
+# the verify options each mode leaves unread, refused rather than dropped
+UNREAD = {"--theorem": ("grid",), "--lemma": ("n", "k", "min_degree"),
+          "--charpolys": ("n", "k", "min_degree", "grid")}
 
 
 def _emit(out: str, doc: dict, rows: list[list] | None, print_text) -> None:
@@ -40,10 +43,13 @@ def _load_graph(args) -> graphs.Graph:
         lines, where = source._numbered_lines(str.strip), source.describe()
     if args.format == "edgelist":
         return graphs.parse_edge_list(lines, where)
-    line = next(filter(None, map(graphs.graph6_text, lines)), None)
-    if line is None:
-        raise ValueError("no graph found in input")
-    return graphs._from_graph6_text(line)
+    for number, line in enumerate(map(graphs.graph6_text, lines), 1):
+        if line:
+            try:
+                return graphs._from_graph6_text(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}:{number}: {exc}") from None
+    raise ValueError("no graph found in input")
 
 
 # ---------------------------------------------------------------------------
@@ -67,57 +73,32 @@ def cmd_analyze(args) -> int:
         doc["matching_number"] = matching.matching_number(g)
         doc["has_perfect_matching"] = matching.has_perfect_matching(g)
 
-    max_k = args.k
-    extendable = {}
     if g.n % 2 == 0 and g.n >= 2:
-        for k in range(1, max_k + 1):
-            if g.n < 2 * k + 2:
-                extendable[k] = {"holds": False, "reason": "too-few-vertices",
-                                 "agrees_with_criterion": None}
-                continue
-            direct = matching.is_k_extendable(g, k)
-            entry = {"holds": direct.holds, "reason": direct.reason,
-                     "agrees_with_criterion": None}
-            if g.n <= matching.SUBSET_SCAN_CAP:
-                chen = matching.is_k_extendable_chen(g, k)
-                entry["agrees_with_criterion"] = chen.holds == direct.holds
-            extendable[k] = entry
-        doc["k_extendable"] = extendable
-        direct = matching.is_1_excludable(g)
-        entry = {"holds": direct.holds, "reason": direct.reason,
-                 "agrees_with_criterion": None}
-        if g.n <= matching.SUBSET_SCAN_CAP and doc.get("connected"):
-            crit = matching.is_1_excludable_criterion(g)
-            entry["agrees_with_criterion"] = crit.holds == direct.holds
-        doc["one_excludable"] = entry
+        doc["k_extendable"] = {
+            k: _routes(g, matching.is_k_extendable, matching.is_k_extendable_chen, k)
+            for k in range(1, args.k + 1)}
+        doc["one_excludable"] = _routes(g, matching.is_1_excludable,
+                                        matching.is_1_excludable_criterion,
+                                        compare=doc["connected"])
     else:
         doc["k_extendable"] = None  # undefined off even orders
         doc["one_excludable"] = None
-
-    verdicts = {}
-    if g.n % 2 == 0:
-        candidates: list[TheoremId] = []
-        for k in range(1, max_k + 1):
-            if g.n >= 2 * k + 2:
-                candidates.append(TheoremId("t11", k))
-                candidates.append(TheoremId("t14", k))
-        if g.n >= 6:
-            candidates.append(TheoremId("t13"))
-            candidates.append(TheoremId("t16"))
-        for t in candidates:
-            v = theorems.theorem_verdict(g, t)
-            verdicts[str(t)] = {
-                "hypothesis_met": v.hypothesis_met,
-                "conclusion_met": v.conclusion_met,
-                "is_listed_exception": v.is_listed_exception,
-                "consistent": v.consistent,
-                "threshold": v.threshold,
-                "measured": v.measured,
-                "recognized": list(v.recognized) if v.recognized else None,
-            }
-    doc["theorems"] = verdicts
+    # a verdict's fields are JSON as they stand (vars: dataclasses.asdict is slow)
+    doc["theorems"] = {str(t): vars(theorems.theorem_verdict(g, t))
+                       for t in theorems.statements(g.n, args.k)}
     _emit(args.out, doc, None, lambda: _print_analysis(doc))
     return 0
+
+
+def _routes(g, direct, criterion, *args, compare: bool = True) -> dict:
+    """The direct route's verdict, and whether the criterion route agrees where
+    it runs: on an order the statement covers, up to SUBSET_SCAN_CAP vertices."""
+    verdict = direct(g, *args)
+    agrees = None
+    if compare and verdict.reason != "too-few-vertices" and g.n <= matching.SUBSET_SCAN_CAP:
+        agrees = criterion(g, *args).holds == verdict.holds
+    return {"holds": verdict.holds, "reason": verdict.reason,
+            "agrees_with_criterion": agrees}
 
 
 def _print_analysis(doc: dict) -> None:
@@ -133,14 +114,11 @@ def _print_analysis(doc: dict) -> None:
         print("k-extendable:     N/A (odd order)")
         print("1-excludable:     N/A (odd order)")
     else:
-        for k, entry in doc["k_extendable"].items():
+        routes = [(f"{k}-extendable", entry) for k, entry in doc["k_extendable"].items()]
+        for name, entry in routes + [("1-excludable", doc["one_excludable"])]:
             agree = entry["agrees_with_criterion"]
             agree_txt = "" if agree is None else f"  [criterion agrees: {agree}]"
-            print(f"{k}-extendable:     {entry['holds']}{agree_txt}")
-        entry = doc["one_excludable"]
-        agree = entry["agrees_with_criterion"]
-        agree_txt = "" if agree is None else f"  [criterion agrees: {agree}]"
-        print(f"1-excludable:     {entry['holds']}{agree_txt}")
+            print(f"{name}:     {entry['holds']}{agree_txt}")
     for name, v in doc["theorems"].items():
         if v["is_listed_exception"]:
             status = "listed exception"
@@ -226,6 +204,10 @@ def cmd_verify(args) -> int:
     picked = sum(bool(x) for x in (args.theorem, args.lemma, args.charpolys))
     if picked != 1:
         raise ValueError("pick exactly one of --theorem, --lemma, --charpolys")
+    mode = "--theorem" if args.theorem else "--lemma" if args.lemma else "--charpolys"
+    for option in UNREAD[mode]:
+        if getattr(args, option) is not None:
+            raise ValueError(f"--{option.replace('_', '-')} is not read by {mode}")
 
     if args.theorem:
         t = theorems.parse_theorem_token(args.theorem, args.k)
@@ -290,11 +272,11 @@ def _print_lemma(report) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = (int(x) for x in text.split("..", 1))
-    else:
-        lo = hi = int(text)
-    return lo, hi
+    try:
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--n takes an order or a range LO..HI, got {text!r}") from None
 
 
 def cmd_thresholds(args) -> int:
@@ -302,20 +284,19 @@ def cmd_thresholds(args) -> int:
     if lo > hi:
         raise ValueError(f"empty order range {args.n!r}")
     k = args.k
+    extension, exclusion = TheoremId("t11", k), TheoremId("t13")
     rows = []
-    for n in range(lo, hi + 1):
-        if n % 2 or n < 2 * k + 2:
-            continue
-        row = {
+    for n in filter(extension.covers, range(lo, hi + 1)):
+        excludable = exclusion.covers(n)
+        rows.append({
             "n": n,
             "k": k,
             "size_extendable": theorems.size_threshold_extendable(n, k),
             "spectral_extendable": theorems.spectral_threshold_extendable(n, k),
-            "size_excludable": theorems.size_threshold_excludable(n) if n >= 6 else None,
+            "size_excludable": theorems.size_threshold_excludable(n) if excludable else None,
             "spectral_excludable":
-                theorems.spectral_threshold_excludable(n) if n >= 6 else None,
-        }
-        rows.append(row)
+                theorems.spectral_threshold_excludable(n) if excludable else None,
+        })
     if not rows:
         raise ValueError(f"no even n >= {2 * k + 2} in range {args.n!r}")
     header = list(rows[0])

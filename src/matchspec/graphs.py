@@ -88,13 +88,17 @@ def from_edge_list(n: int, edges) -> Graph:
     """Graph with the given edges; duplicate pairs collapse."""
     adj = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
+        _check_edge(n, u, v)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
+
+
+def _check_edge(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
 
 
 def empty_graph(n: int) -> Graph:
@@ -207,7 +211,8 @@ def to_graph6(g: Graph) -> str:
 def parse_edge_list(lines, where: str = "edge list") -> Graph:
     """Parse the plain text format from its lines: first n, then one 'u v'
     pair per line; blank and '#' lines are skipped.  A line that does not
-    parse raises ValueError starting `where:K:`, K its 1-based number."""
+    parse, or names a negative order, an edge out of range or a loop, raises
+    ValueError starting `where:K:`, K its 1-based number."""
     n, edges = None, []
     for number, line in enumerate(lines, 1):
         parts = line.split()
@@ -216,10 +221,13 @@ def parse_edge_list(lines, where: str = "edge list") -> Graph:
         try:
             if n is None:
                 n = int(line)
+                if n < 0:
+                    raise ValueError("vertex count must be nonnegative")
             elif len(parts) != 2:
                 raise ValueError(f"bad edge line: {line.strip()!r}")
             else:
                 edges.append((int(parts[0]), int(parts[1])))
+                _check_edge(n, *edges[-1])
         except ValueError as exc:
             raise ValueError(f"{where}:{number}: {exc}") from None
     if n is None:

@@ -68,16 +68,13 @@ def spectral_radius(g: Graph) -> SpectralResult:
 
 def radius_upper_bound(m, n: int) -> np.ndarray:
     """Upper bound on the spectral radius of connected graphs with n vertices
-    and m edges, elementwise over an array of edge counts.
+    and m edges, elementwise over an array of edge counts: Hong's
+    sqrt(2m - n + 1) (Hong, Linear Algebra Appl. 108, 1988).
 
-    The smaller of Stanley's (-1 + sqrt(1 + 8m)) / 2, which holds for every
-    graph (Stanley, Linear Algebra Appl. 87, 1987), and Hong's
-    sqrt(2m - n + 1), which holds for connected graphs (Hong, Linear Algebra
-    Appl. 108, 1988).
+    Stanley's (-1 + sqrt(1 + 8m)) / 2 is never smaller on a simple graph:
+    it exceeds Hong's exactly when m < C(n, 2), and both are n - 1 at K_n.
     """
-    m = np.asarray(m, dtype=np.float64)
-    return np.minimum((np.sqrt(1.0 + 8.0 * m) - 1.0) / 2.0,
-                      np.sqrt(2.0 * m - n + 1.0))
+    return np.sqrt(2.0 * np.asarray(m, dtype=np.float64) - n + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .graphs import Graph, _bit_rows, _connected, is_connected, min_degree
 SPECTRAL_TOL = 1e-9
 
 # A graph is dropped from a spectral batch without an eigensolve only when
-# its Stanley/Hong bound falls short of the threshold (less SPECTRAL_TOL)
+# its Hong bound falls short of the threshold (less SPECTRAL_TOL)
 # by more than this: far above the bound's floating-point rounding error.
 PRUNE_MARGIN = 1e-6
 
@@ -71,6 +71,11 @@ class TheoremId:
     @property
     def about_extension(self) -> bool:
         return self.kind in ("t11", "t14")
+
+    def covers(self, n: int) -> bool:
+        """Does the statement speak about order n?  t11 and t14 need even
+        n >= 2k + 2, t13 and t16 even n >= 6."""
+        return n % 2 == 0 and n >= (2 * self.k + 2 if self.about_extension else 6)
 
     def __str__(self) -> str:
         return self.kind if self.k is None else f"{self.kind}(k={self.k})"
@@ -139,12 +144,12 @@ def _exact_radius(family_id: str, params: dict) -> float:
 def _check_extension_range(n: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if n % 2 != 0 or n < 2 * k + 2:
+    if not TheoremId("t11", k).covers(n):
         raise ValueError(f"extension thresholds need even n >= 2k+2, got n={n}, k={k}")
 
 
 def _check_exclusion_range(n: int) -> None:
-    if n % 2 != 0 or n < 6:
+    if not TheoremId("t13").covers(n):
         raise ValueError(f"exclusion thresholds need even n >= 6, got n={n}")
 
 
@@ -198,6 +203,13 @@ def hypothesis_threshold(t: TheoremId, n: int) -> float | int:
     return spectral_threshold_excludable(n)
 
 
+def statements(n: int, max_k: int) -> list[TheoremId]:
+    """The statements that cover order n: t11(k) and t14(k) for k = 1..max_k,
+    then t13 and t16."""
+    every = [TheoremId(kind, k) for k in range(1, max_k + 1) for kind in ("t11", "t14")]
+    return [t for t in every + [TheoremId("t13"), TheoremId("t16")] if t.covers(n)]
+
+
 def _meets(t: TheoremId, threshold, measured, connected, low):
     """t's hypothesis over measured values, scalars or arrays alike.
 
@@ -224,7 +236,7 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) 
 
     Measures on its own (numpy connectivity, one batched eigensolve) and
     decides by the rule `hypothesis_status` uses.  A spectral hypothesis
-    eigensolves only the graphs whose Stanley/Hong bound
+    eigensolves only the graphs whose Hong bound
     (`spectral.radius_upper_bound`), raised by PRUNE_MARGIN, meets it.
     """
     n = adj.shape[1]
@@ -285,7 +297,7 @@ __all__ = [
     "TheoremId", "TheoremVerdict", "size_threshold_extendable",
     "size_threshold_excludable", "spectral_threshold_extendable",
     "spectral_threshold_excludable", "exception_candidates",
-    "hypothesis_threshold", "hypothesis_status", "conclusion_holds",
+    "hypothesis_threshold", "statements", "hypothesis_status", "conclusion_holds",
     "recognize_exception", "theorem_verdict", "parse_theorem_token",
     "SPECTRAL_TOL",
 ]

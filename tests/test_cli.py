@@ -96,6 +96,54 @@ def test_analyze_names_the_line_that_is_not_utf8(capsys, tmp_path):
     assert err.startswith(f"error: file:{path}:2: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_analyze_names_the_line_of_a_bad_graph6(capsys, tmp_path, monkeypatch, stdin):
+    text = "# one graph\n\nC~x\n"
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path, where = "-", "stdin"
+    else:
+        path = tmp_path / "G"
+        path.write_text(text)
+        where = f"file:{path}"
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {where}:3: graph6 body has 2 chars, expected 1 for n=4\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("4\n0 9\n", "2: edge (0,9) out of range for n=4"),
+    ("3\n0 0\n", "2: self-loop at vertex 0"),
+    ("-3\n", "1: vertex count must be nonnegative"),
+], ids=["out-of-range", "self-loop", "negative-order"])
+def test_analyze_edgelist_names_the_line_of_a_bad_graph(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path),
+                             "--format", "edgelist")
+    assert code == 2 and out == ""
+    assert err == f"error: file:{path}:{message}\n"
+
+
+def test_analyze_compares_the_routes_only_where_the_criterion_runs(capsys, monkeypatch):
+    # K4 is too small for k = 2; the 1-excludability criterion needs a connected graph
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+    code, out, _ = run_cli(capsys, "analyze", "--k", "2", "--out", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["k_extendable"] == {
+        "1": {"holds": True, "reason": None, "agrees_with_criterion": True},
+        "2": {"holds": False, "reason": "too-few-vertices", "agrees_with_criterion": None}}
+    assert list(doc["theorems"]) == ["t11(k=1)", "t14(k=1)"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("C`\n"))  # two disjoint edges
+    code, out, _ = run_cli(capsys, "analyze", "--out", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["connected"] is False
+    assert doc["k_extendable"]["1"]["agrees_with_criterion"] is True
+    assert doc["one_excludable"] == {"holds": False, "reason": "edge-forced",
+                                     "agrees_with_criterion": None}
+
+
 def test_construct_variants(capsys):
     code, out, _ = run_cli(capsys, "construct", "thm13-f2")
     assert code == 0 and parse_graph6(out.strip()).m == 19
@@ -405,6 +453,28 @@ def test_verify_accepts_jobs_and_ignores_it(capsys, n8_fixture_path):
         assert code == 0 and err == "" and enumeration.json_text(doc) == expected
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--charpolys", "--grid", "n=6..8"), "--grid is not read by --charpolys"),
+    (("--theorem", "t13", "--n", "6", "--grid", "n=4..6"), "--grid is not read by --theorem"),
+    (("--lemma", "l2.4", "--n", "8", "--min-degree", "3", "--k", "2"),
+     "--n is not read by --lemma"),
+    (("--lemma", "l2.4", "--k", "2"), "--k is not read by --lemma"),
+    (("--lemma", "l2.4", "--min-degree", "3"), "--min-degree is not read by --lemma"),
+    (("--charpolys", "--n", "6"), "--n is not read by --charpolys"),
+    (("--charpolys", "--k", "1"), "--k is not read by --charpolys"),
+    (("--charpolys", "--min-degree", "2"), "--min-degree is not read by --charpolys"),
+])
+def test_verify_refuses_an_option_its_mode_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_verify_lemma_accepts_jobs_and_ignores_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--lemma", "l2.4", "--grid", "n=6..8",
+                           "--jobs", "2")
+    assert code == 0 and "0 violations" in out
+
+
 def test_verify_empty_lemma_grid_is_a_usage_error(capsys):
     for grid, key in (("n=8..6", "n"), ("n=5..5", "n"), ("l=7..7", "l")):
         lemma = "l2.11" if key == "l" else "l2.4"
@@ -504,3 +574,10 @@ def test_thresholds_json_and_csv_agree(capsys):
 def test_thresholds_bad_range(capsys):
     code, _, err = run_cli(capsys, "thresholds", "--n", "12..6")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["6..x", "x", "6..", "..8"])
+def test_thresholds_names_n_on_a_bad_value(capsys, value):
+    code, out, err = run_cli(capsys, "thresholds", "--n", value)
+    assert code == 2 and out == ""
+    assert err == f"error: --n takes an order or a range LO..HI, got {value!r}\n"

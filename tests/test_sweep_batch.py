@@ -1,7 +1,7 @@
 """The batched sweep path against the per-graph one, on every graph with n <= 8.
 
 A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
-drops graphs whose Stanley/Hong spectral-radius bound is already below a
+drops graphs whose Hong spectral-radius bound is already below a
 spectral threshold, and eigensolves the rest in one call.  These tests
 check each of those steps against an independent graph6 decoder,
 `spectral_radius` and `hypothesis_status`, graph by graph, and whole
@@ -74,7 +74,7 @@ def test_radius_bound_holds_on_every_connected_graph(by_order):
         connected = [g for g in gs if is_connected(g)]
         rho = np.array([spectral.spectral_radius(g).rho for g in connected])
         bound = spectral.radius_upper_bound([g.m for g in connected], gs[0].n)
-        # equality (complete graphs, for Stanley) up to eigensolver rounding
+        # equality (complete graphs and stars) up to eigensolver rounding
         assert np.all(rho <= bound + 1e-12)
 
 

@@ -8,12 +8,14 @@ from matchspec.families import build_named
 from matchspec.graphs import cycle_graph, complete_graph, join, empty_graph
 from matchspec.matching import is_1_excludable, is_k_extendable
 from matchspec.spectral import Polynomial, largest_real_root, spectral_radius
-from matchspec.theorems import (TheoremId, exception_candidates,
-                                hypothesis_status, parse_theorem_token,
+from matchspec.theorems import (THEOREM_KINDS, TheoremId, exception_candidates,
+                                hypothesis_status, hypothesis_threshold,
+                                parse_theorem_token,
                                 size_threshold_excludable,
                                 size_threshold_extendable,
                                 spectral_threshold_excludable,
-                                spectral_threshold_extendable, theorem_verdict)
+                                spectral_threshold_extendable, statements,
+                                theorem_verdict)
 
 
 def test_size_thresholds():
@@ -34,6 +36,29 @@ def test_threshold_range_errors():
         size_threshold_excludable(4)
     with pytest.raises(ValueError):
         spectral_threshold_extendable(6, 0)
+
+
+@pytest.mark.parametrize("kind", THEOREM_KINDS)
+def test_covers_is_where_the_threshold_exists(kind):
+    for k in range(1, 6) if kind in ("t11", "t14") else (None,):
+        t = TheoremId(kind, k)
+        for n in range(31):
+            try:
+                hypothesis_threshold(t, n)
+                defined = True
+            except ValueError:
+                defined = False
+            assert t.covers(n) == defined, (t, n)
+
+
+def test_statements_in_order_over_even_orders():
+    listed = {n: statements(n, (n - 2) // 2) for n in range(4, 31, 2)}
+    assert sum(map(len, listed.values())) == 236
+    for n, ts in listed.items():
+        by_k = [TheoremId(kind, k) for k in range(1, (n - 2) // 2 + 1)
+                for kind in ("t11", "t14")]
+        assert ts == by_k + ([TheoremId("t13"), TheoremId("t16")] if n >= 6 else [])
+    assert statements(7, 3) == [] and statements(8, 5) == statements(8, 3)
 
 
 def test_spectral_threshold_extendable_values():
