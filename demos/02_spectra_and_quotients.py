@@ -10,7 +10,8 @@ import math
 from matchspec import (Partition, characteristic_polynomial, complete_graph,
                        eigenvalues, empty_graph, join, largest_real_root,
                        quotient_matrix, spectral_radius, theta)
-from matchspec.families import build, canonical_partition, named_spec
+from matchspec.families import (build, canonical_partition, named_spec,
+                                quotient_rows)
 
 print("== spectral radius basics ==")
 print(f"rho(K7) = {spectral_radius(complete_graph(7)).rho:.12f}  (expect 6)")
@@ -34,8 +35,9 @@ graph = build(spec)
 part = canonical_partition(spec)
 q = quotient_matrix(graph, part)
 print(f"family 'w2' at n=12, blocks of sizes {q.block_sizes}")
-for row in q.as_int_rows():
-    print(f"   {row}")
+print("   quotient of the built graph     rows read off the spec")
+for built, read in zip(q.as_int_rows(), quotient_rows(spec)):
+    print(f"   {str(built):<31} {read}")
 poly = characteristic_polynomial(q.as_int_rows())
 root = largest_real_root(poly, 0, 12)
 print(f"largest root {root:.12f} vs eigensolver "

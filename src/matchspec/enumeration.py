@@ -440,17 +440,20 @@ def _verify_perron_symmetry(n_values=(6, 8, 10, 12, 14)):
 
 
 def _verify_quotient_radius(n_values=(6, 8, 10, 12, 14)):
-    # equitable quotient's largest root equals the graph's spectral radius
+    # spec's quotient rows = built graph's equitable quotient; root = rho
     _check_grid_cap(n_values, 14, "the spectral family grid", "n")
     violations = []
     max_dev = 0.0
     instances = 0
     for fid, params in _registry_grid(n_values):
-        checked = families._quotient_root(families.named_spec(fid, **params))
-        if checked is None:
-            violations.append(f"{fid}{params}: canonical partition not equitable")
+        spec = families.named_spec(fid, **params)
+        g = families.build(spec)
+        q = spectral.quotient_matrix(g, families.canonical_partition(spec))
+        if not q.equitable or q.as_int_rows() != families.quotient_rows(spec):
+            violations.append(f"{fid}{params}: spec rows are not the equitable quotient")
             continue
-        _, root, rho = checked
+        _, root = families._quotient_root(spec)
+        rho = spectral.spectral_radius(g).rho
         dev = abs(root - rho)
         max_dev = max(max_dev, dev)
         if dev > LEMMA_TOL:
@@ -643,7 +646,8 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
         # the bound is the attaining family's exact quotient root
         attaining = (families.Join(families.Complete(2), families.Empty(4))
                      if n == 6 else families.named_spec("lem210", n=n))
-        _, bound, rho_att = families._quotient_root(attaining)
+        _, bound = families._quotient_root(attaining)
+        rho_att = spectral.spectral_radius(families.build(attaining)).rho
         if abs(rho_att - bound) > LEMMA_TOL:
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
@@ -837,11 +841,11 @@ _IDENTITIES = {
 def verify_charpoly_identities(grid=None) -> LemmaReport:
     """Exact coefficient check of every displayed quotient polynomial.
 
-    For each grid point: build the family, take its canonical equitable
-    partition, compute the quotient's characteristic polynomial exactly,
-    and compare it coefficient-by-coefficient with the closed formula.
-    The quotient's largest root must also match the eigensolver's rho to
-    LEMMA_TOL.  Mismatches are reported verbatim, never patched over.
+    For each grid point: read the family's quotient rows off its spec,
+    compute their characteristic polynomial exactly, and compare it
+    coefficient-by-coefficient with the closed formula.  The polynomial's
+    largest root must also match the eigensolver's rho on the built graph
+    to LEMMA_TOL.  Mismatches are reported verbatim, never patched over.
     """
     start = time.perf_counter()
     grid = list(grid) if grid is not None else default_identity_grid()
@@ -853,16 +857,13 @@ def verify_charpoly_identities(grid=None) -> LemmaReport:
         if name not in _IDENTITIES:
             raise ValueError(f"unknown identity {name!r}")
         spec, expected = _IDENTITIES[name](**params)
-        checked = families._quotient_root(spec)
-        if checked is None:
-            violations.append(f"{name}{params}: partition not equitable")
-            continue
-        poly, root, rho = checked
+        poly, root = families._quotient_root(spec)
         if poly.coeffs != tuple(expected):
             violations.append(
                 f"{name}{params}: quotient charpoly {poly.coeffs} "
                 f"!= displayed formula {tuple(expected)}")
             continue
+        rho = spectral.spectral_radius(families.build(spec)).rho
         dev = abs(root - rho)
         max_dev = max(max_dev, dev)
         if dev > LEMMA_TOL:

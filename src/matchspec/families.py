@@ -3,17 +3,16 @@
 A FamilySpec is a tiny expression tree over completes, empty graphs,
 disjoint unions, joins, a complete-with-pendant shape, and two completes
 linked by a bridge.  Each named family in the registry expands to such a
-tree; `build` lays blocks out left to right so quotient matrices come out
-in a fixed row order, and `canonical_partition` returns the equitable
-partition that goes with that layout.  `_quotient_root` is the one place
-that takes the exact characteristic polynomial of that quotient.
+tree; `build` lays blocks out left to right, and `_blocks` reads that
+layout off the spec, building nothing: `canonical_partition`, the equitable
+quotient's `quotient_rows` and `edge_count` all come from that one reading.
+`_quotient_root` takes the exact characteristic polynomial of the quotient.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
 
 from . import graphs, spectral
 from .graphs import Graph, are_isomorphic
@@ -125,21 +124,9 @@ def build(spec: FamilySpec) -> Graph:
 
 
 def edge_count(spec: FamilySpec) -> int:
-    """Edge count of build(spec), by the closed forms."""
-    if isinstance(spec, Complete):
-        return comb(spec.n, 2)
-    if isinstance(spec, Empty):
-        return 0
-    if isinstance(spec, Union):
-        return sum(edge_count(p) for p in spec.parts)
-    if isinstance(spec, Join):
-        return (edge_count(spec.left) + edge_count(spec.right)
-                + spec.left.vertex_count() * spec.right.vertex_count())
-    if isinstance(spec, PendantComplete):
-        return comb(spec.total - 1, 2) + 1
-    if isinstance(spec, BridgedCompletes):
-        return comb(spec.p, 2) + comb(spec.q, 2) + 1
-    raise TypeError(f"not a FamilySpec: {spec!r}")
+    """Edge count of build(spec), read off its blocks: sum |B_i| * rowsum_i / 2."""
+    blocks, rows = _blocks(spec, 0)
+    return sum(len(b) * sum(row) for b, row in zip(blocks, rows)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -152,55 +139,65 @@ def canonical_partition(spec: FamilySpec) -> Partition:
     Completes and empty groups are single blocks; a pendant-complete
     splits into (clique minus attachment, attachment, pendant); bridged
     completes split as (q-side clique minus endpoint, q-side endpoint,
-    p-side endpoint, p-side clique minus endpoint).  Only specs assembled
-    from these pieces with unions/joins are supported.
+    p-side endpoint, p-side clique minus endpoint).  Empty blocks are
+    dropped, so a bridged side of one vertex is just its endpoint.
     """
-    blocks = _partition_blocks(spec, 0)
-    return Partition(tuple(tuple(b) for b in blocks))
+    return Partition(_blocks(spec, 0)[0])
 
 
-def _partition_blocks(spec: FamilySpec, offset: int) -> list[list[int]]:
-    if isinstance(spec, (Complete, Empty)):
-        return [list(range(offset, offset + spec.n))]
-    if isinstance(spec, Union):
-        out = []
-        pos = offset
-        for part in spec.parts:
-            out.extend(_partition_blocks(part, pos))
-            pos += part.vertex_count()
-        return out
-    if isinstance(spec, Join):
-        left = _partition_blocks(spec.left, offset)
-        right = _partition_blocks(spec.right, offset + spec.left.vertex_count())
-        return left + right
+def quotient_rows(spec: FamilySpec) -> list[list[int]]:
+    """The equitable quotient over canonical_partition(spec), read off the
+    spec: rows[i][j] is how many neighbours each vertex of block i has in
+    block j.  No graph is built."""
+    return _blocks(spec, 0)[1]
+
+
+def _blocks(spec: FamilySpec, offset: int):
+    """(build's vertex blocks from `offset` on, their quotient rows)."""
+    o = offset
+    if isinstance(spec, Complete):
+        return _nonempty([range(o, o + spec.n)], [[spec.n - 1]])
+    if isinstance(spec, Empty):
+        return _nonempty([range(o, o + spec.n)], [[0]])
     if isinstance(spec, PendantComplete):
         t = spec.total
-        if t < 3:
-            raise ValueError("pendant-complete partition needs total >= 3")
-        return [list(range(offset, offset + t - 2)),
-                [offset + t - 2],   # attachment vertex
-                [offset + t - 1]]   # pendant
+        _require(t >= 2, "pendant complete needs at least two vertices")
+        return _nonempty([range(o, o + t - 2), [o + t - 2], [o + t - 1]],
+                         [[t - 3, 1, 0], [t - 2, 0, 1], [0, 1, 0]])
     if isinstance(spec, BridgedCompletes):
         p, q = spec.p, spec.q
-        if p < 2 or q < 2:
-            raise ValueError("bridged-completes partition needs parts >= 2")
-        return [list(range(offset + p + 1, offset + p + q)),  # q-clique minus endpoint
-                [offset + p],                                  # q-side endpoint
-                [offset + p - 1],                              # p-side endpoint
-                list(range(offset, offset + p - 1))]           # p-clique minus endpoint
-    raise ValueError(f"unsupported spec shape for canonical partition: {spec!r}")
+        _require(p >= 1 and q >= 1, "bridged completes need positive part sizes")
+        return _nonempty(
+            [range(o + p + 1, o + p + q), [o + p], [o + p - 1], range(o, o + p - 1)],
+            [[q - 2, 1, 0, 0], [q - 1, 0, 1, 0], [0, 1, 0, p - 1], [0, 0, 1, p - 2]])
+    if not isinstance(spec, (Union, Join)):
+        raise TypeError(f"not a FamilySpec: {spec!r}")
+    joined = isinstance(spec, Join)
+    read = []
+    for part in (spec.left, spec.right) if joined else spec.parts:
+        read.append(_blocks(part, o))
+        o += part.vertex_count()
+    rows = []
+    for i, (_, part_rows) in enumerate(read):
+        for row in part_rows:
+            full = []
+            for j, (blocks, _) in enumerate(read):
+                # a join links each vertex to all of the other side, a union to none
+                full += row if i == j else [len(b) if joined else 0 for b in blocks]
+            rows.append(full)
+    return [b for blocks, _ in read for b in blocks], rows
+
+
+def _nonempty(blocks, rows):
+    keep = [i for i, b in enumerate(blocks) if b]
+    return [blocks[i] for i in keep], [[rows[i][j] for j in keep] for i in keep]
 
 
 def _quotient_root(spec: FamilySpec):
-    """(exact charpoly of the canonical quotient, its largest root, the
-    eigensolver's rho), or None when the partition is not equitable."""
-    g = build(spec)
-    q = spectral.quotient_matrix(g, canonical_partition(spec))
-    if not q.equitable:
-        return None
-    poly = spectral.characteristic_polynomial(q.as_int_rows())
-    root = spectral.largest_real_root(poly, 0.0, float(g.n))
-    return poly, root, spectral.spectral_radius(g).rho
+    """(exact charpoly of quotient_rows(spec), its largest root), from the
+    spec alone: the eigensolver's cross-check builds its own graph."""
+    poly = spectral.characteristic_polynomial(quotient_rows(spec))
+    return poly, spectral.largest_real_root(poly, 0.0, float(spec.vertex_count()))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +486,7 @@ def _fmt_child(spec: FamilySpec, parent) -> str:
 
 __all__ = [
     "FamilySpec", "Complete", "Empty", "Union", "Join", "PendantComplete",
-    "BridgedCompletes", "build", "edge_count", "canonical_partition",
+    "BridgedCompletes", "build", "edge_count", "canonical_partition", "quotient_rows",
     "FAMILY_REGISTRY", "named_spec", "build_named", "recognize",
     "parse_family_text", "format_spec",
     "thm11_extremal", "thm11_exc1", "thm11_exc2", "thm13_f1", "thm13_f2",

@@ -134,7 +134,8 @@ def spectral_threshold_excludable(n: int) -> float:
 def _exact_radius(family_id: str, params: dict) -> float:
     """The exact route's spectral radius of a named family; raises
     AssertionError if the eigensolver's disagrees."""
-    _, root, rho = families._quotient_root(families.named_spec(family_id, **params))
+    _, root = families._quotient_root(families.named_spec(family_id, **params))
+    rho = spectral.spectral_radius(families.build_named(family_id, **params)).rho
     if abs(root - rho) > SPECTRAL_TOL:
         raise AssertionError(
             f"threshold routes disagree for {family_id}{params}: {root} vs {rho}")

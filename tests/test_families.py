@@ -1,12 +1,15 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from matchspec import families, spectral
+from matchspec.enumeration import _registry_grid
 from matchspec.families import (FAMILY_REGISTRY, BridgedCompletes, Complete,
                                 Empty, Join, PendantComplete, Union, build,
                                 build_named, canonical_partition, edge_count,
                                 format_spec, named_spec, parse_family_text,
-                                recognize)
+                                quotient_rows, recognize)
 from matchspec.graphs import are_isomorphic, cycle_graph, is_connected, min_degree
 from matchspec.spectral import (characteristic_polynomial, largest_real_root,
                                 quotient_matrix, spectral_radius, theta)
@@ -57,19 +60,62 @@ def test_odd_order_pendant_variant_is_constructible():
     assert g.n == 11  # odd order: can never appear in an even-order sweep
 
 
+REGISTRY_GRID = [("thm11-extremal", {"n": 10, "k": 1, "s": 3}),
+                 ("thm11-exc1", {"n": 8, "k": 2}),
+                 ("thm11-exc2", {"k": 2}),
+                 ("thm13-f1", {}), ("thm13-f2", {}), ("thm13-f3", {"n": 12}),
+                 ("thm13-fact3-pendant", {"n": 12, "s": 2}),
+                 ("thm13-fact3-split", {"n": 12, "s": 3}),
+                 ("lem210", {"n": 10}), ("w1", {"n": 10}), ("w2", {"n": 12})
+                 ] + _registry_grid((6, 8, 10, 12, 14))
+
+
+def _odd_parts(total, parts, largest):
+    # non-increasing tuples of `parts` odd sizes <= largest summing to total
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for a in range(min(total, largest), 0, -1):
+        if a % 2:
+            for rest in _odd_parts(total - a, parts - 1, a):
+                yield (a,) + rest
+
+
+def _saturated_shapes(max_n):
+    # every edge-maximal graph of even order 4..max_n without a perfect
+    # matching, K_s v (K_{a_1} u ... u K_{a_{s+2}}) with odd a_i, and each
+    # one with a pair of its cliques linked by a bridge, K1 sides included
+    for n in range(4, max_n + 1, 2):
+        for s in range(n):
+            for sizes in _odd_parts(n - s, s + 2, n):
+                cliques = [Complete(a) for a in sizes]
+                variants = [cliques] + [
+                    [BridgedCompletes(sizes[i], sizes[j])]
+                    + [c for h, c in enumerate(cliques) if h not in (i, j)]
+                    for i, j in combinations(range(len(sizes)), 2)]
+                for parts in variants:
+                    side = Union(tuple(parts)) if len(parts) > 1 else parts[0]
+                    yield Join(Complete(s), side) if s else side
+
+
+def _registry_and_host_specs():
+    hosts = list(_saturated_shapes(14))
+    assert len(hosts) == 392
+    sides = [h.right if isinstance(h, Join) else h for h in hosts]
+    bridges = [p for side in sides
+               for p in (side.parts if isinstance(side, Union) else (side,))
+               if isinstance(p, BridgedCompletes)]
+    assert sum(min(b.p, b.q) == 1 for b in bridges) == 286
+    return [named_spec(fid, **params) for fid, params in REGISTRY_GRID] + hosts
+
+
 def test_canonical_partitions_equitable():
-    grid = [("thm11-extremal", {"n": 10, "k": 1, "s": 3}),
-            ("thm11-exc1", {"n": 8, "k": 2}),
-            ("thm11-exc2", {"k": 2}),
-            ("thm13-f1", {}), ("thm13-f2", {}), ("thm13-f3", {"n": 12}),
-            ("thm13-fact3-pendant", {"n": 12, "s": 2}),
-            ("thm13-fact3-split", {"n": 12, "s": 3}),
-            ("lem210", {"n": 10}), ("w1", {"n": 10}), ("w2", {"n": 12})]
-    assert {fid for fid, _ in grid} == set(FAMILY_REGISTRY)
-    for fid, params in grid:
-        spec = named_spec(fid, **params)
+    assert {fid for fid, _ in REGISTRY_GRID} == set(FAMILY_REGISTRY)
+    for spec in _registry_and_host_specs():
         q = quotient_matrix(build(spec), canonical_partition(spec))
-        assert q.equitable, fid
+        assert q.equitable, spec
+        assert quotient_rows(spec) == q.as_int_rows(), spec
 
 
 def test_partition_quotients_match_displayed_matrices():
@@ -91,11 +137,29 @@ def test_partition_quotients_match_displayed_matrices():
                                [2, 0, 0, 0, 0]]
 
 
-def test_partition_unsupported_shape():
-    with pytest.raises(ValueError):
-        canonical_partition(PendantComplete(2))
-    with pytest.raises(ValueError):
-        canonical_partition(BridgedCompletes(1, 5))
+def test_partition_drops_empty_blocks():
+    # a bridged side of one vertex is only its endpoint, so K1+K(5) is
+    # K(5)^+ read from the other end, and K1+K1 and K(1)^+ are K2
+    spec = BridgedCompletes(1, 5)
+    assert canonical_partition(spec).blocks == ((2, 3, 4, 5), (1,), (0,))
+    assert quotient_rows(spec) == [[3, 1, 0], [4, 0, 1], [0, 1, 0]]
+    assert canonical_partition(PendantComplete(2)).blocks == ((0,), (1,))
+    assert canonical_partition(BridgedCompletes(1, 1)).blocks == ((1,), (0,))
+    for spec in (PendantComplete(2), BridgedCompletes(1, 1)):
+        assert quotient_rows(spec) == [[0, 1], [1, 0]]
+
+
+def test_quotient_root_builds_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact route built a graph")
+
+    specs = [named_spec(fid, **params) for fid, params in REGISTRY_GRID]
+    monkeypatch.setattr(families, "build", refuse)
+    monkeypatch.setattr(spectral, "quotient_matrix", refuse)
+    roots = [families._quotient_root(spec)[1] for spec in specs]
+    monkeypatch.undo()
+    for spec, root in zip(specs, roots):
+        assert abs(root - spectral_radius(build(spec)).rho) < 1e-9, spec
 
 
 def test_recognize():
@@ -171,7 +235,7 @@ def test_edge_count_matches_build():
     specs = [Join(Complete(3), Union((Complete(2), Empty(3)))),
              Union((PendantComplete(5), BridgedCompletes(3, 5))),
              Join(Join(Complete(2), Complete(2)), Empty(2))]
-    for spec in specs:
+    for spec in specs + _registry_and_host_specs():
         assert edge_count(spec) == build(spec).m
 
 

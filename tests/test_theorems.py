@@ -1,3 +1,5 @@
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,9 @@ from matchspec.theorems import (THEOREM_KINDS, TheoremId, exception_candidates,
                                 spectral_threshold_extendable, statements,
                                 theorem_verdict)
 
+THRESHOLDS_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                                  "thresholds.json")
+
 
 def test_size_thresholds():
     assert size_threshold_extendable(6, 1) == 12
@@ -25,6 +30,27 @@ def test_size_thresholds():
     assert size_threshold_excludable(6) == 10
     assert size_threshold_excludable(8) == 19
     assert size_threshold_excludable(10) == 31
+
+
+def _threshold_rows():
+    # one row per size/spectral pair of statements(n, 4) at every even
+    # n <= 62: t11/t13 as ints, t14/t16 as float.hex so a change in the
+    # last bit shows
+    rows = []
+    for n in range(4, 63, 2):
+        ts = statements(n, 4)
+        for size, spec in zip(ts[::2], ts[1::2]):
+            rows.append({"n": n, "k": size.k,
+                         size.kind: hypothesis_threshold(size, n),
+                         spec.kind: hypothesis_threshold(spec, n).hex()})
+    return rows
+
+
+def test_thresholds_match_the_pinned_values():
+    with open(THRESHOLDS_FIXTURE) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 143
+    assert _threshold_rows() == pinned
 
 
 def test_threshold_range_errors():
