@@ -275,7 +275,8 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     identical for any chunk size (wall_time aside).  `jobs` is accepted and
     ignored.  An empty source, one of odd order, a malformed line, or one of
     another order than the first raises ValueError naming the source, and
-    the line where there is one.
+    the line where there is one; an order t does not cover raises too,
+    however few graphs min_degree keeps.
     """
     start = time.perf_counter()
     scanned = hyp = 0
@@ -604,13 +605,15 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
 
 
 def _sources_for(n_values, sources):
-    table = {}
-    for n in n_values:
-        if sources and n in sources:
-            table[n] = sources[n]
-        else:
-            table[n] = BuiltIn(n)
-    return table
+    """Each order of the grid with its source: the one given, else BuiltIn.
+    A source for an order the grid leaves out raises ValueError."""
+    sources = sources or {}
+    for n, source in sources.items():
+        if n not in n_values:
+            raise ValueError(
+                f"{source.describe()} holds graphs of order {n}, which the grid "
+                f"leaves out (its orders: {', '.join(map(str, n_values)) or 'none'})")
+    return {n: sources[n] if n in sources else BuiltIn(n) for n in n_values}
 
 
 def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
@@ -762,7 +765,7 @@ def _hub_pendant_clique_spec(n: int, h: int) -> families.FamilySpec:
         raise ValueError("requires even h >= 4 and n >= h+2")
     return families.Join(
         families.Complete(1),
-        families.Union((families.PendantComplete(h), families.Complete(n - h - 1))))
+        families.Union((families.BridgedCompletes(h - 1, 1), families.Complete(n - h - 1))))
 
 
 def default_identity_grid() -> list[tuple[str, dict]]:

@@ -1,17 +1,20 @@
 """Named extremal graph families: constructors, partitions, recognition.
 
 A FamilySpec is a tiny expression tree over completes, empty graphs,
-disjoint unions, joins, a complete-with-pendant shape, and two completes
-linked by a bridge.  Each named family in the registry expands to such a
-tree; `build` lays blocks out left to right, and `_blocks` reads that
-layout off the spec, building nothing: `canonical_partition`, the equitable
-quotient's `quotient_rows` and `edge_count` all come from that one reading.
-`_quotient_root` takes the exact characteristic polynomial of the quotient.
+disjoint unions, joins, and two completes linked by a bridge (a clique
+bridged to K1 is the clique with a pendant vertex, K_p^+).  Each named
+family in the registry expands to such a tree; `build` lays blocks out left
+to right, and `_blocks` reads that layout off the spec, building nothing: a
+spec's order, `edge_count`, `canonical_partition` and the equitable
+quotient's `quotient_rows` all come from that one reading.  `_quotient_root`
+takes the exact characteristic polynomial of the quotient.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import graphs, spectral
@@ -22,16 +25,10 @@ from .spectral import Partition
 class FamilySpec:
     """Base class for family expressions."""
 
-    def vertex_count(self) -> int:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Complete(FamilySpec):
     n: int
-
-    def vertex_count(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -40,16 +37,10 @@ class Empty(FamilySpec):
 
     n: int
 
-    def vertex_count(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class Union(FamilySpec):
     parts: tuple[FamilySpec, ...]
-
-    def vertex_count(self) -> int:
-        return sum(p.vertex_count() for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -57,33 +48,17 @@ class Join(FamilySpec):
     left: FamilySpec
     right: FamilySpec
 
-    def vertex_count(self) -> int:
-        return self.left.vertex_count() + self.right.vertex_count()
-
-
-@dataclass(frozen=True)
-class PendantComplete(FamilySpec):
-    """Complete graph on total-1 vertices plus one pendant vertex.
-
-    `total` counts all vertices, so PendantComplete(6) is a 5-clique with a
-    pendant hanging off its last vertex.
-    """
-
-    total: int
-
-    def vertex_count(self) -> int:
-        return self.total
-
 
 @dataclass(frozen=True)
 class BridgedCompletes(FamilySpec):
-    """Disjoint completes on p and q vertices linked by a single bridge."""
+    """Disjoint completes on p and q vertices linked by a single bridge.
+
+    q = 1 is K_p^+, the p-clique with a pendant vertex: BridgedCompletes(5, 1)
+    is a 5-clique with a pendant hanging off its last vertex.
+    """
 
     p: int
     q: int
-
-    def vertex_count(self) -> int:
-        return self.p + self.q
 
 
 def build(spec: FamilySpec) -> Graph:
@@ -105,13 +80,6 @@ def build(spec: FamilySpec) -> Graph:
         return g
     if isinstance(spec, Join):
         return graphs.join(build(spec.left), build(spec.right))
-    if isinstance(spec, PendantComplete):
-        if spec.total < 2:
-            raise ValueError("pendant complete needs at least two vertices")
-        core = spec.total - 1
-        edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
-        edges.append((core - 1, core))  # pendant hangs off the last clique vertex
-        return graphs.from_edge_list(spec.total, edges)
     if isinstance(spec, BridgedCompletes):
         if spec.p < 1 or spec.q < 1:
             raise ValueError("bridged completes need positive part sizes")
@@ -125,8 +93,14 @@ def build(spec: FamilySpec) -> Graph:
 
 def edge_count(spec: FamilySpec) -> int:
     """Edge count of build(spec), read off its blocks: sum |B_i| * rowsum_i / 2."""
+    return _order_size(spec)[1]
+
+
+def _order_size(spec: FamilySpec) -> tuple[int, int]:
+    """(order, edge count) of build(spec), from one reading of its blocks."""
     blocks, rows = _blocks(spec, 0)
-    return sum(len(b) * sum(row) for b, row in zip(blocks, rows)) // 2
+    return (sum(map(len, blocks)),
+            sum(len(b) * sum(row) for b, row in zip(blocks, rows)) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +108,14 @@ def edge_count(spec: FamilySpec) -> int:
 # ---------------------------------------------------------------------------
 
 def canonical_partition(spec: FamilySpec) -> Partition:
-    """Block partition matching the family's construction order.
+    """Block partition following build's layout: the blocks, concatenated,
+    are range(n).
 
-    Completes and empty groups are single blocks; a pendant-complete
-    splits into (clique minus attachment, attachment, pendant); bridged
-    completes split as (q-side clique minus endpoint, q-side endpoint,
-    p-side endpoint, p-side clique minus endpoint).  Empty blocks are
-    dropped, so a bridged side of one vertex is just its endpoint.
+    Completes and empty groups are single blocks; bridged completes split
+    as (p-side clique minus endpoint, p-side endpoint, q-side endpoint,
+    q-side clique minus endpoint).  Empty blocks are dropped, so a bridged
+    side of one vertex is just its endpoint, and K_p^+ (q = 1) splits as
+    (clique minus attachment, attachment, pendant).
     """
     return Partition(_blocks(spec, 0)[0])
 
@@ -159,24 +134,19 @@ def _blocks(spec: FamilySpec, offset: int):
         return _nonempty([range(o, o + spec.n)], [[spec.n - 1]])
     if isinstance(spec, Empty):
         return _nonempty([range(o, o + spec.n)], [[0]])
-    if isinstance(spec, PendantComplete):
-        t = spec.total
-        _require(t >= 2, "pendant complete needs at least two vertices")
-        return _nonempty([range(o, o + t - 2), [o + t - 2], [o + t - 1]],
-                         [[t - 3, 1, 0], [t - 2, 0, 1], [0, 1, 0]])
     if isinstance(spec, BridgedCompletes):
         p, q = spec.p, spec.q
         _require(p >= 1 and q >= 1, "bridged completes need positive part sizes")
         return _nonempty(
-            [range(o + p + 1, o + p + q), [o + p], [o + p - 1], range(o, o + p - 1)],
-            [[q - 2, 1, 0, 0], [q - 1, 0, 1, 0], [0, 1, 0, p - 1], [0, 0, 1, p - 2]])
+            [range(o, o + p - 1), [o + p - 1], [o + p], range(o + p + 1, o + p + q)],
+            [[p - 2, 1, 0, 0], [p - 1, 0, 1, 0], [0, 1, 0, q - 1], [0, 0, 1, q - 2]])
     if not isinstance(spec, (Union, Join)):
         raise TypeError(f"not a FamilySpec: {spec!r}")
     joined = isinstance(spec, Join)
     read = []
     for part in (spec.left, spec.right) if joined else spec.parts:
         read.append(_blocks(part, o))
-        o += part.vertex_count()
+        o += sum(map(len, read[-1][0]))
     rows = []
     for i, (_, part_rows) in enumerate(read):
         for row in part_rows:
@@ -194,10 +164,11 @@ def _nonempty(blocks, rows):
 
 
 def _quotient_root(spec: FamilySpec):
-    """(exact charpoly of quotient_rows(spec), its largest root), from the
-    spec alone: the eigensolver's cross-check builds its own graph."""
-    poly = spectral.characteristic_polynomial(quotient_rows(spec))
-    return poly, spectral.largest_real_root(poly, 0.0, float(spec.vertex_count()))
+    """(exact charpoly of quotient_rows(spec), its largest root in [0, n]),
+    from the spec alone: the eigensolver's cross-check builds its own graph."""
+    blocks, rows = _blocks(spec, 0)
+    poly = spectral.characteristic_polynomial(rows)
+    return poly, spectral.largest_real_root(poly, 0.0, float(sum(map(len, blocks))))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +230,7 @@ def thm13_fact3_pendant(n: int, s: int) -> FamilySpec:
     """
     _require(s >= 1, "requires s >= 1")
     _require(n - 2 * s - 1 >= 1, "requires n >= 2s+2")
-    return Join(Complete(s), Union((PendantComplete(n - 2 * s), Empty(s))))
+    return Join(Complete(s), Union((BridgedCompletes(n - 2 * s - 1, 1), Empty(s))))
 
 
 def thm13_fact3_split(n: int, s: int) -> FamilySpec:
@@ -286,22 +257,22 @@ def w1(n: int) -> FamilySpec:
 def w2(n: int) -> FamilySpec:
     """K2 v (K_{n-5}^+ u 2K1)."""
     _require(_even(n) and n >= 8, "n must be even >= 8")
-    return Join(Complete(2), Union((PendantComplete(n - 4), Empty(2))))
+    return Join(Complete(2), Union((BridgedCompletes(n - 5, 1), Empty(2))))
 
 
-FAMILY_REGISTRY: dict[str, tuple] = {
-    # id -> (builder, required parameter names)
-    "thm11-extremal": (thm11_extremal, ("n", "k", "s")),
-    "thm11-exc1": (thm11_exc1, ("n", "k")),
-    "thm11-exc2": (thm11_exc2, ("k",)),
-    "thm13-f1": (thm13_f1, ()),
-    "thm13-f2": (thm13_f2, ()),
-    "thm13-f3": (thm13_f3, ("n",)),
-    "thm13-fact3-pendant": (thm13_fact3_pendant, ("n", "s")),
-    "thm13-fact3-split": (thm13_fact3_split, ("n", "s")),
-    "lem210": (lem210, ("n",)),
-    "w1": (w1, ("n",)),
-    "w2": (w2, ("n",)),
+FAMILY_REGISTRY: dict[str, Callable[..., FamilySpec]] = {
+    # id -> builder; its signature names the required parameters
+    "thm11-extremal": thm11_extremal,
+    "thm11-exc1": thm11_exc1,
+    "thm11-exc2": thm11_exc2,
+    "thm13-f1": thm13_f1,
+    "thm13-f2": thm13_f2,
+    "thm13-f3": thm13_f3,
+    "thm13-fact3-pendant": thm13_fact3_pendant,
+    "thm13-fact3-split": thm13_fact3_split,
+    "lem210": lem210,
+    "w1": w1,
+    "w2": w2,
 }
 
 
@@ -309,7 +280,8 @@ def named_spec(family_id: str, **params) -> FamilySpec:
     """Expand a registry id plus parameters into a FamilySpec."""
     if family_id not in FAMILY_REGISTRY:
         raise ValueError(f"unknown family id: {family_id!r}")
-    builder, names = FAMILY_REGISTRY[family_id]
+    builder = FAMILY_REGISTRY[family_id]
+    names = tuple(inspect.signature(builder).parameters)
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing or extra:
@@ -333,9 +305,7 @@ def recognize(g: Graph, candidates) -> tuple[str, dict] | None:
             spec = named_spec(family_id, **params)
         except ValueError:
             continue
-        if spec.vertex_count() != g.n:
-            continue
-        if edge_count(spec) != g.m:
+        if _order_size(spec) != (g.n, g.m):
             continue
         if are_isomorphic(g, build(spec)):
             return family_id, dict(params)
@@ -352,7 +322,8 @@ def recognize(g: Graph, candidates) -> tuple[str, dict] | None:
 #   atom      := INT "K1" | "K1" | "K(" INT ")" [ "^+" ] | "(" expr ")"
 #   named     := ID [ ":" key "=" INT ( "," key "=" INT )* ]
 #
-# "K(5)^+" is the 5-clique with a pendant (6 vertices); "Ks(3)" is accepted
+# "K(5)^+" is the 5-clique with a pendant (6 vertices), the same spec as
+# "K(5)+K(1)"; "Ks(3)" is accepted
 # as an alias of "K(3)".  A named form is used when the input starts with a
 # registry id, e.g. "thm13-f2" or "w2:n=10".
 
@@ -423,9 +394,7 @@ def _parse_expression(text: str) -> FamilySpec:
         m = re.fullmatch(r"Ks?\((\d+)\)(\^\+)?", tok)
         if m:
             size = int(m.group(1))
-            if m.group(2):
-                return PendantComplete(size + 1)
-            return Complete(size)
+            return BridgedCompletes(size, 1) if m.group(2) else Complete(size)
         raise ValueError(f"unexpected token {tok!r}")
 
     def parse_bridge() -> FamilySpec:
@@ -464,10 +433,8 @@ def format_spec(spec: FamilySpec) -> str:
         return f"K({spec.n})"
     if isinstance(spec, Empty):
         return "K1" if spec.n == 1 else f"{spec.n}K1"
-    if isinstance(spec, PendantComplete):
-        return f"K({spec.total - 1})^+"
     if isinstance(spec, BridgedCompletes):
-        return f"K({spec.p})+K({spec.q})"
+        return f"K({spec.p})^+" if spec.q == 1 else f"K({spec.p})+K({spec.q})"
     if isinstance(spec, Union):
         return " u ".join(_fmt_child(p, Union) for p in spec.parts)
     if isinstance(spec, Join):
@@ -485,8 +452,8 @@ def _fmt_child(spec: FamilySpec, parent) -> str:
 
 
 __all__ = [
-    "FamilySpec", "Complete", "Empty", "Union", "Join", "PendantComplete",
-    "BridgedCompletes", "build", "edge_count", "canonical_partition", "quotient_rows",
+    "FamilySpec", "Complete", "Empty", "Union", "Join", "BridgedCompletes",
+    "build", "edge_count", "canonical_partition", "quotient_rows",
     "FAMILY_REGISTRY", "named_spec", "build_named", "recognize",
     "parse_family_text", "format_spec",
     "thm11_extremal", "thm11_exc1", "thm11_exc2", "thm13_f1", "thm13_f2",

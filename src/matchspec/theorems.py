@@ -236,19 +236,19 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) 
     minimum-degree filter and meet t's hypothesis.
 
     Measures on its own (numpy connectivity, one batched eigensolve) and
-    decides by the rule `hypothesis_status` uses.  A spectral hypothesis
-    eigensolves only the graphs whose Hong bound
-    (`spectral.radius_upper_bound`), raised by PRUNE_MARGIN, meets it.
+    decides by the rule `hypothesis_status` uses.  The threshold comes
+    first, before any filter, so an order t does not cover raises even when
+    the filter keeps no graph.  A spectral hypothesis eigensolves only the
+    graphs whose Hong bound (`spectral.radius_upper_bound`), raised by
+    PRUNE_MARGIN, meets it.
     """
     n = adj.shape[1]
+    threshold = hypothesis_threshold(t, n)
     deg = adj.sum(axis=2, dtype=np.int16)
     low = deg.min(axis=1, initial=n)
     keep = np.ones(len(adj), dtype=bool)
     if min_deg is not None:
-        keep &= (n > 0) & (low >= min_deg)
-    if not keep.any():
-        return keep  # like the per-graph path: no range check without a candidate
-    threshold = hypothesis_threshold(t, n)
+        keep &= low >= min_deg
     connected = keep & _connected(_bit_rows(adj))  # filtered graphs never meet it
     m = deg.sum(axis=1, dtype=np.int64) // 2
     if t.uses_size:

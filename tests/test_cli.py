@@ -313,6 +313,15 @@ def test_verify_deficiency_lemma_grid_must_hold_the_input_order(capsys,
         assert n8_fixture_path in err and "order 8" in err and "4, 6" in err
 
 
+def test_verify_refuses_an_uncovered_order_when_min_degree_keeps_nothing(capsys,
+                                                                          n8_fixture_path):
+    # no graph of order 8 has minimum degree 9; t11(k=5) needs n >= 12 either way
+    argv = ("verify", "--theorem", "t11", "--k", "5", "--input", n8_fixture_path)
+    refusals = [run_cli(capsys, *argv), run_cli(capsys, *argv, "--min-degree", "9")]
+    assert refusals[0] == refusals[1] == (
+        2, "", "error: extension thresholds need even n >= 2k+2, got n=8, k=5\n")
+
+
 def test_verify_deficiency_lemma_on_empty_input(capsys, tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("# no graphs\n")

@@ -187,6 +187,17 @@ def test_sweep_errors(tmp_path):
         sweep_theorem(File(str(empty)), TheoremId("t11", 1))
 
 
+def test_sweep_refuses_an_uncovered_order_whatever_min_degree_keeps(n8_fixture_path):
+    # no graph of order 8 has minimum degree 9, so the batch is empty, but
+    # t11(k=5) says nothing about n = 8
+    for t in (TheoremId("t11", 5), TheoremId("t14", 5)):
+        for min_degree in (None, 9):
+            with pytest.raises(ValueError, match="need even n >= 2k\\+2, got n=8, k=5"):
+                sweep_theorem(File(n8_fixture_path), t, min_degree=min_degree)
+    report = sweep_theorem(File(n8_fixture_path), TheoremId("t16"), min_degree=9)
+    assert (report.graphs_scanned, report.hypothesis_count) == (11117, 0)
+
+
 def test_sweep_report_independent_of_chunk_size():
     whole, chunked = (sweep_theorem(BuiltIn(6), TheoremId("t11", 1), chunk_size=size)
                       for size in (1024, 8))
@@ -226,6 +237,18 @@ def test_lemma_options_thread_through():
     assert report.ok
     report = verify_lemma("l2.4", n_values=(6, 8))
     assert report.ok
+
+
+def test_lemma_refuses_a_source_the_grid_leaves_out(n8_fixture_path, monkeypatch):
+    read = []
+    monkeypatch.setattr(File, "graph6_lines", lambda self: read.append(self) or [])
+    for lemma in ("l2.9", "l2.10"):
+        with pytest.raises(ValueError) as err:
+            verify_lemma(lemma, n_values=(4, 6), sources={8: File(n8_fixture_path)})
+        assert str(err.value) == (
+            f"file:{n8_fixture_path} holds graphs of order 8, which the grid "
+            f"leaves out (its orders: 4, 6)")
+    assert read == []  # refused before any source is read
 
 
 def test_lemma_report_json():

@@ -1,22 +1,27 @@
-from itertools import combinations
+import json
+import os
+from itertools import chain, combinations
 from math import comb
 
 import pytest
 
 from matchspec import families, spectral
-from matchspec.enumeration import _registry_grid
+from matchspec.enumeration import _IDENTITIES, _registry_grid, default_identity_grid
 from matchspec.families import (FAMILY_REGISTRY, BridgedCompletes, Complete,
-                                Empty, Join, PendantComplete, Union, build,
+                                Empty, Join, Union, build,
                                 build_named, canonical_partition, edge_count,
                                 format_spec, named_spec, parse_family_text,
                                 quotient_rows, recognize)
-from matchspec.graphs import are_isomorphic, cycle_graph, is_connected, min_degree
+from matchspec.graphs import (are_isomorphic, cycle_graph, is_connected, min_degree,
+                              to_graph6)
 from matchspec.spectral import (characteristic_polynomial, largest_real_root,
                                 quotient_matrix, spectral_radius, theta)
 
+GRAPH6_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "family_graph6.json")
+
 
 def test_build_examples():
-    g = build(PendantComplete(6))
+    g = build(BridgedCompletes(5, 1))  # K(5)^+
     assert g.n == 6 and g.m == 11 and min_degree(g) == 1
     g = build(BridgedCompletes(3, 3))
     assert g.n == 6 and g.m == 7
@@ -139,14 +144,33 @@ def test_partition_quotients_match_displayed_matrices():
 
 def test_partition_drops_empty_blocks():
     # a bridged side of one vertex is only its endpoint, so K1+K(5) is
-    # K(5)^+ read from the other end, and K1+K1 and K(1)^+ are K2
+    # K(5)^+ read from the other end, and K1+K1 = K(1)^+ is K2
     spec = BridgedCompletes(1, 5)
-    assert canonical_partition(spec).blocks == ((2, 3, 4, 5), (1,), (0,))
-    assert quotient_rows(spec) == [[3, 1, 0], [4, 0, 1], [0, 1, 0]]
-    assert canonical_partition(PendantComplete(2)).blocks == ((0,), (1,))
-    assert canonical_partition(BridgedCompletes(1, 1)).blocks == ((1,), (0,))
-    for spec in (PendantComplete(2), BridgedCompletes(1, 1)):
-        assert quotient_rows(spec) == [[0, 1], [1, 0]]
+    assert canonical_partition(spec).blocks == ((0,), (1,), (2, 3, 4, 5))
+    assert quotient_rows(spec) == [[0, 1, 0], [1, 0, 4], [0, 1, 3]]
+    spec = BridgedCompletes(1, 1)
+    assert canonical_partition(spec).blocks == ((0,), (1,))
+    assert quotient_rows(spec) == [[0, 1], [1, 0]]
+
+
+def test_partitions_follow_the_layout():
+    identities = [_IDENTITIES[name](**params)[0] for name, params in default_identity_grid()]
+    for spec in identities + _registry_and_host_specs():
+        blocks = canonical_partition(spec).blocks
+        assert list(chain(*blocks)) == list(range(build(spec).n)), spec
+
+
+def test_built_labelling_is_pinned():
+    # the labelling build gives the registry grid and the K(p)^+ texts
+    with open(GRAPH6_FIXTURE) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 117
+    for row in pinned:
+        spec = (named_spec(row["family"], **row["params"]) if "family" in row
+                else parse_family_text(row["text"]))
+        assert to_graph6(build(spec)) == row["graph6"], row
+    assert [(r["family"], r["params"]) for r in pinned if "family" in r] == \
+        _registry_grid(range(4, 31, 2))
 
 
 def test_quotient_root_builds_no_graph(monkeypatch):
@@ -179,10 +203,13 @@ def test_parameter_validation():
         named_spec("thm11-extremal", n=8, k=1, s=1)  # s < 2k
     with pytest.raises(ValueError):
         named_spec("thm11-exc1", n=7, k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"takes parameters \('n', 'k'\), got \['n'\]"):
         named_spec("thm11-exc1", n=6)  # missing k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"takes parameters \('n', 'k'\), got \['k', 'n', 's'\]"):
         named_spec("thm11-exc1", n=6, k=1, s=2)  # stray parameter
+    with pytest.raises(ValueError, match=r"takes parameters \(\), got \['n'\]"):
+        named_spec("thm13-f1", n=6)
     with pytest.raises(ValueError):
         named_spec("no-such-family")
 
@@ -229,11 +256,14 @@ def test_format_round_trip():
         spec = parse_family_text(text)
         again = parse_family_text(format_spec(spec))
         assert again == spec
+    # K(p)^+ is the bridged pair with q = 1, and prints as K(p)^+ either way
+    assert parse_family_text("K(5)^+") == parse_family_text("K(5)+K(1)")
+    assert format_spec(parse_family_text("K(5)+K(1)")) == "K(5)^+"
 
 
 def test_edge_count_matches_build():
     specs = [Join(Complete(3), Union((Complete(2), Empty(3)))),
-             Union((PendantComplete(5), BridgedCompletes(3, 5))),
+             Union((BridgedCompletes(4, 1), BridgedCompletes(3, 5))),
              Join(Join(Complete(2), Complete(2)), Empty(2))]
     for spec in specs + _registry_and_host_specs():
         assert edge_count(spec) == build(spec).m

@@ -6,8 +6,7 @@ from itertools import combinations
 import pytest
 
 from matchspec.enumeration import enumerate_connected
-from matchspec.families import (BridgedCompletes, PendantComplete, build,
-                                build_named)
+from matchspec.families import BridgedCompletes, build, build_named
 from matchspec.graphs import (_component_masks, complete_graph, cycle_graph,
                               delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
@@ -276,7 +275,7 @@ def test_find_odd_bridges():
     k3k5 = build(BridgedCompletes(3, 5))
     assert find_odd_bridges(k3k5) == frozenset({(2, 3)})
     assert find_odd_bridges(cycle_graph(4)) == frozenset()
-    k5_plus = build(PendantComplete(6))
+    k5_plus = build(BridgedCompletes(5, 1))
     assert find_odd_bridges(k5_plus) == frozenset({(4, 5)})
     # evaluated per component on disconnected input
     two = disjoint_union(build(BridgedCompletes(1, 1)), build(BridgedCompletes(3, 3)))
