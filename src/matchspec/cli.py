@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import cache
 
 from . import enumeration, families, graphs, matching, spectral, theorems
 from .enumeration import BuiltIn, File, sweep_theorem, verify_charpoly_identities, verify_lemma
@@ -312,7 +313,9 @@ def _print_thresholds(table: list[list]) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="matchspec",
         description="matching extension/exclusion thresholds and sweeps")

@@ -20,8 +20,10 @@ batch of arrays:
    and the source and line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses;
-3. `Graph` objects only for the graphs that meet it, for the conclusion
-   and exception helpers of `theorems` that a verdict also calls.
+3. `theorems._conclusion_mask` certifies the conclusion of the graphs
+   that meet it, from one batched Tutte matrix elimination; `Graph`
+   objects only for the graphs it leaves open, for the conclusion and
+   exception helpers of `theorems` that a verdict also calls.
 
 What a statement asks for is known to `theorems` alone.
 """
@@ -286,7 +288,8 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
         met = np.flatnonzero(theorems._hypothesis_mask(adj, t, min_degree))
         scanned += len(lines)
         hyp += len(met)
-        for i, row in zip(met, graphs._bit_rows(adj[met]).tolist()):
+        undecided = met[~theorems._conclusion_mask(adj[met], t)]
+        for i, row in zip(undecided, graphs._bit_rows(adj[undecided]).tolist()):
             g = Graph(n, tuple(row))
             if not theorems.conclusion_holds(g, t):
                 events.append((lines[i], theorems.recognize_exception(g, t)))

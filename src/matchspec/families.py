@@ -128,12 +128,16 @@ def quotient_rows(spec: FamilySpec) -> list[list[int]]:
 
 
 def _blocks(spec: FamilySpec, offset: int):
-    """(build's vertex blocks from `offset` on, their quotient rows)."""
+    """(build's vertex blocks from `offset` on, their quotient rows).
+
+    Refuses, with build's messages, the specs build refuses."""
     o = offset
     if isinstance(spec, Complete):
-        return _nonempty([range(o, o + spec.n)], [[spec.n - 1]])
+        _require(spec.n >= 1, "complete graph needs at least one vertex")
+        return [range(o, o + spec.n)], [[spec.n - 1]]
     if isinstance(spec, Empty):
-        return _nonempty([range(o, o + spec.n)], [[0]])
+        _require(spec.n >= 1, "empty graph needs at least one vertex")
+        return [range(o, o + spec.n)], [[0]]
     if isinstance(spec, BridgedCompletes):
         p, q = spec.p, spec.q
         _require(p >= 1 and q >= 1, "bridged completes need positive part sizes")
@@ -143,6 +147,7 @@ def _blocks(spec: FamilySpec, offset: int):
     if not isinstance(spec, (Union, Join)):
         raise TypeError(f"not a FamilySpec: {spec!r}")
     joined = isinstance(spec, Join)
+    _require(joined or spec.parts, "union of nothing")
     read = []
     for part in (spec.left, spec.right) if joined else spec.parts:
         read.append(_blocks(part, o))

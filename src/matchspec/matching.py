@@ -32,6 +32,21 @@ weight choice, so it is re-checked by the blossom search.  Blocks of at
 most _CERTIFY_ROWS k-matchings, k = 1 on small graphs among them, skip the
 inverse, which would cost more than their searches.
 
+A sweep settles 1-extendability and 1-excludability for a whole batch of
+graphs from one elimination (`_tutte_certified`).  `_tutte_eliminate`
+inverts every Tutte matrix of the batch at once by division-free
+Gauss-Jordan elimination; `_tutte_inverse` is a batch of one through it.
+With B = T^-1, g - u - v has a perfect matching iff B[u, v] != 0 (the
+k = 1 Pfaffian above).  For an edge e = uv, u < v, of weight w = T[u, v],
+the Tutte matrix of g - e is the rank-2 update T - w (E_uv - E_vu) =
+T + U V^t, with U = w [-e_u, e_v] and V = [e_v, e_u].  By the matrix
+determinant lemma, det(T + U V^t) = det T * det(I + V^t B U), and
+V^t B U = w [[-B_vu, B_vv], [-B_uu, B_uv]] = w B_uv I because B is
+skew-symmetric (zero diagonal, B_vu = -B_uv).  So
+det T_(g-e) = det T * (1 + w B[u, v])^2, and 1 + w B[u, v] != 0 proves
+that g - e has a perfect matching.  As above, a nonzero value is a proof
+whatever the weights, and a zero, or a singular T, proves nothing.
+
 The criterion route scans the vertex subsets of a graph once: a private
 table holds o(g-S) for every subset mask S, and the Berge-Tutte
 deficiency, the k-extendability criterion and the 1-excludability
@@ -309,6 +324,7 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
 TUTTE_PRIME = 2_147_483_629  # < 2^31, so a product of two residues fits in int64
 _BLOCK_ROWS = 1 << 14  # k-matchings held as arrays at once
 _CERTIFY_ROWS = 200  # about where the certificate starts to cost less than searching
+_TUTTE_ENTRIES = 1 << 17  # int64 entries of [T | I] eliminated at once (1 MB)
 
 
 def _k_matching_blocks(meets: np.ndarray, k: int):
@@ -340,36 +356,104 @@ def _k_matching_blocks(meets: np.ndarray, k: int):
                 yield np.column_stack((rows[row], nxt))
 
 
+@lru_cache(maxsize=8)
+def _tutte_weights(n: int) -> np.ndarray:
+    """The Tutte matrix of K_n over GF(TUTTE_PRIME) at fixed weights.
+
+    W[u, v] = w(u, v) = p - W[v, u] for u < v, with w(u, v) in [1, p-1]
+    hashed from (u, v); a graph's Tutte matrix is W on its edges and 0
+    elsewhere.  Read-only.
+    """
+    u, v = (x.astype(np.uint64) for x in np.triu_indices(n, 1))
+    key = (u << np.uint64(32) | v) * np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64
+    w = ((key ^ key >> np.uint64(29)) % np.uint64(TUTTE_PRIME - 1)).astype(np.int64) + 1
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[u.astype(np.intp), v.astype(np.intp)] = w
+    weights[v.astype(np.intp), u.astype(np.intp)] = TUTTE_PRIME - w
+    weights.flags.writeable = False
+    return weights
+
+
+def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, r) with diag(d) T^-1 = r over GF(TUTTE_PRIME), for each T of an
+    (N, n, n) stack; a singular T leaves a zero in its d.
+
+    Division-free Gauss-Jordan elimination on [T | I], one pivot column of
+    every matrix per pass: the first row at or below the diagonal with a
+    nonzero entry in the column is swapped onto the diagonal, and every
+    other row i becomes pivot * row_i - a[i, c] * pivot row.  Residues stay
+    below p, so no product exceeds p^2 < 2^62.  The left half ends as
+    diag(d) and the right half as diag(d) T^-1.
+    """
+    count, n = t.shape[:2]
+    a = np.zeros((count, n, 2 * n), dtype=np.int64)
+    a[:, :, :n] = t
+    flat = a.reshape(count, -1)  # entry (i, j) at i * 2n + j
+    flat[:, n::2 * n + 1] = 1
+    rows = a.reshape(-1, 2 * n)  # every op below keeps a's buffer
+    first = np.arange(0, count * n, n)  # row 0 of each matrix in rows
+    for c in range(n):
+        if a[:, c, c].all():
+            pivot = a[:, c:c + 1].copy()
+        else:
+            r = first + c + (a[:, c:, c] != 0).argmax(1)
+            pivot = rows.take(r, axis=0)[:, None]
+            rows[r] = a[:, c]
+        below = a[:, :, c:c + 1] * pivot
+        a *= pivot[:, :, c:c + 1]
+        a -= below
+        a %= TUTTE_PRIME
+        a[:, c:c + 1] = pivot
+    return flat[:, ::2 * n + 1], a[:, :, n:]
+
+
 @lru_cache(maxsize=1)
 def _tutte_inverse(g: Graph) -> np.ndarray | None:
-    """Inverse over GF(TUTTE_PRIME) of the Tutte matrix of g, or None.
+    """Inverse over GF(TUTTE_PRIME) of the Tutte matrix of g at the weights
+    of `_tutte_weights`, or None when it is singular at those weights.
 
-    T[u, v] = w(u, v) = -T[v, u] for every edge u < v, with a fixed weight
-    w(u, v) in [1, p-1] hashed from (u, v); None when T is singular at those
-    weights.  The inverse of a skew-symmetric matrix is skew-symmetric.
-    Gauss-Jordan elimination on [T | I], one pivot column per pass.
+    A batch of one through `_tutte_eliminate`.  The inverse of a
+    skew-symmetric matrix is skew-symmetric.
     """
     n, p = g.n, TUTTE_PRIME
-    ends = np.array(g.edges(), dtype=np.uint64).reshape(-1, 2)
-    u, v = ends[:, 0], ends[:, 1]
-    key = (u << np.uint64(32) | v) * np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64
-    w = ((key ^ key >> np.uint64(29)) % np.uint64(p - 1)).astype(np.int64) + 1
-    a = np.zeros((n, 2 * n), dtype=np.int64)
-    a[u.astype(np.intp), v.astype(np.intp)] = w
-    a[v.astype(np.intp), u.astype(np.intp)] = p - w
-    a[:, n:] = np.eye(n, dtype=np.int64)
-    for c in range(n):
-        r = c + int(np.argmax(a[c:, c] != 0))
-        if not a[r, c]:
-            return None
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-        row = a[c] * pow(int(a[c, c]), -1, p) % p
-        a = (a - np.multiply.outer(a[:, c], row)) % p  # clears row c, refilled below
-        a[c] = row
-    inverse = a[:, n:].copy()
+    u, v = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    weights = _tutte_weights(n)
+    t = np.zeros((1, n, n), dtype=np.int64)
+    t[0, u, v] = weights[u, v]
+    t[0, v, u] = weights[v, u]
+    d, r = _tutte_eliminate(t)
+    if not d.all():
+        return None
+    inverse = r[0] * np.array([pow(x, -1, p) for x in d[0].tolist()])[:, None] % p
     inverse.flags.writeable = False
     return inverse
+
+
+def _tutte_certified(adj: np.ndarray, excludable: bool) -> np.ndarray:
+    """Which graphs of an (N, n, n) adjacency batch their Tutte inverse B
+    proves 1-extendable, or 1-excludable if `excludable`.
+
+    Every edge uv must have B[u, v] != 0 (g - u - v has a perfect
+    matching), or 1 + T[u, v] B[u, v] != 0 (g - uv has one); a singular T
+    proves nothing.  With diag(d) B = r from `_tutte_eliminate`, these read
+    r[u, v] != 0 and d[u] + T[u, v] r[u, v] != 0.  The order is not
+    checked: a 1-extendable graph needs at least 4 vertices.  At most
+    _TUTTE_ENTRIES entries of [T | I] are eliminated at once.
+    """
+    n = adj.shape[1]
+    weights = _tutte_weights(n)
+    step = max(1, _TUTTE_ENTRIES // (2 * n * n))
+    out = np.zeros(len(adj), dtype=bool)
+    for start in range(0, len(adj), step):
+        on = adj[start:start + step] != 0
+        t = np.where(on, weights, 0)
+        d, r = _tutte_eliminate(t)
+        if excludable:
+            r *= t
+            r += d[:, :, None]
+            r %= TUTTE_PRIME
+        out[start:start + step] = d.all(axis=1) & (r.astype(bool) | ~on).all(axis=(1, 2))
+    return out
 
 
 def _pfaffians(b: np.ndarray, cols: np.ndarray) -> np.ndarray:

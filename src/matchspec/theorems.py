@@ -6,7 +6,9 @@ graph is one of finitely many listed exceptions"; a TheoremVerdict records
 all three pieces so a sweep can hunt for genuine counterexamples
 (hypothesis and not conclusion and not a listed exception).  A single
 graph and a sweep's batch measure differently but share one hypothesis
-rule (`_meets`), one conclusion and one exception lookup.  A spectral
+rule (`_meets`), one conclusion and one exception lookup; a batch first
+certifies what it can of the conclusion at once (`_conclusion_mask`), and
+the single-graph conclusion decides the rest.  A spectral
 hypothesis, met with equality by its attaining family, is decided by
 `rho >= threshold - SPECTRAL_TOL`, a fixed band at that tie.
 """
@@ -258,6 +260,21 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) 
     solve = _meets(t, threshold, rho, connected, low)
     rho[solve] = np.linalg.eigvalsh(adj[solve].astype(np.float64))[:, -1]
     return solve & _meets(t, threshold, rho, connected, low)
+
+
+def _conclusion_mask(adj: np.ndarray, t: TheoremId) -> np.ndarray:
+    """Which graphs of an (N, n, n) adjacency batch are proved to meet t's
+    conclusion: the twin of `_hypothesis_mask`.
+
+    A graph is proved 1-extendable (t11, t14 at k = 1) or 1-excludable
+    (t13, t16) by the Tutte inverse of `matching`, one batched elimination
+    for the whole batch.  True is a proof; False proves nothing, and
+    `conclusion_holds` decides the graph.  Nothing is certified at k >= 2 or
+    on an order t does not cover.
+    """
+    if not t.covers(adj.shape[1]) or t.k not in (None, 1):
+        return np.zeros(len(adj), dtype=bool)
+    return matching._tutte_certified(adj, excludable=not t.about_extension)
 
 
 def conclusion_holds(g: Graph, t: TheoremId) -> bool:

@@ -366,6 +366,26 @@ def test_verify_refuses_n_together_with_input(capsys, n8_fixture_path):
     assert "--n" in err and "--input" in err and "not allowed" in err
 
 
+def test_successive_calls_share_no_parsed_state(capsys, monkeypatch, n8_fixture_path):
+    # main builds its argparse tree once per process; each call still
+    # parses from the defaults, and refusals stay refusals
+    assert cli.build_parser() is cli.build_parser()
+    for argv, ks in ((("--k", "2"), ["1", "2"]), ((), ["1"])):
+        monkeypatch.setattr("sys.stdin", io.StringIO("E~~?\n"))
+        code, out, _ = run_cli(capsys, "analyze", "--out", "json", *argv)
+        assert code == 0 and list(json.loads(out)["k_extendable"]) == ks
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify", "--charpolys", "--grid", "n=6..8")
+        assert code == 2 and out == "" and err == "error: --grid is not read by --charpolys\n"
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "t11", "--k", "1",
+                               "--input", n8_fixture_path, "--out", "json")
+        assert code == 0 and json.loads(out)["hypothesis_count"] == 44
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--theorem", "t11", "--k", "1", "--n", "6",
+                      "--input", n8_fixture_path])
+        assert exc.value.code == 2 and "not allowed" in capsys.readouterr().err
+
+
 def test_import_starts_no_process_machinery():
     # sweeps run in one process, so importing the package and its CLI
     # pulls in neither multiprocessing nor the process-pool executor

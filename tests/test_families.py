@@ -153,6 +153,17 @@ def test_partition_drops_empty_blocks():
     assert quotient_rows(spec) == [[0, 1], [1, 0]]
 
 
+@pytest.mark.parametrize("spec", [Complete(0), Empty(0), Union(()),
+                                  Join(Complete(0), Complete(3))], ids=repr)
+def test_spec_readers_refuse_what_build_refuses(spec):
+    with pytest.raises(ValueError) as built:
+        build(spec)
+    for reader in (edge_count, canonical_partition, quotient_rows):
+        with pytest.raises(ValueError) as read:
+            reader(spec)
+        assert str(read.value) == str(built.value), reader
+
+
 def test_partitions_follow_the_layout():
     identities = [_IDENTITIES[name](**params)[0] for name, params in default_identity_grid()]
     for spec in identities + _registry_and_host_specs():

@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from matchspec.enumeration import enumerate_connected
@@ -464,6 +465,33 @@ def test_direct_route_matches_reference_at_benchmark_orders():
     _assert_matches_reference(_random_connected_graph(rng, 24, 0.8), 1)
     _assert_matches_reference(cycle_graph(66), 2)
     assert matching._tutte_inverse.cache_info().misses >= 12
+
+
+def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
+    # one elimination serves the batch certificate and a single graph's
+    # inverse; past one 64-bit mask word, T B = I over GF(TUTTE_PRIME)
+    g = cycle_graph(66)
+    calls = []
+    eliminate = matching._tutte_eliminate
+
+    def counted(t):
+        calls.append(t.shape)
+        return eliminate(t)
+
+    monkeypatch.setattr(matching, "_tutte_eliminate", counted)
+    matching._tutte_inverse.cache_clear()
+    b = matching._tutte_inverse(g)
+    matching._tutte_inverse.cache_clear()
+    assert calls == [(1, 66, 66)]
+    on = np.zeros((66, 66), dtype=bool)
+    for u, v in g.edges():
+        on[u, v] = on[v, u] = True
+    t = np.where(on, matching._tutte_weights(66), 0)
+    product = t.astype(object).dot(b.astype(object)) % matching.TUTTE_PRIME
+    assert (product == np.eye(66, dtype=np.int64)).all()
+    assert (b.T == -b % matching.TUTTE_PRIME).all()  # skew-symmetric
+    # without a perfect matching the Tutte matrix is singular
+    assert matching._tutte_inverse(from_edge_list(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
 # --- the Pfaffian certificate against the blossom search ---------------------

@@ -2,22 +2,26 @@
 
 A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
 drops graphs whose Hong spectral-radius bound is already below a
-spectral threshold, and eigensolves the rest in one call.  These tests
-check each of those steps against an independent graph6 decoder,
-`spectral_radius` and `hypothesis_status`, graph by graph, and whole
-sweeps against `theorem_verdict`.
+spectral threshold, eigensolves the rest in one call, and certifies the
+conclusion of the graphs that meet the hypothesis from one batched Tutte
+matrix elimination.  These tests check each of those steps against an
+independent graph6 decoder, `spectral_radius`, `hypothesis_status` and
+`conclusion_holds`, graph by graph, and whole sweeps against
+`theorem_verdict`.
 """
 
 import os
+import random
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from matchspec import graphs, spectral, theorems
+from matchspec import families, graphs, matching, spectral, theorems
 from matchspec.enumeration import BuiltIn, File, sweep_theorem
-from matchspec.graphs import is_connected, parse_graph6
+from matchspec.graphs import from_edge_list, is_connected, parse_graph6, to_graph6
 from matchspec.theorems import TheoremId
 from oracles import reference_graph6_decode
 
@@ -30,6 +34,8 @@ GOLDEN = {"t11-k1": (TheoremId("t11", 1), None), "t13": (TheoremId("t13"), 2),
 SPECTRAL_TIES = {TheoremId("t14", 1): {"C}", "E~~?", "GTm~~{", "GUz~~{"},
                  TheoremId("t14", 2): {"E~~o", "GT~~~{"},
                  TheoremId("t16"): {"E~r?", "G?b~~{"}}
+# the statements whose conclusion the Tutte inverse certifies
+CERTIFIED = [TheoremId("t11", 1), TheoremId("t14", 1), TheoremId("t13"), TheoremId("t16")]
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +167,86 @@ def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixtu
         one, other = (sweep_theorem(source, t, chunk_size=size)
                       for size in (1024, 1500))
         assert one.to_json(include_timing=False) == other.to_json(include_timing=False)
+
+
+def test_conclusion_certificate_is_sound(by_order):
+    # every graph the batch certifies meets the conclusion by the direct
+    # route; the counts of graphs that meet it are observed data, and the
+    # certificate leaves none of them open at n = 6 and 8 (t13 and t16 do
+    # not cover n = 4, so nothing is certified there)
+    orders = {2: BuiltIn(2).graph6_lines(), **{n: lines for n, (lines, _, _) in by_order.items()}}
+    counts = {}
+    for n, lines in orders.items():
+        adj, _ = graphs._decode_graph6(lines, n)
+        gs = [parse_graph6(line) for line in lines]
+        for t in CERTIFIED:
+            certified = theorems._conclusion_mask(adj, t)
+            holds = np.array([theorems.conclusion_holds(g, t) for g in gs])
+            assert not (certified & ~holds).any(), (n, t)
+            counts[n, str(t)] = (int(holds.sum()), int((holds & ~certified).sum()))
+    assert counts == {
+        (2, "t11(k=1)"): (0, 0), (2, "t14(k=1)"): (0, 0), (2, "t13"): (0, 0), (2, "t16"): (0, 0),
+        (4, "t11(k=1)"): (2, 0), (4, "t14(k=1)"): (2, 0), (4, "t13"): (3, 3), (4, "t16"): (3, 3),
+        (6, "t11(k=1)"): (24, 0), (6, "t14(k=1)"): (24, 0), (6, "t13"): (48, 0),
+        (6, "t16"): (48, 0), (8, "t11(k=1)"): (3144, 0), (8, "t14(k=1)"): (3144, 0),
+        (8, "t13"): (6505, 0), (8, "t16"): (6505, 0)}
+
+
+def test_conclusion_certificate_stays_off_orders_and_k_it_does_not_cover(by_order):
+    # K2 minus its edge's ends is empty, so the inverse alone would pass it,
+    # but 1-extendability needs 4 vertices; k >= 2 is never certified
+    k2 = np.ones((1, 2, 2), dtype=np.uint8) - np.eye(2, dtype=np.uint8)
+    assert matching._tutte_certified(k2, excludable=False).all()
+    assert not theorems._conclusion_mask(k2, TheoremId("t11", 1)).any()
+    _, _, adj = by_order[8]
+    for t in (TheoremId("t11", 2), TheoremId("t14", 3)):
+        assert not theorems._conclusion_mask(adj, t).any()
+
+
+def _near_complete(rng: random.Random, n: int):
+    """A connected graph: K_n less up to 3n edges drawn at random."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        drop = set(rng.sample(range(len(pairs)), rng.randrange(3 * n)))
+        g = from_edge_list(n, [e for i, e in enumerate(pairs) if i not in drop])
+        if is_connected(g):
+            return g
+
+
+def _relabelled(g, rng: random.Random):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("n, count, t, min_deg, family", [
+    (62, 150, TheoremId("t13"), 2, ("thm13-f3", {"n": 62})),
+    (40, 50, TheoremId("t11", 1), None, ("thm11-exc1", {"n": 40, "k": 1})),
+], ids=["t13-n62", "t11-n40"])
+def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(tmp_path, n, count, t,
+                                                                 min_deg, family):
+    # dense graphs, about two thirds of which meet the hypothesis, and a
+    # relabelled listed exception: the certificate eliminates at most
+    # _TUTTE_ENTRIES entries at once, where all 95 met graphs of order 62
+    # at once would peak at about 22 MB
+    rng = random.Random(n)
+    gs = [_near_complete(rng, n) for _ in range(count)]
+    gs.append(_relabelled(families.build_named(family[0], **family[1]), rng))
+    path = tmp_path / f"n{n}.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in gs))
+    tracemalloc.start()
+    try:
+        report = sweep_theorem(File(str(path)), t, min_degree=min_deg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20
+    kept = [g for g in gs if min_deg is None or graphs.min_degree(g) >= min_deg]
+    verdicts = [(to_graph6(g), theorems.theorem_verdict(g, t)) for g in kept]
+    failing = sorted((g6, v.recognized) for g6, v in verdicts
+                     if v.hypothesis_met and not v.conclusion_met)
+    assert report.hypothesis_count == sum(v.hypothesis_met for _, v in verdicts) > count // 4
+    assert [(g6, (fam, params) if fam else None)
+            for g6, fam, params in report.exceptions_found] == failing
+    assert [rec for _, rec in failing] == [family]
+    assert report.counterexamples == ()
