@@ -13,13 +13,17 @@ Sweeps evaluate a threshold statement over a source, collecting the graphs
 that satisfy the hypothesis but fail the conclusion, tagging each with the
 registered exception family it matches (an unmatched one is a genuine
 counterexample).  A sweep works on chunks of graph6 lines, each as one
-batch of arrays:
+batch of arrays.  A chunk is sized by its adjacency entries, at most
+SOURCE_ENTRIES of them (4096 lines at n = 8, 68 at n = 62), so the
+per-chunk passes are paid a few times per source at small orders and the
+memory stays bounded at large ones:
 
 1. decode the chunk into an (N, n, n) uint8 adjacency tensor with the
    graph6 decoder of `graphs`; a line it rejects is named with its fault
    and the source and line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
-   hypothesis by the rule a single graph's verdict uses;
+   hypothesis by the rule a single graph's verdict uses, eigensolving only
+   the graphs a spectral-radius bound does not rule out;
 3. `theorems._conclusion_mask` certifies the conclusion of the graphs
    that meet it, from one batched Tutte matrix elimination; `Graph`
    objects only for the graphs it leaves open, for the conclusion and
@@ -50,8 +54,9 @@ ENUMERATION_CAP = 7
 # Published counts of connected graphs up to isomorphism (n = 1..7).
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
-# graph6 lines decoded as one batch by sweeps and the deficiency suites
-SOURCE_CHUNK = 1024
+# adjacency entries decoded as one batch by sweeps and the deficiency suites:
+# a chunk of order-n graph6 lines holds max(1, SOURCE_ENTRIES // n^2) of them
+SOURCE_ENTRIES = 1 << 18
 
 # the deficiency suites (l2.9, l2.10), as their source errors name them
 NO_PM_SUITES = "the deficiency bound suites"
@@ -234,15 +239,22 @@ def _located(source, index: int, message: str) -> ValueError:
         f"{source.describe()}:{source.line_number(index)}: {message}")
 
 
+def _chunk_rows(n: int) -> int:
+    """Graph6 lines of order n in a chunk of at most SOURCE_ENTRIES
+    adjacency entries (one line at least)."""
+    return max(1, SOURCE_ENTRIES // (n * n))
+
+
 def _source_chunks(source, needs: str, n: int | None = None,
-                   chunk_size: int = SOURCE_CHUNK):
+                   chunk_size: int | None = None):
     """Read the source once and yield (lines, adj) per chunk of graph6
     lines, adj being their (N, n, n) adjacency tensor.
 
     The source's lines are graph6 text as `graphs.graph6_text` leaves it.
     The order is n if given, else the first line's; every line must share
-    it.  An empty source, an odd order (`needs` says what needs an even one)
-    and a faulty line raise ValueError naming the source, and the line.
+    it.  A chunk holds chunk_size lines, by default `_chunk_rows(n)`.  An
+    empty source, an odd order (`needs` says what needs an even one) and a
+    faulty line raise ValueError naming the source, and the line.
     """
     lines = source.graph6_lines()
     if not lines:
@@ -255,6 +267,8 @@ def _source_chunks(source, needs: str, n: int | None = None,
             raise _located(source, 0, str(exc)) from None
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
+    if chunk_size is None:
+        chunk_size = _chunk_rows(n)
     for start in range(0, len(lines), chunk_size):
         chunk = lines[start:start + chunk_size]
         adj, bad = graphs._decode_graph6(chunk, n)
@@ -270,11 +284,12 @@ def _source_chunks(source, needs: str, n: int | None = None,
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
-                  jobs: int = 1, chunk_size: int = SOURCE_CHUNK) -> SweepReport:
+                  jobs: int = 1, chunk_size: int | None = None) -> SweepReport:
     """Evaluate theorem t over every graph in the source, in one process.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
-    identical for any chunk size (wall_time aside).  `jobs` is accepted and
+    identical for any chunk size (wall_time aside); by default a chunk holds
+    at most SOURCE_ENTRIES adjacency entries.  `jobs` is accepted and
     ignored.  An empty source, one of odd order, a malformed line, or one of
     another order than the first raises ValueError naming the source, and
     the line where there is one; an order t does not cover raises too,
@@ -575,9 +590,18 @@ def _complete_perfect_matchings(n: int) -> np.ndarray:
 
 def _covered_by_perfect_matching(adj: np.ndarray) -> np.ndarray:
     """Which graphs of an (N, n, n) adjacency tensor contain one of the
-    perfect matchings of K_n, that is, have a perfect matching."""
+    perfect matchings of K_n, that is, have a perfect matching.
+
+    A graph's test gathers (n-1)!! * n/2 adjacency entries; at most
+    SOURCE_ENTRIES of them are gathered at once, one graph's at least.
+    """
     pairs = _complete_perfect_matchings(adj.shape[1])
-    return adj[:, pairs[..., 0], pairs[..., 1]].all(-1).any(-1)
+    step = max(1, SOURCE_ENTRIES // max(1, pairs.size // 2))
+    out = np.zeros(len(adj), dtype=bool)
+    for start in range(0, len(adj), step):
+        part = adj[start:start + step, pairs[..., 0], pairs[..., 1]]
+        out[start:start + step] = part.all(-1).any(-1)
+    return out
 
 
 def _graphs_without_pm(source, n: int) -> list[Graph]:

@@ -66,15 +66,21 @@ def spectral_radius(g: Graph) -> SpectralResult:
     return SpectralResult(rho, tuple(float(x) for x in vec), residual)
 
 
-def radius_upper_bound(m, n: int) -> np.ndarray:
-    """Upper bound on the spectral radius of connected graphs with n vertices
-    and m edges, elementwise over an array of edge counts: Hong's
-    sqrt(2m - n + 1) (Hong, Linear Algebra Appl. 108, 1988).
+def radius_upper_bound(m, n: int, low) -> np.ndarray:
+    """Upper bound on the spectral radius of graphs with n vertices, m edges
+    and minimum degree `low`, elementwise over arrays of m and low: the
+    Hong-Shu-Fang bound (low - 1 + sqrt((low + 1)^2 + 4(2m - low n))) / 2
+    (Hong, Shu and Fang, J. Combin. Theory Ser. B 81, 2001, for connected
+    graphs; Nikiforov, Combin. Probab. Comput. 11, 2002, for every graph).
 
-    Stanley's (-1 + sqrt(1 + 8m)) / 2 is never smaller on a simple graph:
-    it exceeds Hong's exactly when m < C(n, 2), and both are n - 1 at K_n.
+    It is tight on regular graphs and on graphs whose degrees are low and
+    n - 1 only.  At low = 1 it is Hong's sqrt(2m - n + 1), bit for bit, and
+    at low = 0 Stanley's (-1 + sqrt(1 + 8m)) / 2: every term is an integer
+    held exactly, and the square root of 4x halves to that of x exactly.
     """
-    return np.sqrt(2.0 * np.asarray(m, dtype=np.float64) - n + 1.0)
+    m = np.asarray(m, dtype=np.float64)
+    low = np.asarray(low, dtype=np.float64)
+    return (low - 1.0 + np.sqrt((low + 1.0) ** 2 + 4.0 * (2.0 * m - low * n))) / 2.0
 
 
 # ---------------------------------------------------------------------------

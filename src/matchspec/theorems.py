@@ -27,7 +27,7 @@ from .graphs import Graph, _bit_rows, _connected, is_connected, min_degree
 SPECTRAL_TOL = 1e-9
 
 # A graph is dropped from a spectral batch without an eigensolve only when
-# its Hong bound falls short of the threshold (less SPECTRAL_TOL)
+# its Hong-Shu-Fang bound falls short of the threshold (less SPECTRAL_TOL)
 # by more than this: far above the bound's floating-point rounding error.
 PRUNE_MARGIN = 1e-6
 
@@ -241,8 +241,8 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) 
     decides by the rule `hypothesis_status` uses.  The threshold comes
     first, before any filter, so an order t does not cover raises even when
     the filter keeps no graph.  A spectral hypothesis eigensolves only the
-    graphs whose Hong bound (`spectral.radius_upper_bound`), raised by
-    PRUNE_MARGIN, meets it.
+    graphs whose Hong-Shu-Fang bound (`spectral.radius_upper_bound`, read
+    off the edge count and minimum degree), raised by PRUNE_MARGIN, meets it.
     """
     n = adj.shape[1]
     threshold = hypothesis_threshold(t, n)
@@ -256,7 +256,8 @@ def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) 
     if t.uses_size:
         return _meets(t, threshold, m, connected, low)
     rho = np.zeros(len(adj))
-    rho[connected] = spectral.radius_upper_bound(m[connected], n) + PRUNE_MARGIN
+    rho[connected] = spectral.radius_upper_bound(
+        m[connected], n, low[connected]) + PRUNE_MARGIN
     solve = _meets(t, threshold, rho, connected, low)
     rho[solve] = np.linalg.eigvalsh(adj[solve].astype(np.float64))[:, -1]
     return solve & _meets(t, threshold, rho, connected, low)

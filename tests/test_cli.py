@@ -427,12 +427,12 @@ def test_verify_names_file_and_line_of_a_bad_graph(capsys, tmp_path,
     with open(n8_fixture_path) as fh:
         good = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     # the bad line follows comments and blank lines, in the first chunk of
-    # the sweep or in the second (chunks hold 1024 graphs)
+    # the sweep or in the second
     head = ["# header", "", good[0], "# note", good[1]]
     path = tmp_path / "bad.g6"
-    for skip in (0, 1024):
+    for skip in (0, enumeration._chunk_rows(8)):
         where = len(head) + skip + 1
-        lines = head + good[2:2 + skip] + [bad] + good[2 + skip:3000]
+        lines = head + good[2:2 + skip] + [bad] + good[2 + skip:skip + 3000]
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(capsys, "verify", "--theorem", "t13",
                                  "--input", str(path))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -10,8 +11,9 @@ from matchspec.enumeration import (CONNECTED_GRAPH_COUNTS, BuiltIn, File,
                                    default_identity_grid, enumerate_connected,
                                    sweep_theorem, verify_charpoly_identities,
                                    verify_lemma)
-from matchspec.graphs import (all_pairs, are_isomorphic, is_connected,
-                              parse_graph6, to_graph6)
+from matchspec.graphs import (all_pairs, are_isomorphic, complete_graph,
+                              from_edge_list, is_connected, parse_graph6,
+                              to_graph6)
 from matchspec.matching import has_perfect_matching
 from matchspec.spectral import adjacency_matrix
 from matchspec.theorems import TheoremId
@@ -146,6 +148,26 @@ def test_graphs_without_pm_match_the_blossom_loop(n8_fixture_path):
         assert got, n
 
 
+def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):
+    # at n = 12 the filter gathers 10395 * 6 entries per graph, a 22 MB peak
+    # for these 301 graphs at once; the star has no perfect matching
+    rng = random.Random(12)
+    gs = [enumeration._random_connected(rng, 12) for _ in range(300)]
+    gs.append(from_edge_list(12, [(0, v) for v in range(1, 12)]))
+    path = tmp_path / "n12.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in gs))
+    enumeration._complete_perfect_matchings(12)  # cached, not counted
+    tracemalloc.start()
+    try:
+        got = enumeration._graphs_without_pm(File(str(path)), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+    lines = File(str(path)).graph6_lines()
+    assert [to_graph6(g) for g in got] == graphs_without_pm_reference(lines) != []
+
+
 # --- sweeps -----------------------------------------------------------------
 
 def test_sweep_t11_n6():
@@ -196,6 +218,21 @@ def test_sweep_refuses_an_uncovered_order_whatever_min_degree_keeps(n8_fixture_p
                 sweep_theorem(File(n8_fixture_path), t, min_degree=min_degree)
     report = sweep_theorem(File(n8_fixture_path), TheoremId("t16"), min_degree=9)
     assert (report.graphs_scanned, report.hypothesis_count) == (11117, 0)
+
+
+def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path):
+    for n in range(2, 63):
+        rows = enumeration._chunk_rows(n)
+        # one row at least, and as many as the budget holds
+        assert 1 <= rows and rows * n * n <= enumeration.SOURCE_ENTRIES < (rows + 1) * n * n, n
+    # a source read with the default: full chunks of 4096 lines at n = 8,
+    # of 68 at n = 62
+    chunks = enumeration._source_chunks(File(n8_fixture_path), "sweeps")
+    assert [adj.shape for _, adj in chunks] == [(4096, 8, 8)] * 2 + [(2925, 8, 8)]
+    path = tmp_path / "k62.g6"
+    path.write_text((to_graph6(complete_graph(62)) + "\n") * 69)
+    chunks = enumeration._source_chunks(File(str(path)), "sweeps")
+    assert [adj.shape for _, adj in chunks] == [(68, 62, 62), (1, 62, 62)]
 
 
 def test_sweep_report_independent_of_chunk_size():

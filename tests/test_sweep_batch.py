@@ -1,7 +1,7 @@
 """The batched sweep path against the per-graph one, on every graph with n <= 8.
 
 A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
-drops graphs whose Hong spectral-radius bound is already below a
+drops graphs whose Hong-Shu-Fang spectral-radius bound is already below a
 spectral threshold, eigensolves the rest in one call, and certifies the
 conclusion of the graphs that meet the hypothesis from one batched Tutte
 matrix elimination.  These tests check each of those steps against an
@@ -21,7 +21,8 @@ import pytest
 
 from matchspec import families, graphs, matching, spectral, theorems
 from matchspec.enumeration import BuiltIn, File, sweep_theorem
-from matchspec.graphs import from_edge_list, is_connected, parse_graph6, to_graph6
+from matchspec.graphs import (complete_graph, cycle_graph, from_edge_list, is_connected,
+                              join, parse_graph6, to_graph6)
 from matchspec.theorems import TheoremId
 from oracles import reference_graph6_decode
 
@@ -79,9 +80,54 @@ def test_radius_bound_holds_on_every_connected_graph(by_order):
     for _, gs, _ in by_order.values():
         connected = [g for g in gs if is_connected(g)]
         rho = np.array([spectral.spectral_radius(g).rho for g in connected])
-        bound = spectral.radius_upper_bound([g.m for g in connected], gs[0].n)
-        # equality (complete graphs and stars) up to eigensolver rounding
+        bound = spectral.radius_upper_bound([g.m for g in connected], gs[0].n,
+                                            [graphs.min_degree(g) for g in connected])
+        # equality (regular graphs, stars) up to eigensolver rounding
         assert np.all(rho <= bound + 1e-12)
+
+
+def _wheel(n):
+    """A hub joined to the cycle on the other n - 1 vertices."""
+    return join(complete_graph(1), cycle_graph(n - 1))
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(2), complete_graph(5), complete_graph(8), cycle_graph(5),
+    cycle_graph(8), from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    from_edge_list(8, [(u, u | (1 << b)) for u in range(8) for b in range(3) if not u >> b & 1]),
+    _wheel(7), _wheel(8),
+], ids=["K2", "K5", "K8", "C5", "C8", "K33", "Q3", "W7", "W8"])
+def test_radius_bound_is_exact_on_its_equality_cases(g):
+    # regular graphs, and graphs whose degrees are the minimum and n - 1
+    # only (the wheel's are 3 and n - 1), meet the bound with equality
+    low = graphs.min_degree(g)
+    bound = spectral.radius_upper_bound(g.m, g.n, low)
+    assert abs(spectral.spectral_radius(g).rho - bound) <= 1e-12
+    if low > 1 and low < g.n - 1:  # where Hong's bound is strictly weaker
+        assert spectral.radius_upper_bound(g.m, g.n, 1) > bound + 0.1
+
+
+def test_radius_bound_at_minimum_degree_one_is_hongs_bit_for_bit():
+    for n in range(1, 63):
+        m = np.arange(n - 1, n * (n - 1) // 2 + 1)
+        hong = np.sqrt(2.0 * m - n + 1.0)
+        assert np.array_equal(spectral.radius_upper_bound(m, n, 1), hong), n
+
+
+def test_eigensolve_counts_at_n8(by_order):
+    # the graphs the mask sends to the eigensolver: connected, with the
+    # statement's minimum degree, and not ruled out by the bound; a weaker
+    # cut changes these counts
+    _, _, adj = by_order[8]
+    deg = adj.sum(axis=2)
+    low, m = deg.min(axis=1), deg.sum(axis=1) // 2
+    connected = graphs._connected(graphs._bit_rows(adj))
+    bound = spectral.radius_upper_bound(m, 8, low) + theorems.PRUNE_MARGIN
+    counts = []
+    for t, min_deg in (GOLDEN["t14-k1"], GOLDEN["t16"]):
+        floor = theorems.hypothesis_threshold(t, 8) - theorems.SPECTRAL_TOL
+        counts.append(int((connected & (low >= (min_deg or 0)) & (bound >= floor)).sum()))
+    assert counts == [23, 900]
 
 
 def test_hypothesis_counts_at_n8(by_order):
