@@ -611,8 +611,9 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     by parity).  Each decoded chunk is tested against every perfect
     matching of K_n at once: a graph whose edges contain one of them is
     proved to have a perfect matching by that explicit matching, and is
-    dropped.  Only the graphs no matching covers become a `Graph`, and each
-    is confirmed by its Berge-Tutte witness, re-validated by an explicit
+    dropped.  The graphs no matching covers get their Berge-Tutte sets from
+    one subset scan per chunk (`matching._berge_tutte_deficiencies`), and
+    each becomes a `Graph` whose witness is re-validated by an explicit
     odd-component count, so no verdict rests on the filter alone.  The
     source is read as a sweep reads it, so an empty source, an odd n, a
     malformed line or one of another order than n raises ValueError naming
@@ -621,9 +622,10 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     out = []
     for lines, adj in _source_chunks(source, NO_PM_SUITES, n):
         rest = np.flatnonzero(~_covered_by_perfect_matching(adj))
-        for i, row in zip(rest, graphs._bit_rows(adj[rest]).tolist()):
+        rows = graphs._bit_rows(adj[rest])
+        for i, row, (d, witness) in zip(rest, rows.tolist(),
+                                        matching._berge_tutte_deficiencies(rows)):
             g = Graph(n, tuple(row))
-            d, witness = matching.berge_tutte_deficiency(g)
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
                     f"deficiency witness failed to re-validate on {lines[i]}")
@@ -682,9 +684,9 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
         best = 0.0
-        for g in qualifying:
+        rows = np.array([g.adj for g in qualifying], dtype=np.int64).reshape(-1, n)
+        for g, rho in zip(qualifying, spectral._radii(rows).tolist()):
             instances += 1
-            rho = spectral.spectral_radius(g).rho
             best = max(best, rho)
             if rho > bound + LEMMA_TOL:
                 violations.append(

@@ -51,14 +51,17 @@ The criterion route scans the vertex subsets of a graph once: a private
 table holds o(g-S) for every subset mask S, and the Berge-Tutte
 deficiency, the k-extendability criterion and the 1-excludability
 criterion all read it.  The table of the most recent graph is memoised,
-so checking one graph several ways pays for one scan.  It is filled with
-numpy for every remaining set R = V-S at once: a batched flood grows the
-component C of R's lowest vertex one breadth-first layer per pass, then
-o(R) = o(R-C) + [|C| odd] is summed along the links R -> R-C.  The readers
-scan the table as arrays and run Python only on the subsets that could
-violate their criterion, in mask order, so every witness is the first in
-mask order.  At n = SUBSET_SCAN_CAP = 20 a table takes about 0.1 s and
-18 MB of work arrays to build, and keeps 1 MB.
+so checking one graph several ways pays for one scan.  One routine,
+`_odd_component_counts`, fills the tables of a batch of graphs with numpy,
+for every remaining set R = V-S of every graph at once: a batched flood
+grows the component C of R's lowest vertex one breadth-first layer per
+pass, then o(R) = o(R-C) + [|C| odd] is summed along the links R -> R-C.
+A single graph's table is a batch of one; the deficiency suites scan
+their graphs without a perfect matching in batches of bounded size.  The
+readers scan the table as arrays and run Python only on the subsets that
+could violate their criterion, in mask order, so every witness is the
+first in mask order.  At n = SUBSET_SCAN_CAP = 20 a table takes about
+0.1 s and 18 MB of work arrays to build, and keeps 1 MB.
 """
 
 from __future__ import annotations
@@ -267,41 +270,89 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
-@lru_cache(maxsize=1)
-def _odd_component_table(g: Graph) -> bytes:
-    """o(g-S) for every vertex subset S, indexed by the mask of S.
+def _odd_component_counts(rows) -> np.ndarray:
+    """o(g[R]) for every vertex set R of each graph of a batch, as a uint8
+    array holding graph i's o(g[R]) at address i << n | R.
 
-    Exponential in n; refuses n > SUBSET_SCAN_CAP.  Filled for every
-    remaining set R = V-S at once, on 32-bit mask arrays:
+    rows[i][v] is the neighbour bit mask of vertex v in graph i: rows is an
+    (N, n) array, or a list of one graph's adjacency.  Exponential in n;
+    refuses n > SUBSET_SCAN_CAP.  The mask arrays below hold addresses
+    i << n | R, so every pass covers all sets R of all graphs at once:
     - flood: the component C of R's lowest vertex starts as that vertex
       and grows to (C + N(C)) & R, read from a table of C + N(C) for every
       mask, until no mask grows (one pass per breadth-first layer);
     - count: o(R) = [|C| odd] + o(R-C), summed along the links R -> R-C
-      -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most).
-    At n = SUBSET_SCAN_CAP (2^20 masks) a build takes about 0.1 s and
-    about 18 MB of work arrays; the table it keeps is 1 MB.
+      -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most); every
+      chain ends at address 0, whose count is 0.
+    A batch of one graph is addressed by R alone, with no graph bits.  At
+    n = SUBSET_SCAN_CAP (2^20 masks) one graph takes about 0.1 s and 18 MB
+    of work arrays, and its counts are 1 MB.
     """
-    if g.n > SUBSET_SCAN_CAP:
+    count, n = len(rows), len(rows[0])
+    if n > SUBSET_SCAN_CAP:
         raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
-    closed = np.zeros(1 << g.n, dtype=np.uint32)  # C + N(C) for every mask C
-    for v, nb in enumerate(g.adj):
-        np.bitwise_or(closed[:1 << v], nb | 1 << v, out=closed[1 << v:2 << v])
-    rem = np.arange(1 << g.n, dtype=np.uint32)
+    full = (1 << n) - 1
+    rem = np.arange(count << n, dtype=np.uint32)
+    closed = np.zeros(count << n, dtype=np.uint32)  # i << n | C + N(C) for every mask C
     comp = rem & -rem
+    if count == 1:
+        table, cols = closed, [nb | 1 << v for v, nb in enumerate(rows[0])]
+    else:
+        graph = rem & ~np.uint32(full)  # i << n
+        comp |= graph
+        table = closed.reshape(count, 1 << n).T  # table[C] holds every graph's C
+        table[0] = graph[::1 << n]
+        cols = (rows | np.left_shift(1, np.arange(n, dtype=np.uint32))).T
+    for v, col in enumerate(cols):
+        np.bitwise_or(table[:1 << v], col, out=table[1 << v:2 << v])
     while True:
         grown = closed[comp]
         grown &= rem
         if (grown == comp).all():
             break
         comp = grown
-    del closed, grown  # freed before the count pass allocates its own
-    odd = _popcounts(g.n)[comp] & 1
+    del closed, table, grown  # freed before the count pass allocates its own
+    odd = _popcounts(n)[comp & full if count > 1 else comp] & 1
     rest = np.bitwise_xor(rem, comp, out=comp)  # R - C
     del rem
+    if count > 1:
+        np.bitwise_or(rest, graph, out=rest, where=rest != 0)
     while rest.any():
         odd += odd[rest]
         rest = rest[rest]
-    return odd[::-1].tobytes()  # mask S holds o(R) for R = full - S
+    return odd
+
+
+def _deficiencies(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max over S of o(g-S) - |S|, and the first mask S in mask order that
+    attains it, for each of (..., 2^n) odd-component tables indexed by S."""
+    excess = tables.astype(np.int16)
+    excess -= _popcounts(tables.shape[-1].bit_length() - 1)
+    return excess.max(axis=-1), excess.argmax(axis=-1)
+
+
+_SCAN_ENTRIES = 1 << 16  # subset masks of the graphs scanned at once (256 KB per work array)
+
+
+def _berge_tutte_deficiencies(rows: np.ndarray) -> list[tuple[int, frozenset[int]]]:
+    """`berge_tutte_deficiency` of each graph of an (N, n) array of
+    neighbour masks, at most max(1, _SCAN_ENTRIES >> n) graphs per scan."""
+    out = []
+    n = rows.shape[1]
+    step = max(1, _SCAN_ENTRIES >> n)
+    for start in range(0, len(rows), step):
+        odd = _odd_component_counts(rows[start:start + step])
+        deficiency, best = _deficiencies(odd.reshape(-1, 1 << n)[:, ::-1])
+        out += [(d, frozenset(_mask_to_vertices(s)))
+                for d, s in zip(deficiency.tolist(), best.tolist())]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _odd_component_table(g: Graph) -> bytes:
+    """o(g-S) for every vertex subset S of g, indexed by the mask of S: a
+    batch of one through `_odd_component_counts`."""
+    return _odd_component_counts([g.adj])[::-1].tobytes()  # S holds o(g[full - S])
 
 
 def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
@@ -311,10 +362,8 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
     satisfies 2*nu = n - deficiency.  The first maximizing S in mask order
     is returned.
     """
-    excess = np.frombuffer(_odd_component_table(g), dtype=np.uint8).astype(np.int16)
-    excess -= _popcounts(g.n)
-    best = int(np.argmax(excess))
-    return int(excess[best]), frozenset(_mask_to_vertices(best))
+    deficiency, best = _deficiencies(np.frombuffer(_odd_component_table(g), dtype=np.uint8))
+    return int(deficiency), frozenset(_mask_to_vertices(int(best)))
 
 
 # ---------------------------------------------------------------------------

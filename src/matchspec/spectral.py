@@ -3,15 +3,17 @@
 Floating point eigenwork is delegated to LAPACK via numpy (dense symmetric
 solver; ample at n <= 62).  Everything that feeds the polynomial identity
 checks is exact: characteristic polynomials come from the Faddeev-LeVerrier
-recurrence over Python's arbitrary-precision integers/rationals, so displayed
-coefficient formulas can be compared coefficient by coefficient, not just
-numerically.
+recurrence over Python's unbounded integers, or over exact rationals when
+an entry is not an integer, so displayed coefficient formulas can be
+compared coefficient by coefficient, not just numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -49,8 +51,13 @@ def eigenvalues(g: Graph) -> list[float]:
     return [float(x) for x in vals[::-1]]
 
 
+@lru_cache(maxsize=1)
 def spectral_radius(g: Graph) -> SpectralResult:
-    """Largest adjacency eigenvalue plus Perron vector and residual."""
+    """Largest adjacency eigenvalue plus Perron vector and residual.
+
+    The most recent graph's result is memoised, so `analyze` and the
+    verdicts it asks for eigensolve a graph once.
+    """
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty graph")
     a = adjacency_matrix(g)
@@ -64,6 +71,17 @@ def spectral_radius(g: Graph) -> SpectralResult:
     vec = vec / np.linalg.norm(vec)
     residual = float(np.max(np.abs(a @ vec - rho * vec)))
     return SpectralResult(rho, tuple(float(x) for x in vec), residual)
+
+
+def _radii(rows: np.ndarray) -> np.ndarray:
+    """The spectral radius of each graph of an (N, n) array of neighbour
+    masks, from one eigh over the stack of their adjacency matrices.
+
+    eigh, as in `spectral_radius`, and not eigvalsh, whose values can
+    differ in the last bits: each radius equals spectral_radius(g).rho.
+    """
+    adj = rows[:, :, None] >> np.arange(rows.shape[1]) & 1
+    return np.linalg.eigh(adj.astype(np.float64))[0][:, -1]
 
 
 def radius_upper_bound(m, n: int, low) -> np.ndarray:
@@ -124,39 +142,35 @@ class Polynomial:
 def characteristic_polynomial(matrix) -> Polynomial:
     """det(xI - M) for a square matrix, exactly (Faddeev-LeVerrier).
 
-    Entries may be ints or Fractions; Python's unbounded integers make
-    overflow a non-issue.  Integer inputs always yield integer coefficients.
+    M_1 = M and M_k = M (M_(k-1) + c_(k-1) I), with c_k = -tr(M_k) / k the
+    coefficient of x^(n-k).  Integer entries stay Python ints: M_k is then
+    integral and k divides tr(M_k), so every coefficient is an int, and
+    Python ints do not overflow.  Other entries (Fractions, floats, bools) are
+    turned into exact Fractions first, a float to its binary value, and take
+    the same recurrence; a coefficient that comes out integral is an int.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("characteristic polynomial requires a square matrix")
-    m = [[Fraction(x) for x in row] for row in rows]
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    work = [row[:] for row in ident]
-    mk = None
+    m = [[x if type(x) is int else _normalize_coeff(Fraction(x)) for x in row]
+         for row in rows]
+    coeffs = [1]  # coeffs[k] multiplies x^(n-k)
+    mk = m
     for k in range(1, n + 1):
-        if k == 1:
-            mk = [row[:] for row in m]
-        else:
-            shifted = [[work[i][j] + (coeffs[-1] if i == j else 0)
-                        for j in range(n)] for i in range(n)]
-            mk = _mat_mul(m, shifted)
+        if k > 1:
+            c = coeffs[-1]
+            mk = _mat_mul(m, [[x + c if i == j else x for j, x in enumerate(row)]
+                              for i, row in enumerate(mk)])
         trace = sum(mk[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-        work = mk
-    # coeffs[i] multiplies x^(n-i); flip to ascending order
-    ascending = list(reversed(coeffs))
-    return Polynomial(tuple(ascending))
+        coeffs.append(_normalize_coeff(Fraction(-trace, k)))
+    return Polynomial(tuple(reversed(coeffs)))
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Each one is deliberately naive (exhaustive search, plain iteration, nested
 lists) so that it shares no code path with the routine it checks.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -72,6 +73,26 @@ def odd_component_table_reference(g: Graph) -> bytes:
             frontier = nxt & rem & ~comp
         odd[rem] = odd[rem & ~comp] + (comp.bit_count() & 1)
     return bytes(odd[::-1])  # mask S holds o(R) for R = full - S
+
+
+def characteristic_polynomial_reference(matrix) -> tuple:
+    """det(xI - M), ascending coefficients, by Faddeev-LeVerrier over Fractions.
+
+    Every entry becomes a Fraction and every step is a nested-list product;
+    an integral coefficient is returned as an int.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    coeffs = [Fraction(1)]  # coeffs[k] multiplies x^(n-k)
+    mk = m
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[mk[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
+                       for i in range(n)]
+            mk = [[sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                  for i in range(n)]
+        coeffs.append(-sum(mk[i][i] for i in range(n)) / k)
+    return tuple(int(c) if c.denominator == 1 else c for c in reversed(coeffs))
 
 
 def odd_bridges_reference(g: Graph, keep=None) -> frozenset:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from matchspec import cli, enumeration, theorems
@@ -47,6 +48,25 @@ def test_analyze_json_matches_library(capsys, tmp_path):
     assert t13["is_listed_exception"] and t13["threshold"] == 31
     t16 = doc["theorems"]["t16"]
     assert abs(t16["measured"] - t16["threshold"]) <= 1e-9
+
+
+def test_analyze_eigensolves_the_graph_once(capsys, tmp_path, monkeypatch):
+    # cmd_analyze and the t14 (k = 1, 2) and t16 verdicts all ask for rho
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(build_named("thm13-f3", n=10)) + "\n")
+    argv = ("analyze", "--input", str(path), "--k", "2", "--out", "json")
+    first = run_cli(capsys, *argv)  # the thresholds are cached from here on
+    spectral_radius.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run_cli(capsys, *argv) == first
+    assert calls == [(10, 10)]
 
 
 def test_analyze_reads_stdin(capsys, monkeypatch):

@@ -15,9 +15,9 @@ from matchspec.graphs import (all_pairs, are_isomorphic, complete_graph,
                               from_edge_list, is_connected, parse_graph6,
                               to_graph6)
 from matchspec.matching import has_perfect_matching
-from matchspec.spectral import adjacency_matrix
+from matchspec.spectral import adjacency_matrix, spectral_radius
 from matchspec.theorems import TheoremId
-from matchspec import enumeration
+from matchspec import enumeration, spectral
 
 from oracles import graphs_without_pm_reference
 
@@ -146,6 +146,16 @@ def test_graphs_without_pm_match_the_blossom_loop(n8_fixture_path):
         got = [to_graph6(g) for g in enumeration._graphs_without_pm(source, n)]
         assert got == graphs_without_pm_reference(source.graph6_lines())
         assert got, n
+
+
+def test_batched_radii_equal_spectral_radius(n8_fixture_path):
+    # l2.10 takes rho from one eigh over its qualifying graphs; its report's
+    # max_equality_gap needs each value bit for bit, not to a tolerance
+    for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
+        qualifying = enumeration._graphs_without_pm(source, n)
+        rows = np.array([g.adj for g in qualifying], dtype=np.int64)
+        radii = spectral._radii(rows).tolist()
+        assert radii == [spectral_radius(g).rho for g in qualifying] != []
 
 
 def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):

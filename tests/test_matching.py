@@ -154,6 +154,63 @@ def test_odd_component_table_memory_at_n18():
     assert peak <= 32 * (1 << 18)
 
 
+# --- batched subset scan ----------------------------------------------------
+
+def _batched_tables(gs):
+    # one scan of same-order graphs; row i is graph i's table, indexed by S
+    rows = np.array([g.adj for g in gs], dtype=np.uint8)
+    return matching._odd_component_counts(rows).reshape(len(gs), -1)[:, ::-1]
+
+
+def test_batched_scan_matches_reference_on_connected_n_le_7():
+    total = 0
+    for n in range(1, 8):
+        gs = enumerate_connected(n)
+        for g, row in zip(gs, _batched_tables(gs), strict=True):
+            assert row.tobytes() == odd_component_table_reference(g), g.adj
+        total += len(gs)
+    assert total == 996
+
+
+def test_batched_deficiency_matches_per_graph_on_n8_fixture(n8_fixture_path):
+    with open(n8_fixture_path) as fh:
+        gs = [parse_graph6(line) for line in fh if line.strip()]
+    rows = np.array([g.adj for g in gs], dtype=np.uint8)
+    assert len(rows) > matching._SCAN_ENTRIES >> 8  # several scans
+    assert matching._berge_tutte_deficiencies(rows) == [berge_tutte_deficiency(g) for g in gs]
+
+
+def test_batched_deficiency_splits_a_batch_over_the_budget(monkeypatch):
+    rng = random.Random(43)
+    gs = [random_graph(rng, 10, rng.choice((0.15, 0.3))) for _ in range(150)]
+    rows = np.array([g.adj for g in gs], dtype=np.uint16)
+    step = matching._SCAN_ENTRIES >> 10
+    scan = matching._odd_component_counts
+    sizes = []
+
+    def counted(batch):
+        sizes.append(len(batch))
+        return scan(batch)
+
+    monkeypatch.setattr(matching, "_odd_component_counts", counted)
+    got = matching._berge_tutte_deficiencies(rows)
+    assert sizes == [step] * (len(gs) // step) + [len(gs) % step]
+    monkeypatch.undo()
+    assert got == [berge_tutte_deficiency(g) for g in gs]
+    assert any(d > 0 for d, _ in got)
+    assert matching._berge_tutte_deficiencies(rows[:1]) == got[:1]  # an array batch of one
+
+
+def test_batched_deficiency_edge_cases():
+    assert matching._berge_tutte_deficiencies(np.zeros((0, 6), dtype=np.uint8)) == []
+    assert matching._berge_tutte_deficiencies(np.zeros((3, 0), dtype=np.uint8)) == [
+        (0, frozenset())] * 3
+    assert matching._berge_tutte_deficiencies(np.zeros((2, 1), dtype=np.uint8)) == [
+        (1, frozenset())] * 2
+    assert berge_tutte_deficiency(empty_graph(0)) == (0, frozenset())
+    assert berge_tutte_deficiency(empty_graph(1)) == (1, frozenset())
+
+
 # --- k-extendability --------------------------------------------------------
 
 def test_k_extendable_examples():

@@ -5,14 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchspec.families import build, build_named, canonical_partition, named_spec
+from matchspec import enumeration
+from matchspec.families import (build, build_named, canonical_partition, named_spec,
+                                quotient_rows)
 from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list, join)
 from matchspec.spectral import (Partition, Polynomial, adjacency_matrix,
                                 characteristic_polynomial, eigenvalues,
                                 largest_real_root, quotient_matrix,
                                 spectral_radius, theta)
-from oracles import adjacency_matrix_exact, power_iteration_rho
+from oracles import (adjacency_matrix_exact, characteristic_polynomial_reference,
+                     power_iteration_rho)
 
 
 def random_graph(rng, n, p=0.5):
@@ -129,6 +132,38 @@ def test_charpoly_rational_entries():
     m = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
     p = characteristic_polynomial(m)
     assert p.coeffs == (0, -1, 1)  # x^2 - x
+
+
+def test_charpoly_non_integer_entries():
+    assert characteristic_polynomial([[0.5]]).coeffs == (Fraction(-1, 2), 1)
+    p = characteristic_polynomial([[False, True], [True, False]])
+    assert p.coeffs == (-1, 0, 1) and all(type(c) is int for c in p.coeffs)
+    assert characteristic_polynomial([]).coeffs == (1,)
+    m = [[Fraction(1, 3), 2], [0.25, -1]]
+    assert characteristic_polynomial(m).coeffs == characteristic_polynomial_reference(m)
+
+
+def _assert_int_charpoly(rows):
+    got = characteristic_polynomial(rows).coeffs
+    assert got == characteristic_polynomial_reference(rows), rows
+    assert all(type(c) is int for c in got), rows
+
+
+def test_integer_charpoly_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        _assert_int_charpoly([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+def test_integer_charpoly_matches_fraction_reference_on_quotients():
+    specs = [named_spec(fid, **params)
+             for fid, params in enumeration._registry_grid(range(6, 15))]
+    specs += [enumeration._IDENTITIES[name](**params)[0]
+              for name, params in enumeration.default_identity_grid()]
+    assert len(specs) > 100
+    for spec in specs:
+        _assert_int_charpoly(quotient_rows(spec))
 
 
 def test_charpoly_vanishes_at_eigenvalues():
