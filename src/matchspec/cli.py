@@ -37,11 +37,15 @@ def _emit(out: str, doc: dict, rows: list[list] | None, print_text) -> None:
 
 
 def _load_graph(args) -> graphs.Graph:
-    if args.input == "-":
-        lines, where = sys.stdin.read().splitlines(), "stdin"
+    """The input's first graph; stdin and a file give their bytes to one reader."""
+    if args.input == "-":  # an io.StringIO standing in for stdin has no buffer
+        stdin, where = sys.stdin, "stdin"
+        data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode()
     else:
-        source = File(args.input)
-        lines, where = source._numbered_lines(str.strip), source.describe()
+        where = File(args.input).describe()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    lines = enumeration.decode_lines(data, where)
     if args.format == "edgelist":
         return graphs.parse_edge_list(lines, where)
     for number, line in enumerate(map(graphs.graph6_text, lines), 1):

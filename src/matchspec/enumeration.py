@@ -51,9 +51,6 @@ from .theorems import TheoremId
 
 ENUMERATION_CAP = 7
 
-# Published counts of connected graphs up to isomorphism (n = 1..7).
-CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-
 # adjacency entries decoded as one batch by sweeps and the deficiency suites:
 # a chunk of order-n graph6 lines holds max(1, SOURCE_ENTRIES // n^2) of them
 SOURCE_ENTRIES = 1 << 18
@@ -141,27 +138,30 @@ class BuiltIn:
         return f"builtin:n={self.n}"
 
 
+def decode_lines(data: bytes, where: str) -> list[str]:
+    """The lines of data, split at b"\\n" and each decoded as UTF-8 on its own.
+    The first line that fails raises ValueError `where:K: ...`, K its 1-based
+    number; the message counts the bad byte's position within that line."""
+    raw = data.split(b"\n")
+    try:
+        return [line.decode() for line in raw]
+    except UnicodeDecodeError as exc:  # exc.object: the first line that fails
+        raise ValueError(f"{where}:{raw.index(exc.object) + 1}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class File:
-    """graph6 lines from a file, read once per instance and each line by
+    """graph6 lines from a file, read once per instance by `decode_lines` and
     `graphs.graph6_text` (blank, '#' and bare `>>graph6<<` lines are skipped)."""
 
     path: str
 
-    def _numbered_lines(self, rule=graphs.graph6_text) -> list[str]:
-        """Line k of the file by `rule`, at index k - 1; each line is decoded as
-        UTF-8 on its own, and one that fails raises ValueError naming it."""
-        with open(self.path, "rb") as fh:
-            try:
-                return [rule(raw.decode()) for raw in fh]
-            except UnicodeDecodeError as exc:  # exc.object: the first line that fails
-                fh.seek(0)
-                number = next(k for k, raw in enumerate(fh, 1) if raw == exc.object)
-                raise ValueError(f"{self.describe()}:{number}: {exc}") from None
-
     @cached_property
     def _lines(self) -> list[str]:
-        return self._numbered_lines()
+        """Line k of the file by `graphs.graph6_text`, at index k - 1."""
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        return list(map(graphs.graph6_text, decode_lines(data, self.describe())))
 
     def graph6_lines(self) -> list[str]:
         return [line for line in self._lines if line]
@@ -908,8 +908,7 @@ def verify_charpoly_identities(grid=None) -> LemmaReport:
 
 
 __all__ = [
-    "ENUMERATION_CAP", "CONNECTED_GRAPH_COUNTS", "enumerate_connected",
-    "BuiltIn", "File", "SweepReport", "sweep_theorem", "LemmaReport",
-    "LEMMA_IDS", "verify_lemma", "verify_charpoly_identities",
-    "default_identity_grid", "SWEEP_SCHEMA", "LEMMA_SCHEMA",
+    "ENUMERATION_CAP", "enumerate_connected", "BuiltIn", "File", "decode_lines",
+    "SweepReport", "sweep_theorem", "LemmaReport", "LEMMA_IDS", "verify_lemma",
+    "verify_charpoly_identities", "default_identity_grid", "SWEEP_SCHEMA", "LEMMA_SCHEMA",
 ]

@@ -1,8 +1,8 @@
 """Simple undirected graphs on labeled vertices 0..n-1.
 
 Vertices are small integers and adjacency is kept as per-vertex bit masks,
-which makes adjacency tests O(1) and component/subset scans cheap for the
-n <= 62 range this library targets (the graph6 short format ceiling).
+which makes adjacency tests O(1) and component/subset scans cheap.  Graphs
+have no order cap; the graph6 codec stops at n <= 62, its short format.
 All graphs are immutable after construction; every operation returns a new
 Graph, so values can be shared freely.
 """
@@ -136,11 +136,10 @@ def graph6_text(line: str) -> str:
 def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode graph6 text of order n into one (N, n, n) uint8 adjacency tensor.
 
-    Bit layout: header byte n+63, then the upper triangle in column order
-    x(0,1), x(0,2), x(1,2), x(0,3), ... packed big-endian into 6-bit
-    groups, each group offset by 63.  Also returns the indices of the lines
-    failing a check (width, header byte, character range, zero padding
-    bits), whose rows are garbage.
+    Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
+    order, packed big-endian into 6-bit groups, each group offset by 63.  Also
+    returns the indices of the lines failing a check (width, header byte,
+    character range, zero padding bits), whose rows are garbage.
     """
     count = len(lines)
     nbits = comb(n, 2)
@@ -154,7 +153,7 @@ def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     bits = bits.reshape(count, -1)
     bad |= bits[:, nbits:].any(axis=1)
     adj = np.zeros((count, n, n), dtype=np.uint8)
-    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # (i, j) in slot order
+    i, j = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2).T
     adj[:, i, j] = bits[:, :nbits]
     adj[:, j, i] = bits[:, :nbits]
     return adj, np.flatnonzero(bad)
@@ -193,19 +192,10 @@ def to_graph6(g: Graph) -> str:
     """Encode in graph6 short format for this labeling (no canonicalization)."""
     if g.n > 62:
         raise ValueError("graph6 short format supports n <= 62 only")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    bits = "".join(["01"[g.adj[i] >> j & 1] for i, j in all_pairs(g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join([chr(int(bits[k:k + 6], 2) + 63)
+                                    for k in range(0, len(bits), 6)])
 
 
 def parse_edge_list(lines, where: str = "edge list") -> Graph:

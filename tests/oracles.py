@@ -14,6 +14,9 @@ from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
                                 has_perfect_matching)
 from matchspec.spectral import adjacency_matrix
 
+# Published counts of connected graphs up to isomorphism (n = 1..7).
+CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
 
 def reference_graph6_decode(line):
     """Independent bit-level graph6 decoder: (n, sorted edge list)."""

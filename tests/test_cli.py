@@ -22,6 +22,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def feed_stdin(monkeypatch, data: bytes, text: bool = False):
+    """Stand in for stdin with data: a stream with a byte buffer, as a real
+    stdin has, or with text=True an io.StringIO, which has none."""
+    stream = (io.StringIO(data.decode()) if text
+              else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", stream)
+
+
 def test_analyze_text(capsys, tmp_path):
     path = tmp_path / "g.g6"
     path.write_text(to_graph6(build_named("thm11-exc2", k=1)) + "\n")
@@ -85,17 +93,26 @@ def test_analyze_edgelist_and_odd_order(capsys, tmp_path):
     assert "N/A (odd order)" in out
 
 
-@pytest.mark.parametrize("third, message", [
-    (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
-    (b"1 x\n", "invalid literal for int() with base 10: 'x'"),
-], ids=["not-utf8", "not-an-integer"])
-def test_analyze_edgelist_names_file_and_line(capsys, tmp_path, third, message):
-    path = tmp_path / "bad.edges"
-    path.write_bytes(b"4\n0 1\n" + third)
+@pytest.mark.parametrize("stdin, third, message", [
+    (False, b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (False, b"1 x\n", "invalid literal for int() with base 10: 'x'"),
+    (True, b"1 \xff\n", "'utf-8' codec can't decode byte 0xff in position 2"),
+    (True, b"1 x\n", "invalid literal for int() with base 10: 'x'"),
+], ids=["not-utf8", "not-an-integer", "stdin-not-utf8", "stdin-not-an-integer"])
+def test_analyze_edgelist_names_file_and_line(capsys, tmp_path, monkeypatch,
+                                              stdin, third, message):
+    data = b"4\n0 1\n" + third
+    if stdin:
+        feed_stdin(monkeypatch, data)
+        path, where = "-", "stdin"
+    else:
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        where = f"file:{path}"
     code, out, err = run_cli(capsys, "analyze", "--input", str(path),
                              "--format", "edgelist")
     assert code == 2 and out == ""
-    assert err.startswith(f"error: file:{path}:3: {message}")
+    assert err.startswith(f"error: {where}:3: {message}")
 
 
 def test_analyze_of_a_bare_graph6_header_is_a_parse_error(capsys, monkeypatch):
@@ -116,19 +133,56 @@ def test_analyze_names_the_line_that_is_not_utf8(capsys, tmp_path):
     assert err.startswith(f"error: file:{path}:2: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
-def test_analyze_names_the_line_of_a_bad_graph6(capsys, tmp_path, monkeypatch, stdin):
-    text = "# one graph\n\nC~x\n"
+@pytest.mark.parametrize("stdin, data, message", [
+    (None, b"# one graph\n\nC~x\n", "3: graph6 body has 2 chars, expected 1 for n=4"),
+    ("text", b"# one graph\n\nC~x\n", "3: graph6 body has 2 chars, expected 1 for n=4"),
+    ("bytes", b"C~\nCl\xff\n",
+     "2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ("bytes", b"C~\fCl\n", "1: graph6 body has 4 chars, expected 1 for n=4"),
+    ("bytes", b"C~\rCl\n", "1: graph6 body has 4 chars, expected 1 for n=4"),
+], ids=["file", "stdin", "stdin-not-utf8", "stdin-form-feed", "stdin-carriage-return"])
+def test_analyze_names_the_line_of_a_bad_graph6(capsys, tmp_path, monkeypatch,
+                                                stdin, data, message):
     if stdin:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, data, text=stdin == "text")
         path, where = "-", "stdin"
     else:
         path = tmp_path / "G"
-        path.write_text(text)
+        path.write_bytes(data)
         where = f"file:{path}"
     code, out, err = run_cli(capsys, "analyze", "--input", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: {where}:3: graph6 body has 2 chars, expected 1 for n=4\n"
+    assert err == f"error: {where}:{message}\n"
+
+
+# the same bytes through --input FILE and through stdin: graph6 puts one graph
+# on each b"\n"-ended line, and each line is decoded as UTF-8 on its own
+PARITY_INPUTS = {
+    "not-utf8": b"C~\nCl\xff\n",
+    "form-feed": b"C~\fCl\n",
+    "carriage-return": b"C~\rCl\n",
+    "edgelist-not-utf8": b"4\n0 1\n1 \xff\n",
+    "crlf": b"C~\r\nCl\r\n",
+    "edgelist-crlf": b"4\r\n0 1\r\n1 2\r\n",
+    "header": b">>graph6<<C~\n",
+    "blank-and-comment": b"# two graphs\n\n  \nC~\n#\nCl\n",
+    "edgelist-blank-and-comment": b"# a path\n4\n\n0 1\n# two more\n1 2\n2 3\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["g6", "edgelist"])
+@pytest.mark.parametrize("data", PARITY_INPUTS.values(), ids=PARITY_INPUTS)
+def test_analyze_reads_stdin_as_it_reads_a_file(capsys, tmp_path, monkeypatch,
+                                                 data, fmt):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    by_file = run_cli(capsys, "analyze", "--input", str(path), "--format", fmt)
+    feed_stdin(monkeypatch, data)
+    code, out, err = run_cli(capsys, "analyze", "--format", fmt)
+    assert (code, out, err) == (by_file[0], by_file[1],
+                                by_file[2].replace(f"file:{path}", "stdin"))
+    if b"\xff" in data:  # the position counts from the start of the bad line
+        assert code == 2 and "byte 0xff in position 2" in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -309,13 +363,13 @@ def test_verify_lemma_csv_and_json(capsys, monkeypatch):
 def test_verify_deficiency_lemma_reads_its_input_once(capsys, monkeypatch,
                                                       n8_fixture_path):
     reads = []
-    numbered_lines = enumeration.File._numbered_lines
+    opened = open
 
-    def counted(self):
-        reads.append(self.path)
-        return numbered_lines(self)
+    def counted(*args, **kwargs):
+        reads.append(args[0])
+        return opened(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration.File, "_numbered_lines", counted)
+    monkeypatch.setattr("builtins.open", counted)
     for lemma in ("l2.9", "l2.10"):
         reads.clear()
         code, out, _ = run_cli(capsys, "verify", "--lemma", lemma,

@@ -7,10 +7,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from matchspec.enumeration import (CONNECTED_GRAPH_COUNTS, BuiltIn, File,
-                                   default_identity_grid, enumerate_connected,
-                                   sweep_theorem, verify_charpoly_identities,
-                                   verify_lemma)
+from matchspec.enumeration import (BuiltIn, File, default_identity_grid,
+                                   enumerate_connected, sweep_theorem,
+                                   verify_charpoly_identities, verify_lemma)
 from matchspec.graphs import (all_pairs, are_isomorphic, complete_graph,
                               from_edge_list, is_connected, parse_graph6,
                               to_graph6)
@@ -19,7 +18,7 @@ from matchspec.spectral import adjacency_matrix, spectral_radius
 from matchspec.theorems import TheoremId
 from matchspec import enumeration, spectral
 
-from oracles import graphs_without_pm_reference
+from oracles import CONNECTED_GRAPH_COUNTS, graphs_without_pm_reference
 
 
 # --- built-in enumeration ---------------------------------------------------

@@ -97,16 +97,15 @@ def test_graph6_text_drops_what_holds_no_graph():
 
 def test_graph6_round_trip_and_oracle():
     rng = random.Random(3)
-    for _ in range(300):
-        n = rng.randint(0, 14)
-        g = random_graph(rng, n)
+    # 300 graphs of small orders, then every order the short format holds,
+    # whose C(n, 2) slot bits leave each residue mod 6 for the padding
+    sample = [random_graph(rng, rng.randint(0, 14)) for _ in range(300)]
+    sample += [random_graph(rng, n, p=rng.random()) for n in range(63)]
+    for g in sample:
         line = to_graph6(g)
         assert parse_graph6(line) == g
         rn, redges = reference_graph6_decode(line)
-        assert rn == n and redges == g.edges()
-    # and at the format ceiling
-    g = random_graph(rng, 62, p=0.1)
-    assert parse_graph6(to_graph6(g)) == g
+        assert rn == g.n and redges == g.edges()
 
 
 def test_parse_edge_list_text():
