@@ -18,16 +18,19 @@ SOURCE_ENTRIES of them (4096 lines at n = 8, 68 at n = 62), so the
 per-chunk passes are paid a few times per source at small orders and the
 memory stays bounded at large ones:
 
-1. decode the chunk into an (N, n, n) uint8 adjacency tensor with the
-   graph6 decoder of `graphs`; a line it rejects is named with its fault
-   and the source and line number;
+1. decode the chunk into an (N, n) array of neighbour bit masks, one row
+   per graph and `Graph`'s own representation, with the graph6 decoder of
+   `graphs`; a line it rejects is named with its fault and the source and
+   line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses, eigensolving only
-   the graphs a spectral-radius bound does not rule out;
+   the graphs a spectral-radius bound does not rule out, the only ones
+   expanded to adjacency matrices;
 3. `theorems._conclusion_mask` certifies the conclusion of the graphs
    that meet it, from one batched Tutte matrix elimination; `Graph`
-   objects only for the graphs it leaves open, for the conclusion and
-   exception helpers of `theorems` that a verdict also calls.
+   objects, straight from their rows, only for the graphs it leaves open,
+   for the conclusion and exception helpers of `theorems` that a verdict
+   also calls.
 
 What a statement asks for is known to `theorems` alone.
 """
@@ -141,7 +144,15 @@ class BuiltIn:
 def decode_lines(data: bytes, where: str) -> list[str]:
     """The lines of data, split at b"\\n" and each decoded as UTF-8 on its own.
     The first line that fails raises ValueError `where:K: ...`, K its 1-based
-    number; the message counts the bad byte's position within that line."""
+    number; the message counts the bad byte's position within that line.
+
+    The whole of data is decoded at once: a newline byte is never part of a
+    longer UTF-8 sequence, so that succeeds exactly when every line does.
+    Only a failure is decoded again line by line, to name the line."""
+    try:
+        return data.decode().split("\n")
+    except UnicodeDecodeError:
+        pass
     raw = data.split(b"\n")
     try:
         return [line.decode() for line in raw]
@@ -158,10 +169,13 @@ class File:
 
     @cached_property
     def _lines(self) -> list[str]:
-        """Line k of the file by `graphs.graph6_text`, at index k - 1."""
+        """Line k of the file by `graphs.graph6_text`, at index k - 1.  That
+        is a plain strip unless the file holds a '#' or `>>graph6<<`."""
         with open(self.path, "rb") as fh:
             data = fh.read()
-        return list(map(graphs.graph6_text, decode_lines(data, self.describe())))
+        lines = decode_lines(data, self.describe())
+        plain = b"#" not in data and b">>graph6<<" not in data
+        return list(map(str.strip if plain else graphs.graph6_text, lines))
 
     def graph6_lines(self) -> list[str]:
         return [line for line in self._lines if line]
@@ -247,8 +261,8 @@ def _chunk_rows(n: int) -> int:
 
 def _source_chunks(source, needs: str, n: int | None = None,
                    chunk_size: int | None = None):
-    """Read the source once and yield (lines, adj) per chunk of graph6
-    lines, adj being their (N, n, n) adjacency tensor.
+    """Read the source once and yield (lines, rows) per chunk of graph6
+    lines, rows being their (N, n) neighbour bit masks.
 
     The source's lines are graph6 text as `graphs.graph6_text` leaves it.
     The order is n if given, else the first line's; every line must share
@@ -271,7 +285,7 @@ def _source_chunks(source, needs: str, n: int | None = None,
         chunk_size = _chunk_rows(n)
     for start in range(0, len(lines), chunk_size):
         chunk = lines[start:start + chunk_size]
-        adj, bad = graphs._decode_graph6(chunk, n)
+        rows, bad = graphs._decode_graph6(chunk, n)
         if bad.size:  # name the line's fault, or else its order
             line = chunk[bad[0]]
             try:
@@ -280,7 +294,7 @@ def _source_chunks(source, needs: str, n: int | None = None,
             except ValueError as exc:
                 message = str(exc)
             raise _located(source, start + int(bad[0]), message)
-        yield chunk, adj
+        yield chunk, rows
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
@@ -298,13 +312,13 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     start = time.perf_counter()
     scanned = hyp = 0
     events = []
-    for lines, adj in _source_chunks(source, "sweeps", chunk_size=chunk_size):
-        n = adj.shape[1]
-        met = np.flatnonzero(theorems._hypothesis_mask(adj, t, min_degree))
+    for lines, rows in _source_chunks(source, "sweeps", chunk_size=chunk_size):
+        n = rows.shape[1]
+        met = np.flatnonzero(theorems._hypothesis_mask(rows, t, min_degree))
         scanned += len(lines)
         hyp += len(met)
-        undecided = met[~theorems._conclusion_mask(adj[met], t)]
-        for i, row in zip(undecided, graphs._bit_rows(adj[undecided]).tolist()):
+        undecided = met[~theorems._conclusion_mask(rows[met], t)]
+        for i, row in zip(undecided, rows[undecided].tolist()):
             g = Graph(n, tuple(row))
             if not theorems.conclusion_holds(g, t):
                 events.append((lines[i], theorems.recognize_exception(g, t)))
@@ -588,18 +602,20 @@ def _complete_perfect_matchings(n: int) -> np.ndarray:
     return pairs
 
 
-def _covered_by_perfect_matching(adj: np.ndarray) -> np.ndarray:
-    """Which graphs of an (N, n, n) adjacency tensor contain one of the
-    perfect matchings of K_n, that is, have a perfect matching.
+def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows contain one of
+    the perfect matchings of K_n, that is, have a perfect matching.
 
-    A graph's test gathers (n-1)!! * n/2 adjacency entries; at most
-    SOURCE_ENTRIES of them are gathered at once, one graph's at least.
+    A graph's test gathers (n-1)!! * n/2 row entries, one per matched pair
+    uv, and reads bit v of row u; at most SOURCE_ENTRIES of them are
+    gathered at once, one graph's at least.
     """
-    pairs = _complete_perfect_matchings(adj.shape[1])
+    pairs = _complete_perfect_matchings(rows.shape[1])
+    ends = pairs[..., 1].astype(rows.dtype)
     step = max(1, SOURCE_ENTRIES // max(1, pairs.size // 2))
-    out = np.zeros(len(adj), dtype=bool)
-    for start in range(0, len(adj), step):
-        part = adj[start:start + step, pairs[..., 0], pairs[..., 1]]
+    out = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step, pairs[..., 0]] >> ends & 1
         out[start:start + step] = part.all(-1).any(-1)
     return out
 
@@ -620,11 +636,11 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     the source, and the line where there is one.
     """
     out = []
-    for lines, adj in _source_chunks(source, NO_PM_SUITES, n):
-        rest = np.flatnonzero(~_covered_by_perfect_matching(adj))
-        rows = graphs._bit_rows(adj[rest])
-        for i, row, (d, witness) in zip(rest, rows.tolist(),
-                                        matching._berge_tutte_deficiencies(rows)):
+    for lines, rows in _source_chunks(source, NO_PM_SUITES, n):
+        rest = np.flatnonzero(~_covered_by_perfect_matching(rows))
+        left = rows[rest]
+        for i, row, (d, witness) in zip(rest, left.tolist(),
+                                        matching._berge_tutte_deficiencies(left)):
             g = Graph(n, tuple(row))
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(

@@ -9,6 +9,7 @@ Graph, so values can be shared freely.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -133,30 +134,102 @@ def graph6_text(line: str) -> str:
     return "" if line.startswith("#") else line[len(">>graph6<<"):]
 
 
+@lru_cache(maxsize=8)
+def _graph6_tables(n: int):
+    """The decode state of order n, read-only: (dtype, table, chars, offsets).
+
+    Row j of the lower triangle, j's neighbours i < j, is the bit field of
+    column j, which spans a few body characters.  For every row j and each
+    character p it spans, `table[offsets[k, j] + v]` holds the bits that
+    character value v sets in row j, k counting j's characters, and
+    `chars[k, j]` is p.  Rows spanning fewer characters than the most point
+    their other slots at character 0 and a zero block.  About 200 KB at
+    n = 62.
+    """
+    dtype = np.min_scalar_type((1 << n) - 1)
+    spans = [{} for _ in range(n)]  # row j -> character p -> [(bit of p, i)]
+    for slot, (i, j) in enumerate(all_pairs(n)):
+        spans[j].setdefault(slot // 6, []).append((5 - slot % 6, i))
+    depth = max(map(len, spans), default=0)
+    chars = np.zeros((depth, n), dtype=np.intp)
+    offsets = np.zeros((depth, n, 1), dtype=np.intp)
+    values = np.arange(64)
+    blocks = [np.zeros(64, dtype=dtype)]
+    for j, span in enumerate(spans):
+        for k, (p, bits) in enumerate(span.items()):
+            chars[k, j], offsets[k, j] = p, 64 * len(blocks)
+            blocks.append(sum((values >> b & 1) << i for b, i in bits).astype(dtype))
+    table = np.concatenate(blocks)
+    for a in (table, chars, offsets):
+        a.flags.writeable = False
+    return dtype, table, chars, offsets
+
+
+def _code_points(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `width` code points of each line, shorter lines padded with
+    NUL (below '?'), as an (N, width) uint32 array, and which lines are not
+    `width` long.  When every line is, they are read from one encoded buffer
+    of the lines, no per-line step."""
+    count = len(lines)
+    text = "\n".join(lines) + "\n"
+    if len(text) == count * (width + 1) and text.count("\n") == count:  # no line holds "\n"
+        cells = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        cells = cells.reshape(count, width + 1)
+        if (cells[:, width] == 10).all():  # so every line is width long
+            return cells[:, :width], np.zeros(count, dtype=bool)
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
+    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
+    return cells, lengths != width
+
+
+def _transpose_bits(square: np.ndarray) -> None:
+    """Transpose in place the bit matrix held by each column of a (w, N)
+    array of w-bit integers, entry r of a column being its row r: the
+    recursive block swap of Warren, Hacker's Delight (2nd ed.), 7-3.  Each
+    pass swaps the upper-right and lower-left s x s blocks of every 2s x 2s
+    diagonal block."""
+    w = len(square)
+    s = w // 2
+    while s:
+        low = square.dtype.type(((1 << w) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1))
+        shift = square.dtype.type(s)
+        blocks = square.reshape(w // (2 * s), 2, s, -1)
+        top, bottom = blocks[:, 0], blocks[:, 1]
+        swap = top >> shift
+        swap ^= bottom
+        swap &= low
+        bottom ^= swap
+        swap <<= shift
+        top ^= swap
+        s //= 2
+
+
 def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode graph6 text of order n into one (N, n, n) uint8 adjacency tensor.
+    """Decode graph6 text of order n into (N, n) neighbour bit rows.
 
     Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
-    order, packed big-endian into 6-bit groups, each group offset by 63.  Also
-    returns the indices of the lines failing a check (width, header byte,
-    character range, zero padding bits), whose rows are garbage.
+    order, packed big-endian into 6-bit groups, each group offset by 63.
+    rows[g, v] is the neighbour mask of vertex v in line g, in the dtype
+    `_connected` reads (np.min_scalar_type((1 << n) - 1)).  Each row's lower
+    triangle is looked up per body character in `_graph6_tables`, and the
+    upper one is its bit transpose.  Also returns the indices of the lines
+    failing a check (width, header byte, character range, zero padding
+    bits), whose rows are garbage.
     """
-    count = len(lines)
     nbits = comb(n, 2)
     width = 1 + (nbits + 5) // 6
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
-    # code points, longer lines cut and shorter ones padded with NUL (below '?')
-    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
-    body = cells[:, 1:] - np.uint32(63)  # characters below '?' wrap past 63
-    bad = (lengths != width) | (cells[:, 0] != n + 63) | (body > 63).any(axis=1)
-    bits = np.unpackbits((body.astype(np.uint8) << 2)[:, :, None], axis=2, count=6)
-    bits = bits.reshape(count, -1)
-    bad |= bits[:, nbits:].any(axis=1)
-    adj = np.zeros((count, n, n), dtype=np.uint8)
-    i, j = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2).T
-    adj[:, i, j] = bits[:, :nbits]
-    adj[:, j, i] = bits[:, :nbits]
-    return adj, np.flatnonzero(bad)
+    cells, bad = _code_points(lines, width)
+    body = np.ascontiguousarray(cells[:, 1:].T) - np.uint32(63)  # below '?' wraps past 63
+    bad |= (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
+    bad |= (body[-1:] & ((1 << (6 * (width - 1) - nbits)) - 1)).any(axis=0)
+    body &= 63
+    dtype, table, chars, offsets = _graph6_tables(n)
+    lower = np.bitwise_or.reduce(table.take(body[chars] + offsets), axis=0)
+    square = np.zeros((8 * dtype.itemsize, len(lines)), dtype=dtype)
+    square[:n] = lower
+    _transpose_bits(square)
+    square[:n] |= lower
+    return np.ascontiguousarray(square[:n].T), np.flatnonzero(bad)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -179,13 +252,13 @@ def _from_graph6_text(line: str) -> Graph:
     if len(body) != nchars:
         raise ValueError(
             f"graph6 body has {len(body)} chars, expected {nchars} for n={n}")
-    adj, bad = _decode_graph6([line], n)
+    rows, bad = _decode_graph6([line], n)
     if bad.size:  # a character out of range, else a padding bit
         for ch in body:
             if not 63 <= ord(ch) <= 126:
                 raise ValueError(f"graph6 char {ch!r} out of range")
         raise ValueError("nonzero padding bits in graph6 body")
-    return Graph(n, tuple(_bit_rows(adj)[0].tolist()))
+    return Graph(n, tuple(rows[0].tolist()))
 
 
 def to_graph6(g: Graph) -> str:
@@ -317,11 +390,23 @@ def is_connected(g: Graph) -> bool:
     return len(_component_masks(g.adj, full)) == 1
 
 
-def _bit_rows(adj: np.ndarray) -> np.ndarray:
-    """Per-vertex neighbour bit masks, shape (N, n), of an adjacency tensor."""
-    n = adj.shape[1]
-    dtype = np.min_scalar_type((1 << n) - 1)
-    return adj @ np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
+_BYTE_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+_BYTE_POPCOUNT.flags.writeable = False
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """The number of set bits of each entry of an unsigned integer array, as
+    uint8, summed over its bytes from a lookup (np.bitwise_count needs
+    numpy 2)."""
+    counts = _BYTE_POPCOUNT[np.ascontiguousarray(masks).view(np.uint8)]
+    return counts.reshape(*masks.shape, masks.itemsize).sum(axis=-1, dtype=np.uint8)
+
+
+def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:
+    """The (N, n, n) 0/1 adjacency matrices, in `dtype`, of a batch of
+    (N, n) neighbour bit rows."""
+    n = rows.shape[1]
+    return (rows[:, :, None] >> np.arange(n, dtype=rows.dtype) & 1).astype(dtype)
 
 
 def _connected(rows: np.ndarray) -> np.ndarray:
@@ -332,12 +417,13 @@ def _connected(rows: np.ndarray) -> np.ndarray:
     one step per pass over the whole batch at once.
     """
     n = rows.shape[1]
+    columns = np.ascontiguousarray(rows.T)
     reach = np.ones(len(rows), dtype=rows.dtype)
     for _ in range(n):
         acc = reach.copy()
-        for v in range(n):
+        for v, column in enumerate(columns):
             has = (reach >> v) & 1
-            acc |= rows[:, v] * has
+            acc |= column * has
         if np.array_equal(acc, reach):
             break
         reach = acc

@@ -73,7 +73,8 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .graphs import Graph, _component_masks, _mask_to_vertices, is_connected
+from .graphs import (_BYTE_POPCOUNT, Graph, _adjacency, _component_masks, _mask_to_vertices,
+                     is_connected)
 
 SUBSET_SCAN_CAP = 20
 
@@ -253,10 +254,6 @@ def has_perfect_matching(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Odd-component table and Berge-Tutte deficiency (criterion route)
 # ---------------------------------------------------------------------------
-
-_BYTE_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
-_BYTE_POPCOUNT.flags.writeable = False
-
 
 def _popcounts(n: int) -> np.ndarray:
     """|S| for every subset mask S of n vertices (uint8, indexed by mask).
@@ -478,23 +475,24 @@ def _tutte_inverse(g: Graph) -> np.ndarray | None:
     return inverse
 
 
-def _tutte_certified(adj: np.ndarray, excludable: bool) -> np.ndarray:
-    """Which graphs of an (N, n, n) adjacency batch their Tutte inverse B
-    proves 1-extendable, or 1-excludable if `excludable`.
+def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows their Tutte
+    inverse B proves 1-extendable, or 1-excludable if `excludable`.
 
     Every edge uv must have B[u, v] != 0 (g - u - v has a perfect
     matching), or 1 + T[u, v] B[u, v] != 0 (g - uv has one); a singular T
     proves nothing.  With diag(d) B = r from `_tutte_eliminate`, these read
     r[u, v] != 0 and d[u] + T[u, v] r[u, v] != 0.  The order is not
     checked: a 1-extendable graph needs at least 4 vertices.  At most
-    _TUTTE_ENTRIES entries of [T | I] are eliminated at once.
+    _TUTTE_ENTRIES entries of [T | I] are eliminated at once, and only those
+    graphs are expanded to adjacency matrices.
     """
-    n = adj.shape[1]
+    n = rows.shape[1]
     weights = _tutte_weights(n)
     step = max(1, _TUTTE_ENTRIES // (2 * n * n))
-    out = np.zeros(len(adj), dtype=bool)
-    for start in range(0, len(adj), step):
-        on = adj[start:start + step] != 0
+    out = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), step):
+        on = _adjacency(rows[start:start + step], bool)
         t = np.where(on, weights, 0)
         d, r = _tutte_eliminate(t)
         if excludable:

@@ -17,7 +17,7 @@ from operator import mul
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _adjacency
 
 ROOT_TOL = 1e-12
 
@@ -80,8 +80,7 @@ def _radii(rows: np.ndarray) -> np.ndarray:
     eigh, as in `spectral_radius`, and not eigvalsh, whose values can
     differ in the last bits: each radius equals spectral_radius(g).rho.
     """
-    adj = rows[:, :, None] >> np.arange(rows.shape[1]) & 1
-    return np.linalg.eigh(adj.astype(np.float64))[0][:, -1]
+    return np.linalg.eigh(_adjacency(rows, np.float64))[0][:, -1]
 
 
 def radius_upper_bound(m, n: int, low) -> np.ndarray:

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _bit_rows, _connected, is_connected, min_degree
+from .graphs import Graph, _adjacency, _connected, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
@@ -233,39 +233,41 @@ def hypothesis_status(g: Graph, t: TheoremId):
     return met, threshold, measured
 
 
-def _hypothesis_mask(adj: np.ndarray, t: TheoremId, min_deg: int | None = None) -> np.ndarray:
-    """Which graphs of an (N, n, n) adjacency batch pass the source's
-    minimum-degree filter and meet t's hypothesis.
+def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows pass the
+    source's minimum-degree filter and meet t's hypothesis.
 
-    Measures on its own (numpy connectivity, one batched eigensolve) and
-    decides by the rule `hypothesis_status` uses.  The threshold comes
-    first, before any filter, so an order t does not cover raises even when
-    the filter keeps no graph.  A spectral hypothesis eigensolves only the
-    graphs whose Hong-Shu-Fang bound (`spectral.radius_upper_bound`, read
-    off the edge count and minimum degree), raised by PRUNE_MARGIN, meets it.
+    Measures on its own (degrees as popcounts of the rows, numpy
+    connectivity, one batched eigensolve) and decides by the rule
+    `hypothesis_status` uses.  The threshold comes first, before any filter,
+    so an order t does not cover raises even when the filter keeps no graph.
+    A spectral hypothesis eigensolves only the graphs whose Hong-Shu-Fang
+    bound (`spectral.radius_upper_bound`, read off the edge count and
+    minimum degree), raised by PRUNE_MARGIN, meets it; only those are
+    expanded to adjacency matrices.
     """
-    n = adj.shape[1]
+    n = rows.shape[1]
     threshold = hypothesis_threshold(t, n)
-    deg = adj.sum(axis=2, dtype=np.int16)
-    low = deg.min(axis=1, initial=n)
-    keep = np.ones(len(adj), dtype=bool)
+    deg = _popcount(rows.T)  # (n, N): each reduction below is over whole columns
+    low = deg.min(axis=0, initial=n)
+    keep = np.ones(len(rows), dtype=bool)
     if min_deg is not None:
         keep &= low >= min_deg
-    connected = keep & _connected(_bit_rows(adj))  # filtered graphs never meet it
-    m = deg.sum(axis=1, dtype=np.int64) // 2
+    connected = keep & _connected(rows)  # filtered graphs never meet it
+    m = deg.sum(axis=0, dtype=np.int64) // 2
     if t.uses_size:
         return _meets(t, threshold, m, connected, low)
-    rho = np.zeros(len(adj))
+    rho = np.zeros(len(rows))
     rho[connected] = spectral.radius_upper_bound(
         m[connected], n, low[connected]) + PRUNE_MARGIN
     solve = _meets(t, threshold, rho, connected, low)
-    rho[solve] = np.linalg.eigvalsh(adj[solve].astype(np.float64))[:, -1]
+    rho[solve] = np.linalg.eigvalsh(_adjacency(rows[solve], np.float64))[:, -1]
     return solve & _meets(t, threshold, rho, connected, low)
 
 
-def _conclusion_mask(adj: np.ndarray, t: TheoremId) -> np.ndarray:
-    """Which graphs of an (N, n, n) adjacency batch are proved to meet t's
-    conclusion: the twin of `_hypothesis_mask`.
+def _conclusion_mask(rows: np.ndarray, t: TheoremId) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows are proved to
+    meet t's conclusion: the twin of `_hypothesis_mask`.
 
     A graph is proved 1-extendable (t11, t14 at k = 1) or 1-excludable
     (t13, t16) by the Tutte inverse of `matching`, one batched elimination
@@ -273,9 +275,9 @@ def _conclusion_mask(adj: np.ndarray, t: TheoremId) -> np.ndarray:
     `conclusion_holds` decides the graph.  Nothing is certified at k >= 2 or
     on an order t does not cover.
     """
-    if not t.covers(adj.shape[1]) or t.k not in (None, 1):
-        return np.zeros(len(adj), dtype=bool)
-    return matching._tutte_certified(adj, excludable=not t.about_extension)
+    if not t.covers(rows.shape[1]) or t.k not in (None, 1):
+        return np.zeros(len(rows), dtype=bool)
+    return matching._tutte_certified(rows, excludable=not t.about_extension)
 
 
 def conclusion_holds(g: Graph, t: TheoremId) -> bool:

@@ -6,10 +6,11 @@ lists) so that it shares no code path with the routine it checks.
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 
-from matchspec.graphs import Graph, odd_components, parse_graph6
+from matchspec.graphs import Graph, all_pairs, odd_components, parse_graph6
 from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
                                 has_perfect_matching)
 from matchspec.spectral import adjacency_matrix
@@ -33,6 +34,48 @@ def reference_graph6_decode(line):
                 edges.append((i, j))
             idx += 1
     return n, sorted(edges)
+
+
+def decode_lines_reference(data: bytes, where: str) -> list[str]:
+    """The lines of data split at b"\\n", each decoded as UTF-8 on its own;
+    the first that fails raises ValueError `where:K: ...` with the error of
+    decoding that line alone."""
+    raw = data.split(b"\n")
+    try:
+        return [line.decode() for line in raw]
+    except UnicodeDecodeError as exc:  # exc.object: the first line that fails
+        raise ValueError(f"{where}:{raw.index(exc.object) + 1}: {exc}") from None
+
+
+def adjacency_graph6_decode(lines, n):
+    """graph6 text of order n as one (N, n, n) uint8 adjacency tensor, by
+    unpacking every body bit and scattering it to its vertex pair, and the
+    indices of the lines failing a check (width, header byte, character
+    range, zero padding bits)."""
+    count = len(lines)
+    nbits = comb(n, 2)
+    width = 1 + (nbits + 5) // 6
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
+    # code points, longer lines cut and shorter ones padded with NUL (below '?')
+    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
+    body = cells[:, 1:] - np.uint32(63)  # characters below '?' wrap past 63
+    bad = (lengths != width) | (cells[:, 0] != n + 63) | (body > 63).any(axis=1)
+    bits = np.unpackbits((body.astype(np.uint8) << 2)[:, :, None], axis=2, count=6)
+    bits = bits.reshape(count, -1)
+    bad |= bits[:, nbits:].any(axis=1)
+    adj = np.zeros((count, n, n), dtype=np.uint8)
+    i, j = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    adj[:, i, j] = bits[:, :nbits]
+    adj[:, j, i] = bits[:, :nbits]
+    return adj, np.flatnonzero(bad)
+
+
+def bit_rows(adj: np.ndarray) -> np.ndarray:
+    """Per-vertex neighbour bit masks, shape (N, n), of an adjacency tensor,
+    in the dtype np.min_scalar_type((1 << n) - 1)."""
+    n = adj.shape[1]
+    dtype = np.min_scalar_type((1 << n) - 1)
+    return adj @ np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
 
 
 def brute_force_matching_number(g: Graph) -> int:

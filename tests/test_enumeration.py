@@ -7,18 +7,19 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from matchspec.enumeration import (BuiltIn, File, default_identity_grid,
+from matchspec.enumeration import (BuiltIn, File, decode_lines, default_identity_grid,
                                    enumerate_connected, sweep_theorem,
                                    verify_charpoly_identities, verify_lemma)
 from matchspec.graphs import (all_pairs, are_isomorphic, complete_graph,
-                              from_edge_list, is_connected, parse_graph6,
+                              from_edge_list, graph6_text, is_connected, parse_graph6,
                               to_graph6)
 from matchspec.matching import has_perfect_matching
-from matchspec.spectral import adjacency_matrix, spectral_radius
+from matchspec.spectral import spectral_radius
 from matchspec.theorems import TheoremId
 from matchspec import enumeration, spectral
 
-from oracles import CONNECTED_GRAPH_COUNTS, graphs_without_pm_reference
+from oracles import (CONNECTED_GRAPH_COUNTS, decode_lines_reference,
+                     graphs_without_pm_reference)
 
 
 # --- built-in enumeration ---------------------------------------------------
@@ -123,6 +124,46 @@ def test_file_source_reads_once_and_hands_out_copies(tmp_path, monkeypatch):
     assert reads == [str(path)]
 
 
+def test_decode_lines_matches_the_per_line_loop():
+    # random byte strings of ASCII, multi-byte characters whole and cut,
+    # 0xff, lone continuation bytes, CR, FF and newlines, often without a
+    # final newline: the same lines, or the same `where:K:` message
+    rng = random.Random(22)
+    pieces = [b"C~", b"Cl", b"\n", b"\n", b"\r", b"\f", b" ", b"#", b"\xff", b"\x80",
+              b"\xbf", "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
+              "\u20ac".encode()[:2], "\U0001f600".encode()[:3], b"\xed\xa0\x80", b"\x00"]
+    outcomes = set()
+    for _ in range(3000):
+        data = b"".join(rng.choice(pieces) for _ in range(rng.randrange(10)))
+        if rng.random() < 0.2:
+            data += bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
+        try:
+            expected = decode_lines_reference(data, "f")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                decode_lines(data, "f")
+            assert str(err.value) == str(exc), data
+            outcomes.add("error")
+        else:
+            assert decode_lines(data, "f") == expected, data
+            outcomes.add("lines")
+    assert outcomes == {"error", "lines"}
+
+
+@pytest.mark.parametrize("data", [
+    b"C~\r\nCl\r\n", b"C~\r\n\r\n  Cl \r\n\n", b"C~\nCl", b"# comment\r\nC~\r\n#\r\nCl\r\n",
+    b">>graph6<<C~\r\n>>graph6<<\r\nCl\r\n", b" >>graph6<<C~\n\t#x\n\n>>graph6<<",
+    b"C~ # not a comment\r\n", "\x85C~\u2028\n".encode(), b"\r\n\r\n",
+])
+def test_file_lines_equal_graph6_text_of_every_line(tmp_path, data):
+    # File strips every line, and applies the comment and header rule only
+    # when the file holds a '#' or `>>graph6<<`
+    path = tmp_path / "lines.g6"
+    path.write_bytes(data)
+    source = File(str(path))
+    assert source._lines == list(map(graph6_text, decode_lines_reference(data, "f")))
+
+
 def test_builtin_source():
     assert len(BuiltIn(6).graph6_lines()) == 112
 
@@ -135,8 +176,8 @@ def test_perfect_matching_filter_agrees_with_blossom(n8_fixture_path):
     batches.append([parse_graph6(line)
                     for line in File(n8_fixture_path).graph6_lines()])
     for batch in batches:
-        adj = np.array([adjacency_matrix(g) for g in batch], dtype=np.uint8)
-        covered = enumeration._covered_by_perfect_matching(adj)
+        rows = np.array([g.adj for g in batch], dtype=np.uint8)
+        covered = enumeration._covered_by_perfect_matching(rows)
         assert covered.tolist() == [has_perfect_matching(g) for g in batch]
 
 
@@ -237,11 +278,11 @@ def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path)
     # a source read with the default: full chunks of 4096 lines at n = 8,
     # of 68 at n = 62
     chunks = enumeration._source_chunks(File(n8_fixture_path), "sweeps")
-    assert [adj.shape for _, adj in chunks] == [(4096, 8, 8)] * 2 + [(2925, 8, 8)]
+    assert [rows.shape for _, rows in chunks] == [(4096, 8)] * 2 + [(2925, 8)]
     path = tmp_path / "k62.g6"
     path.write_text((to_graph6(complete_graph(62)) + "\n") * 69)
     chunks = enumeration._source_chunks(File(str(path)), "sweeps")
-    assert [adj.shape for _, adj in chunks] == [(68, 62, 62), (1, 62, 62)]
+    assert [rows.shape for _, rows in chunks] == [(68, 62), (1, 62)]
 
 
 def test_sweep_report_independent_of_chunk_size():

@@ -1,15 +1,18 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
+from matchspec import graphs
 from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
                               components, cycle_graph, delete_vertices,
                               disjoint_union, empty_graph, from_edge_list,
                               graph6_text, is_connected, join, min_degree,
                               odd_components, parse_edge_list,
                               parse_graph6, path_graph, to_graph6)
-from oracles import brute_force_is_isomorphic, reference_graph6_decode
+from oracles import (adjacency_graph6_decode, bit_rows, brute_force_is_isomorphic,
+                     reference_graph6_decode)
 
 
 def random_graph(rng, n, p=0.4):
@@ -106,6 +109,72 @@ def test_graph6_round_trip_and_oracle():
         assert parse_graph6(line) == g
         rn, redges = reference_graph6_decode(line)
         assert rn == g.n and redges == g.edges()
+
+
+def _mutated(rng, line, any_width):
+    """line with one random fault: a character replaced (by one out of range
+    or in it), the header changed or padding bits set; if any_width, also a
+    newline put in or the width changed."""
+    kinds = ["char", "header", "padding"] + (["newline", "width"] if any_width else [])
+    kind = rng.choice(kinds)
+    chars = list(line)
+    if kind == "char" and len(chars) > 1:
+        chars[rng.randrange(1, len(chars))] = rng.choice(
+            ["\x00", " ", ">", "?", "~", "\x7f", "\xe9", "\U0001f600",
+             chr(rng.randrange(63, 127))])
+    elif kind == "header":
+        chars[0] = rng.choice([chr(ord(line[0]) + 1), "~", "\x00"])
+    elif kind == "padding" and len(chars) > 1:
+        chars[-1] = chr(63 + ((ord(chars[-1]) - 63) | rng.randrange(64)))
+    elif kind == "newline":
+        chars[rng.randrange(len(chars))] = "\n"
+    elif kind == "width":
+        if rng.random() < 0.5:
+            del chars[rng.randrange(len(chars)):]
+        else:
+            chars += rng.choice(["?", "\x00", "\n", "~~"])
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 13, 62])
+def test_row_decoder_rejects_what_the_adjacency_decoder_rejects(n):
+    # lines of one width and no newline (then the decoder reads all their
+    # code points from one buffer), lines of any width (a mutation may leave
+    # a line good), and faults whose lengths cancel out over the batch
+    rng = random.Random(n)
+    good = [to_graph6(random_graph(rng, n, p=rng.random())) for _ in range(60)]
+    batches = [[_mutated(rng, line, any_width) if rng.random() < 0.6 else line
+                for line in good] for any_width in (False, True)]
+    batches += [[good[0][:-1], good[1] + "?"] + good[2:],
+                [good[0] + "\n", good[1][:-1]] + good[2:]]
+    for lines in batches:
+        rows, bad = graphs._decode_graph6(lines, n)
+        adj, expected_bad = adjacency_graph6_decode(lines, n)
+        assert bad.tolist() == expected_bad.tolist()
+        ok = np.setdiff1d(np.arange(len(lines)), bad)
+        assert rows.dtype == np.min_scalar_type((1 << n) - 1) and rows.shape == (len(lines), n)
+        assert np.array_equal(rows[ok], bit_rows(adj)[ok])
+        for k in range(0, len(lines), 7):  # one line at a time, as parse_graph6 decodes
+            one, one_bad = graphs._decode_graph6(lines[k:k + 1], n)
+            assert one_bad.size == (k in bad) and (k in bad or one[0].tolist() == rows[k].tolist())
+
+
+def test_decode_state_is_bounded_at_the_largest_order():
+    _, *arrays = graphs._graph6_tables(62)
+    assert sum(a.nbytes for a in arrays) <= 1 << 20
+
+
+def test_popcount_matches_int_bit_count():
+    rng = random.Random(9)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        bits = 8 * np.dtype(dtype).itemsize
+        values = [[0, (1 << bits) - 1, 1 << (bits - 1)]]
+        values += [[rng.getrandbits(bits) for _ in range(3)] for _ in range(100)]
+        masks = np.array(values, dtype=dtype)
+        for view in (masks, masks.T):  # the transpose is not contiguous
+            counts = graphs._popcount(view)
+            assert counts.dtype == np.uint8
+            assert counts.tolist() == [[v.bit_count() for v in row] for row in view.tolist()]
 
 
 def test_parse_edge_list_text():

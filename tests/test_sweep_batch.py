@@ -1,7 +1,7 @@
 """The batched sweep path against the per-graph one, on every graph with n <= 8.
 
-A sweep decodes a whole chunk of graph6 lines into one adjacency tensor,
-drops graphs whose Hong-Shu-Fang spectral-radius bound is already below a
+A sweep decodes a whole chunk of graph6 lines into one array of neighbour
+bit rows, drops graphs whose Hong-Shu-Fang spectral-radius bound is already below a
 spectral threshold, eigensolves the rest in one call, and certifies the
 conclusion of the graphs that meet the hypothesis from one batched Tutte
 matrix elimination.  These tests check each of those steps against an
@@ -41,38 +41,47 @@ CERTIFIED = [TheoremId("t11", 1), TheoremId("t14", 1), TheoremId("t13"), Theorem
 
 @pytest.fixture(scope="module")
 def by_order(n8_fixture_path):
-    """order -> (graphs, batched adjacency tensor) for n = 4, 6, 8."""
+    """order -> (lines, graphs, batched neighbour bit rows) for n = 4, 6, 8."""
     out = {}
     for source in (BuiltIn(4), BuiltIn(6), File(n8_fixture_path)):
         lines = source.graph6_lines()
         gs = [parse_graph6(line) for line in lines]
-        adj, bad = graphs._decode_graph6(lines, gs[0].n)
+        rows, bad = graphs._decode_graph6(lines, gs[0].n)
         assert bad.size == 0
-        out[gs[0].n] = (lines, gs, adj)
+        out[gs[0].n] = (lines, gs, rows)
     return out
 
 
 def test_batched_decode_matches_reference_decoder(by_order):
-    for n, (lines, gs, adj) in by_order.items():
-        for line, g, a in zip(lines, gs, adj):
+    decoded = {n: (lines, rows) for n, (lines, _, rows) in by_order.items()}
+    for n in (1, 2, 3, 5, 7):
+        lines = BuiltIn(n).graph6_lines()
+        rows, bad = graphs._decode_graph6(lines, n)
+        assert bad.size == 0
+        decoded[n] = lines, rows
+    for n, (lines, rows) in decoded.items():
+        assert rows.dtype == np.min_scalar_type((1 << n) - 1)
+        for line, row in zip(lines, rows.tolist()):
             rn, edges = reference_graph6_decode(line)
-            expected = np.zeros((n, n), dtype=np.uint8)
+            expected = [0] * n
             for i, j in edges:
-                expected[i, j] = expected[j, i] = 1
-            assert rn == n and np.array_equal(a, expected), line
-            assert g.edges() == edges, line
+                expected[i] |= 1 << j
+                expected[j] |= 1 << i
+            assert rn == n and row == expected, line
+    for lines, gs, _ in by_order.values():
+        assert [g.edges() for g in gs] == [reference_graph6_decode(line)[1] for line in lines]
 
 
 @pytest.mark.parametrize("t", THEOREMS, ids=str)
 def test_batched_hypothesis_matches_per_graph(by_order, t):
-    for _, gs, adj in by_order.values():
+    for _, gs, rows in by_order.values():
         try:
             expected = [theorems.hypothesis_status(g, t)[0] for g in gs]
         except ValueError as exc:  # order outside the statement's range
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                theorems._hypothesis_mask(adj, t)
+                theorems._hypothesis_mask(rows, t)
             continue
-        batched = theorems._hypothesis_mask(adj, t)
+        batched = theorems._hypothesis_mask(rows, t)
         assert batched.tolist() == expected
 
 
@@ -118,10 +127,10 @@ def test_eigensolve_counts_at_n8(by_order):
     # the graphs the mask sends to the eigensolver: connected, with the
     # statement's minimum degree, and not ruled out by the bound; a weaker
     # cut changes these counts
-    _, _, adj = by_order[8]
-    deg = adj.sum(axis=2)
+    _, gs, rows = by_order[8]
+    deg = np.array([[g.degree(v) for v in range(8)] for g in gs])
     low, m = deg.min(axis=1), deg.sum(axis=1) // 2
-    connected = graphs._connected(graphs._bit_rows(adj))
+    connected = graphs._connected(rows)
     bound = spectral.radius_upper_bound(m, 8, low) + theorems.PRUNE_MARGIN
     counts = []
     for t, min_deg in (GOLDEN["t14-k1"], GOLDEN["t16"]):
@@ -131,8 +140,8 @@ def test_eigensolve_counts_at_n8(by_order):
 
 
 def test_hypothesis_counts_at_n8(by_order):
-    _, _, adj = by_order[8]
-    counts = [int(theorems._hypothesis_mask(adj, t, min_deg).sum())
+    _, _, rows = by_order[8]
+    counts = [int(theorems._hypothesis_mask(rows, t, min_deg).sum())
               for t, min_deg in GOLDEN.values()]
     assert counts == [44, 812, 16, 334]
 
@@ -143,12 +152,13 @@ def test_spectral_tie_band_holds_only_graphs_at_the_threshold(by_order, t):
     # graph is at least 1e-4 from the threshold, and a tied graph is the
     # attaining family or meets the conclusion (GUz~~{ is 1-extendable)
     tied = set()
-    for n, (lines, gs, adj) in by_order.items():
+    for n, (lines, gs, rows) in by_order.items():
         try:
             threshold = theorems.hypothesis_threshold(t, n)
         except ValueError:  # order outside the statement's range
             continue
-        gap = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] - threshold)
+        adj = np.array([spectral.adjacency_matrix(g) for g in gs])
+        gap = np.abs(np.linalg.eigvalsh(adj)[:, -1] - threshold)
         near = gap < 1e-6
         assert gap[~near].min() >= 1e-4 > theorems.SPECTRAL_TOL
         for i in np.flatnonzero(near):
@@ -223,10 +233,10 @@ def test_conclusion_certificate_is_sound(by_order):
     orders = {2: BuiltIn(2).graph6_lines(), **{n: lines for n, (lines, _, _) in by_order.items()}}
     counts = {}
     for n, lines in orders.items():
-        adj, _ = graphs._decode_graph6(lines, n)
+        rows, _ = graphs._decode_graph6(lines, n)
         gs = [parse_graph6(line) for line in lines]
         for t in CERTIFIED:
-            certified = theorems._conclusion_mask(adj, t)
+            certified = theorems._conclusion_mask(rows, t)
             holds = np.array([theorems.conclusion_holds(g, t) for g in gs])
             assert not (certified & ~holds).any(), (n, t)
             counts[n, str(t)] = (int(holds.sum()), int((holds & ~certified).sum()))
@@ -241,12 +251,12 @@ def test_conclusion_certificate_is_sound(by_order):
 def test_conclusion_certificate_stays_off_orders_and_k_it_does_not_cover(by_order):
     # K2 minus its edge's ends is empty, so the inverse alone would pass it,
     # but 1-extendability needs 4 vertices; k >= 2 is never certified
-    k2 = np.ones((1, 2, 2), dtype=np.uint8) - np.eye(2, dtype=np.uint8)
+    k2 = np.array([complete_graph(2).adj], dtype=np.uint8)
     assert matching._tutte_certified(k2, excludable=False).all()
     assert not theorems._conclusion_mask(k2, TheoremId("t11", 1)).any()
-    _, _, adj = by_order[8]
+    _, _, rows = by_order[8]
     for t in (TheoremId("t11", 2), TheoremId("t14", 3)):
-        assert not theorems._conclusion_mask(adj, t).any()
+        assert not theorems._conclusion_mask(rows, t).any()
 
 
 def _near_complete(rng: random.Random, n: int):
@@ -296,3 +306,20 @@ def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(tmp_path, n, co
             for g6, fam, params in report.exceptions_found] == failing
     assert [rec for _, rec in failing] == [family]
     assert report.counterexamples == ()
+
+
+def test_sweep_at_large_order_builds_its_decode_state_in_bounded_memory(tmp_path):
+    # the order-62 decode state is built inside the traced sweep, and counts
+    # towards the same bound as the test above
+    rng = random.Random(62)
+    path = tmp_path / "n62.g6"
+    path.write_text("".join(to_graph6(_near_complete(rng, 62)) + "\n" for _ in range(150)))
+    graphs._graph6_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        report = sweep_theorem(File(str(path)), TheoremId("t13"), min_degree=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20
+    assert report.graphs_scanned == 150 and report.hypothesis_count > 0
