@@ -26,18 +26,33 @@ class Graph:
         if len(adj) != n:
             raise ValueError("adjacency table size does not match vertex count")
         full = (1 << n) - 1
+        ends = 0  # directed pairs (v, u)
         for v, mask in enumerate(adj):
             if mask & ~full:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+            ends += mask.bit_count()
+        # Each pair (v, u) with u > v whose reverse (u, v) is there maps
+        # to that reverse, one-to-one; if these pairs are half of all, the
+        # pairs with u < v are as many, so every pair is matched both ways.
+        matched = 0
         for v, mask in enumerate(adj):
-            m = mask
+            m = mask >> v
             while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
+                low = m & -m
+                m ^= low
+                if not adj[v + low.bit_length() - 1] >> v & 1:
+                    break
+                matched += 1
+        if 2 * matched != ends:  # name the first one-sided pair
+            for v, mask in enumerate(adj):
+                m = mask
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    if not adj[u] >> v & 1:
+                        raise ValueError(f"asymmetric adjacency between {v} and {u}")
         self.n = n
         self.adj = tuple(adj)
 

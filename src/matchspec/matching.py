@@ -35,7 +35,9 @@ inverse, which would cost more than their searches.
 A sweep settles 1-extendability and 1-excludability for a whole batch of
 graphs from one elimination (`_tutte_certified`).  `_tutte_eliminate`
 inverts every Tutte matrix of the batch at once by division-free
-Gauss-Jordan elimination; `_tutte_inverse` is a batch of one through it.
+Gauss-Jordan elimination, with the batch as the last, contiguous axis and
+residues held as float64 integers, exact because TUTTE_PRIME < 2^26;
+`_tutte_inverse` is a batch of one through it.
 With B = T^-1, g - u - v has a perfect matching iff B[u, v] != 0 (the
 k = 1 Pfaffian above).  For an edge e = uv, u < v, of weight w = T[u, v],
 the Tutte matrix of g - e is the rank-2 update T - w (E_uv - E_vu) =
@@ -367,10 +369,10 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
 # k-extendability
 # ---------------------------------------------------------------------------
 
-TUTTE_PRIME = 2_147_483_629  # < 2^31, so a product of two residues fits in int64
+TUTTE_PRIME = 67_108_859  # 2^26 - 5, the largest prime below 2^26, so 2 p^2 < 2^53
 _BLOCK_ROWS = 1 << 14  # k-matchings held as arrays at once
 _CERTIFY_ROWS = 200  # about where the certificate starts to cost less than searching
-_TUTTE_ENTRIES = 1 << 17  # int64 entries of [T | I] eliminated at once (1 MB)
+_TUTTE_ENTRIES = 1 << 17  # float64 entries of [T | I] eliminated at once (1 MB)
 
 
 def _k_matching_blocks(meets: np.ndarray, k: int):
@@ -427,30 +429,44 @@ def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Division-free Gauss-Jordan elimination on [T | I], one pivot column of
     every matrix per pass: the first row at or below the diagonal with a
     nonzero entry in the column is swapped onto the diagonal, and every
-    other row i becomes pivot * row_i - a[i, c] * pivot row.  Residues stay
-    below p, so no product exceeds p^2 < 2^62.  The left half ends as
-    diag(d) and the right half as diag(d) T^-1.
+    other row i becomes pivot * row_i - a[i, c] * pivot row.  The left half
+    ends as diag(d) and the right half as diag(d) T^-1.
+
+    The work array is (n, 2n, N), the batch last, so every pass runs over
+    contiguous rows of N entries into buffers allocated once.  Entries are
+    float64 integers, reduced after every pass as x - p * rint(x / p) for
+    p = TUTTE_PRIME < 2^26: a reduced entry is below p in magnitude, so an
+    update pivot * a - a' * b is below 2 p^2 < 2^53 and every value is
+    exact.  d and r are (N, n) and (N, n, n) views of the work array, with
+    entries in (-p, p).
     """
     count, n = t.shape[:2]
-    a = np.zeros((count, n, 2 * n), dtype=np.int64)
-    a[:, :, :n] = t
-    flat = a.reshape(count, -1)  # entry (i, j) at i * 2n + j
-    flat[:, n::2 * n + 1] = 1
-    rows = a.reshape(-1, 2 * n)  # every op below keeps a's buffer
-    first = np.arange(0, count * n, n)  # row 0 of each matrix in rows
+    p = TUTTE_PRIME
+    a = np.zeros((n, 2 * n, count))
+    a[:, :n] = t.transpose(1, 2, 0)
+    entries = a.reshape(2 * n * n, count)  # entry (i, j) at row i * 2n + j
+    entries[n::2 * n + 1] = 1
+    below, pivot = np.empty_like(a), np.empty_like(a[0])
+    index = np.empty(pivot.shape, dtype=np.intp)
+    at = np.arange(pivot.size, dtype=np.intp).reshape(pivot.shape)  # a row's entries, flat
     for c in range(n):
-        if a[:, c, c].all():
-            pivot = a[:, c:c + 1].copy()
+        if a[c, c].all():
+            np.copyto(pivot, a[c])
         else:
-            r = first + c + (a[:, c:, c] != 0).argmax(1)
-            pivot = rows.take(r, axis=0)[:, None]
-            rows[r] = a[:, c]
-        below = a[:, :, c:c + 1] * pivot
-        a *= pivot[:, :, c:c + 1]
+            rest = a[c:]
+            np.add(at, (rest[:, c] != 0).argmax(0) * pivot.size, out=index)
+            rest = rest.reshape(-1)  # a view: rows c.. of a are contiguous
+            rest.take(index, out=pivot)
+            rest[index] = a[c]
+        np.multiply(a[:, c, None], pivot, out=below)
+        a *= pivot[c]
         a -= below
-        a %= TUTTE_PRIME
-        a[:, c:c + 1] = pivot
-    return flat[:, ::2 * n + 1], a[:, :, n:]
+        np.multiply(a, 1 / p, out=below)
+        np.rint(below, out=below)
+        below *= p
+        a -= below
+        a[c] = pivot
+    return entries[::2 * n + 1].T, a[:, n:].transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=1)
@@ -458,19 +474,17 @@ def _tutte_inverse(g: Graph) -> np.ndarray | None:
     """Inverse over GF(TUTTE_PRIME) of the Tutte matrix of g at the weights
     of `_tutte_weights`, or None when it is singular at those weights.
 
-    A batch of one through `_tutte_eliminate`.  The inverse of a
-    skew-symmetric matrix is skew-symmetric.
+    A batch of one through `_tutte_eliminate`, its T built as
+    `_tutte_certified` builds a batch's.  The inverse of a skew-symmetric
+    matrix is skew-symmetric.
     """
-    n, p = g.n, TUTTE_PRIME
-    u, v = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
-    weights = _tutte_weights(n)
-    t = np.zeros((1, n, n), dtype=np.int64)
-    t[0, u, v] = weights[u, v]
-    t[0, v, u] = weights[v, u]
-    d, r = _tutte_eliminate(t)
+    p = TUTTE_PRIME
+    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
+    d, r = _tutte_eliminate(np.where(_adjacency(rows, bool), _tutte_weights(g.n), 0))
     if not d.all():
         return None
-    inverse = r[0] * np.array([pow(x, -1, p) for x in d[0].tolist()])[:, None] % p
+    scale = np.array([pow(int(x), -1, p) for x in d[0].tolist()])
+    inverse = r[0].astype(np.int64) * scale[:, None] % p
     inverse.flags.writeable = False
     return inverse
 
@@ -482,7 +496,7 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
     Every edge uv must have B[u, v] != 0 (g - u - v has a perfect
     matching), or 1 + T[u, v] B[u, v] != 0 (g - uv has one); a singular T
     proves nothing.  With diag(d) B = r from `_tutte_eliminate`, these read
-    r[u, v] != 0 and d[u] + T[u, v] r[u, v] != 0.  The order is not
+    r[u, v] != 0 and d[u] + T[u, v] r[u, v] != 0 mod p.  The order is not
     checked: a 1-extendable graph needs at least 4 vertices.  At most
     _TUTTE_ENTRIES entries of [T | I] are eliminated at once, and only those
     graphs are expanded to adjacency matrices.
@@ -497,9 +511,11 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
         d, r = _tutte_eliminate(t)
         if excludable:
             r *= t
-            r += d[:, :, None]
-            r %= TUTTE_PRIME
-        out[start:start + step] = d.all(axis=1) & (r.astype(bool) | ~on).all(axis=(1, 2))
+            r += d[:, :, None]  # below p^2 + p < 2^53 in magnitude: exact
+            nonzero = np.rint(r * (1 / TUTTE_PRIME)) * TUTTE_PRIME != r
+        else:
+            nonzero = r != 0
+        out[start:start + step] = d.all(axis=1) & (nonzero | ~on).all(axis=(1, 2))
     return out
 
 

@@ -230,3 +230,28 @@ def graphs_without_pm_reference(lines: list[str]) -> list[str]:
         assert d >= 2 and odd_components(g, witness) >= len(witness) + 2, line
         out.append(line)
     return out
+
+
+def tutte_eliminate_reference(t, p: int):
+    """(det T mod p, T^-1 mod p as nested lists, or None if det T = 0) of
+    one square matrix, by Gauss-Jordan elimination over GF(p) in Python
+    ints: each pivot row is divided by its pivot, so no value exceeds p."""
+    n = len(t)
+    a = [[int(x) % p for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(t)]
+    det = 1
+    for c in range(n):
+        r = next((i for i in range(c, n) if a[i][c]), None)
+        if r is None:
+            return 0, None
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        scale = pow(a[c][c], -1, p)
+        a[c] = [x * scale % p for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det, [row[n:] for row in a]

@@ -50,6 +50,37 @@ def test_construction_errors():
         Graph(2, (0, 0, 0))
 
 
+@pytest.mark.parametrize("n, adj, pair", [
+    (3, (0b010, 0b000, 0b000), (0, 1)),  # one-sided above the diagonal
+    (3, (0b000, 0b001, 0b000), (1, 0)),  # and below it
+    (4, (0b0010, 0b0101, 0b0010, 0b0001), (3, 0)),  # every pair above it is matched
+    (4, (0b0100, 0b0001, 0b0000, 0b0000), (0, 2)),  # the first pair in vertex order
+    (4, (0b1000, 0b0001, 0b1000, 0b0001), (1, 0)),  # before one above it
+], ids=["above", "below", "below-only", "above-first", "below-first"])
+def test_asymmetric_adjacency_names_the_first_one_sided_pair(n, adj, pair):
+    with pytest.raises(ValueError, match=f"^asymmetric adjacency between {pair[0]} and {pair[1]}$"):
+        Graph(n, adj)
+
+
+def test_asymmetric_adjacency_matches_a_plain_scan():
+    # random rows, mostly symmetric with a few one-sided pairs: the error
+    # names the first pair (v, u) in v, then u order whose reverse is missing
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(2, 70)
+        adj = list(random_graph(rng, n, rng.random()).adj)
+        for _ in range(rng.randint(0, 2)):
+            v, u = rng.sample(range(n), 2)
+            adj[v] ^= 1 << u
+        first = next(((v, u) for v in range(n) for u in range(n)
+                      if adj[v] >> u & 1 and not adj[u] >> v & 1), None)
+        if first is None:
+            assert Graph(n, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError, match=f"between {first[0]} and {first[1]}$"):
+                Graph(n, tuple(adj))
+
+
 def test_adjacency_invariants_after_constructors():
     rng = random.Random(11)
     for _ in range(50):

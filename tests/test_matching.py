@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from matchspec.matching import (SUBSET_SCAN_CAP, _odd_component_table,
                                 is_k_extendable, is_k_extendable_chen,
                                 matching_number, max_matching)
 from oracles import (brute_force_matching_number, odd_bridges_reference,
-                     odd_component_table_reference)
+                     odd_component_table_reference, tutte_eliminate_reference)
 
 PETERSEN = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -549,6 +550,60 @@ def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
     assert (b.T == -b % matching.TUTTE_PRIME).all()  # skew-symmetric
     # without a perfect matching the Tutte matrix is singular
     assert matching._tutte_inverse(from_edge_list(4, [(0, 1), (0, 2), (0, 3)])) is None
+
+
+def _elimination_cases(rng, n: int, kinds) -> np.ndarray:
+    """One int64 matrix over GF(TUTTE_PRIME) of order n per kind:
+    0 skew, 1 skew with about 70% of its pairs zero (often of deficient
+    rank), 2 skew with a zero row and column, 3 a matrix whose last row is
+    the sum of two others, 4 a weighted cyclic shift (a zero diagonal pivot
+    on every pass but the last), 5 zero."""
+    p = matching.TUTTE_PRIME
+    out = []
+    for kind in kinds:
+        upper = np.triu(rng.integers(1, p, size=(n, n)), 1)
+        if kind == 1:
+            upper *= rng.random((n, n)) < 0.3
+        t = (upper - upper.T) % p
+        if kind == 2:
+            v = rng.integers(n)
+            t[v] = t[:, v] = 0
+        elif kind == 3:
+            t = rng.integers(0, p, size=(n, n))
+            if n >= 3:
+                t[-1] = (t[0] + t[1]) % p
+        elif kind == 4:
+            t = np.zeros((n, n), dtype=np.int64)
+            t[np.arange(n), (np.arange(n) + 1) % n] = rng.integers(1, p, size=n)
+        elif kind == 5:
+            t = np.zeros((n, n), dtype=np.int64)
+        out.append(t)
+    return np.array(out, dtype=np.int64).reshape(len(out), n, n)
+
+
+@pytest.mark.parametrize("count", [1, 200])
+def test_tutte_eliminate_is_exact(count):
+    # float64 residues reduced every pass stay exact integers only while
+    # 2 p^2 < 2^53; every inverse agrees with exact elimination in Python
+    # ints, and d has a zero exactly when det T = 0 mod p
+    p = matching.TUTTE_PRIME
+    assert all(p % q for q in range(2, isqrt(p) + 1))
+    assert 2 * p * p < 2 ** 53
+    rng = np.random.default_rng(count)
+    for n in range(1, 15):
+        batches = [[kind] for kind in range(6)] if count == 1 else [[i % 6 for i in range(count)]]
+        for batch in batches:
+            t = _elimination_cases(rng, n, batch)
+            d, r = matching._tutte_eliminate(t)
+            assert d.shape == (len(t), n) and r.shape == (len(t), n, n)
+            assert (np.abs(d) < p).all() and (np.abs(r) < p).all()
+            for i, (kind, ti) in enumerate(zip(batch, t)):
+                det, inverse = tutte_eliminate_reference(ti.tolist(), p)
+                assert bool(d[i].all()) == (det != 0), (n, kind)
+                if det:
+                    scale = np.array([pow(int(x), -1, p) for x in d[i]])
+                    got = r[i].astype(np.int64) % p * scale[:, None] % p
+                    assert got.tolist() == inverse, (n, kind)
 
 
 # --- the Pfaffian certificate against the blossom search ---------------------
