@@ -23,9 +23,10 @@ memory stays bounded at large ones:
    `graphs`; a line it rejects is named with its fault and the source and
    line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
-   hypothesis by the rule a single graph's verdict uses, eigensolving only
-   the graphs a spectral-radius bound does not rule out, the only ones
-   expanded to adjacency matrices;
+   hypothesis by the rule a single graph's verdict uses: a spectral one
+   from a spectral-radius bound, then from Collatz-Wielandt bounds on the
+   graphs it does not rule out, the only ones expanded to adjacency
+   matrices, eigensolving only the graphs tied with the threshold;
 3. `theorems._conclusion_mask` certifies the conclusion of the graphs
    that meet it, from one batched Tutte matrix elimination; `Graph`
    objects, straight from their rows, only for the graphs it leaves open,

@@ -36,11 +36,9 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            a[v, u] = 1.0
-    return a
+    """The (n, n) 0/1 float64 adjacency matrix, built as a batch's are."""
+    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
+    return _adjacency(rows, np.float64)[0]
 
 
 def eigenvalues(g: Graph) -> list[float]:

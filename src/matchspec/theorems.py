@@ -10,7 +10,12 @@ rule (`_meets`), one conclusion and one exception lookup; a batch first
 certifies what it can of the conclusion at once (`_conclusion_mask`), and
 the single-graph conclusion decides the rest.  A spectral
 hypothesis, met with equality by its attaining family, is decided by
-`rho >= threshold - SPECTRAL_TOL`, a fixed band at that tie.
+`rho >= threshold - SPECTRAL_TOL`, a fixed band at that tie.  A batch
+eigensolves only the graphs that two proven bounds leave open, each
+trusted only when it clears that floor by PRUNE_MARGIN: the Hong-Shu-Fang
+upper bound, then Collatz-Wielandt lower and upper bounds.  At n <= 8 that
+leaves the graphs tied with a threshold, and the eigensolve gives each the
+bits `spectral_radius` gives it.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _adjacency, _connected, _popcount, is_connected, min_degree
+from .graphs import Graph, _connected, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
-# A graph is dropped from a spectral batch without an eigensolve only when
-# its Hong-Shu-Fang bound falls short of the threshold (less SPECTRAL_TOL)
-# by more than this: far above the bound's floating-point rounding error.
+# A spectral batch decides a graph without an eigensolve only from a proven
+# bound on rho that clears the threshold less SPECTRAL_TOL by more than
+# this: a Hong-Shu-Fang bound below it, or a Collatz-Wielandt lower bound
+# above it or upper bound below it.  Far above either bound's floating-point
+# rounding error.
 PRUNE_MARGIN = 1e-6
 
 THEOREM_KINDS = ("t11", "t13", "t14", "t16")
@@ -238,13 +245,18 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
     source's minimum-degree filter and meet t's hypothesis.
 
     Measures on its own (degrees as popcounts of the rows, numpy
-    connectivity, one batched eigensolve) and decides by the rule
-    `hypothesis_status` uses.  The threshold comes first, before any filter,
-    so an order t does not cover raises even when the filter keeps no graph.
-    A spectral hypothesis eigensolves only the graphs whose Hong-Shu-Fang
-    bound (`spectral.radius_upper_bound`, read off the edge count and
-    minimum degree), raised by PRUNE_MARGIN, meets it; only those are
-    expanded to adjacency matrices.
+    connectivity) and decides by the rule `hypothesis_status` uses.  The
+    threshold comes first, before any filter, so an order t does not cover
+    raises even when the filter keeps no graph.  A spectral hypothesis
+    takes three steps, each on the graphs the one before leaves open:
+    1. a graph whose Hong-Shu-Fang bound (`spectral.radius_upper_bound`,
+       read off the edge count and minimum degree), raised by
+       PRUNE_MARGIN, falls short is not met;
+    2. `_radius_bracket` decides the graphs whose Collatz-Wielandt bounds
+       clear the threshold by PRUNE_MARGIN;
+    3. the rest, the graphs tied with the threshold, are eigensolved by
+       `spectral._radii`, which gives each the bits of
+       `spectral_radius(g).rho`.
     """
     n = rows.shape[1]
     threshold = hypothesis_threshold(t, n)
@@ -260,9 +272,62 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
     rho = np.zeros(len(rows))
     rho[connected] = spectral.radius_upper_bound(
         m[connected], n, low[connected]) + PRUNE_MARGIN
-    solve = _meets(t, threshold, rho, connected, low)
-    rho[solve] = np.linalg.eigvalsh(_adjacency(rows[solve], np.float64))[:, -1]
-    return solve & _meets(t, threshold, rho, connected, low)
+    bracket = _meets(t, threshold, rho, connected, low)
+    rho[bracket] = _radius_bracket(rows[bracket], deg[:, bracket], threshold - SPECTRAL_TOL)
+    tied = np.isnan(rho)
+    rho[tied] = spectral._radii(rows[tied])
+    return _meets(t, threshold, rho, connected, low)
+
+
+def _bracket_passes(n: int) -> int:
+    """How many passes `_radius_bracket` makes at order n >= 2: every walk
+    count of the last, at most n^(passes + 1), stays below 2^53 (16 at
+    n = 8, 7 at n = 62)."""
+    passes = 0
+    while n ** (passes + 2) < 1 << 53:
+        passes += 1
+    return passes
+
+
+def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarray:
+    """A bound on the spectral radius of each graph of an (M, n) batch of
+    neighbour bit rows that decides rho >= floor, or NaN where none does.
+
+    For a nonnegative matrix A and a positive vector x, min_i (Ax)_i / x_i
+    <= rho(A) <= max_i (Ax)_i / x_i (Collatz, Math. Z. 48, 1942; Wielandt,
+    Math. Z. 52, 1950).  Starting from x = (A + I) 1, the degrees (n, M)
+    plus one, each pass takes y = Ax and both bounds, then x <- x + y: the
+    bounds close in on rho as x turns to the Perron vector, A + I keeping a
+    bipartite graph's iterates from oscillating.  A graph whose lower bound
+    is at least floor + PRUNE_MARGIN gets that bound; one whose upper bound
+    is below floor - PRUNE_MARGIN gets that bound; either leaves the batch.
+    So does, as NaN, a graph whose bounds both lie in that band around
+    floor: its rho is there too, and no later bound can decide it.
+    Every x and y is a vector of walk counts, an exact integer in float64
+    for `_bracket_passes(n)` passes, so each bound is a correctly rounded
+    ratio of integers.  The adjacency is laid out (n, n, M), the batch last.
+    """
+    count, n = rows.shape
+    out = np.full(count, np.nan)
+    at = np.arange(count)
+    a = (rows.T >> np.arange(n, dtype=rows.dtype)[:, None, None] & 1).astype(np.float64)
+    x = deg.astype(np.float64) + 1.0
+    for _ in range(_bracket_passes(n)):
+        if not at.size:
+            break
+        y = np.einsum("ijg,jg->ig", a, x)
+        ratio = y / x
+        lo, hi = ratio.min(axis=0), ratio.max(axis=0)
+        met, short = lo >= floor + PRUNE_MARGIN, hi < floor - PRUNE_MARGIN
+        tied = (lo >= floor - PRUNE_MARGIN) & (hi < floor + PRUNE_MARGIN)
+        done = met | short
+        if done.any():
+            out[at[done]] = np.where(met, lo, hi)[done]
+        left = ~(done | tied)
+        if not left.all():
+            at, a, x, y = at[left], a[:, :, left], x[:, left], y[:, left]
+        x += y
+    return out
 
 
 def _conclusion_mask(rows: np.ndarray, t: TheoremId) -> np.ndarray:

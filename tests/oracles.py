@@ -10,10 +10,12 @@ from math import comb
 
 import numpy as np
 
-from matchspec.graphs import Graph, all_pairs, odd_components, parse_graph6
+from matchspec.graphs import (Graph, all_pairs, is_connected, min_degree, odd_components,
+                              parse_graph6)
 from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
                                 has_perfect_matching)
-from matchspec.spectral import adjacency_matrix
+from matchspec.spectral import adjacency_matrix, spectral_radius
+from matchspec.theorems import _meets, hypothesis_threshold
 
 # Published counts of connected graphs up to isomorphism (n = 1..7).
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -213,6 +215,19 @@ def power_iteration_rho(g: Graph, iterations: int = 20000, tol: float = 1e-13) -
         rho = new_rho
         x = y
     return rho - 1.0
+
+
+def spectral_mask_reference(gs, t, min_deg=None) -> list[bool]:
+    """Which graphs pass the minimum-degree filter and meet spectral
+    hypothesis t, with nothing pruned: every connected graph the filter
+    keeps is eigensolved by `spectral_radius` and decided by `_meets`."""
+    out = []
+    for g in gs:
+        threshold = hypothesis_threshold(t, g.n)
+        low = min_degree(g)
+        keep = (min_deg is None or low >= min_deg) and is_connected(g)
+        out.append(bool(keep and _meets(t, threshold, spectral_radius(g).rho, True, low)))
+    return out
 
 
 def graphs_without_pm_reference(lines: list[str]) -> list[str]:

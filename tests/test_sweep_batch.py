@@ -2,12 +2,13 @@
 
 A sweep decodes a whole chunk of graph6 lines into one array of neighbour
 bit rows, drops graphs whose Hong-Shu-Fang spectral-radius bound is already below a
-spectral threshold, eigensolves the rest in one call, and certifies the
+spectral threshold, decides most of the rest from Collatz-Wielandt bounds,
+eigensolves the graphs tied with the threshold in one call, and certifies the
 conclusion of the graphs that meet the hypothesis from one batched Tutte
 matrix elimination.  These tests check each of those steps against an
-independent graph6 decoder, `spectral_radius`, `hypothesis_status` and
-`conclusion_holds`, graph by graph, and whole sweeps against
-`theorem_verdict`.
+independent graph6 decoder, `spectral_radius`, `hypothesis_status`, an
+unpruned eigensolver and `conclusion_holds`, graph by graph, and whole
+sweeps against `theorem_verdict`.
 """
 
 import os
@@ -21,10 +22,10 @@ import pytest
 
 from matchspec import families, graphs, matching, spectral, theorems
 from matchspec.enumeration import BuiltIn, File, sweep_theorem
-from matchspec.graphs import (complete_graph, cycle_graph, from_edge_list, is_connected,
-                              join, parse_graph6, to_graph6)
+from matchspec.graphs import (Graph, complete_graph, cycle_graph, from_edge_list,
+                              is_connected, join, parse_graph6, to_graph6)
 from matchspec.theorems import TheoremId
-from oracles import reference_graph6_decode
+from oracles import reference_graph6_decode, spectral_mask_reference
 
 THEOREMS = [TheoremId("t11", 1), TheoremId("t11", 2), TheoremId("t13"),
             TheoremId("t14", 1), TheoremId("t14", 2), TheoremId("t16")]
@@ -35,6 +36,10 @@ GOLDEN = {"t11-k1": (TheoremId("t11", 1), None), "t13": (TheoremId("t13"), 2),
 SPECTRAL_TIES = {TheoremId("t14", 1): {"C}", "E~~?", "GTm~~{", "GUz~~{"},
                  TheoremId("t14", 2): {"E~~o", "GT~~~{"},
                  TheoremId("t16"): {"E~r?", "G?b~~{"}}
+# the graphs with n <= 8 a spectral statement leaves to the eigensolver
+BRACKET_TIES = {**SPECTRAL_TIES, TheoremId("t14", 3): {"G^~~~{"}}
+SPECTRAL_CASES = [(TheoremId("t14", k), None) for k in (1, 2, 3)] + [
+    (TheoremId("t16"), None), (TheoremId("t16"), 2)]
 # the statements whose conclusion the Tutte inverse certifies
 CERTIFIED = [TheoremId("t11", 1), TheoremId("t14", 1), TheoremId("t13"), TheoremId("t16")]
 
@@ -124,7 +129,7 @@ def test_radius_bound_at_minimum_degree_one_is_hongs_bit_for_bit():
 
 
 def test_eigensolve_counts_at_n8(by_order):
-    # the graphs the mask sends to the eigensolver: connected, with the
+    # the graphs the mask sends on to the bracket: connected, with the
     # statement's minimum degree, and not ruled out by the bound; a weaker
     # cut changes these counts
     _, gs, rows = by_order[8]
@@ -167,6 +172,82 @@ def test_spectral_tie_band_holds_only_graphs_at_the_threshold(by_order, t):
                 v.conclusion_met or v.recognized == theorems.exception_candidates(t, n)[0])
             tied.add(lines[i])
     assert tied == SPECTRAL_TIES[t]
+
+
+def _record_eigensolves(monkeypatch) -> list[str]:
+    """The graph6 strings of the graphs `spectral._radii` is given, from now on."""
+    solved = []
+    radii = spectral._radii
+
+    def recording(rows):
+        solved.extend(to_graph6(Graph(rows.shape[1], tuple(row))) for row in rows.tolist())
+        return radii(rows)
+
+    monkeypatch.setattr(spectral, "_radii", recording)
+    return solved
+
+
+@pytest.mark.parametrize("t, min_deg", SPECTRAL_CASES,
+                         ids=[f"{t}-{min_deg}" for t, min_deg in SPECTRAL_CASES])
+def test_bracket_matches_the_unpruned_eigensolver(by_order, monkeypatch, t, min_deg):
+    # the bound and the bracket decide every graph the eigensolver would
+    # decide alike, and leave to it only the graphs tied with the threshold
+    solved = _record_eigensolves(monkeypatch)
+    for _, gs, rows in by_order.values():
+        try:
+            expected = spectral_mask_reference(gs, t, min_deg)
+        except ValueError:  # order outside the statement's range
+            continue
+        assert theorems._hypothesis_mask(rows, t, min_deg).tolist() == expected
+    assert sorted(solved) == sorted(BRACKET_TIES[t])
+
+
+@pytest.mark.parametrize("t", [TheoremId("t14", 1), TheoremId("t16")], ids=str)
+def test_bracket_near_the_threshold_at_large_orders(monkeypatch, t):
+    # the attaining exception has rho equal to the threshold, so it is met
+    # and only the eigensolver can tell; deleting one edge drops rho below
+    # it.  Edges with the same pair of end degrees lie in one orbit of
+    # these families, so one edge of each pair is deleted.
+    solved = _record_eigensolves(monkeypatch)
+    for n in range(10, 63, 2):
+        (family, params), = theorems.exception_candidates(t, n)
+        g = families.build_named(family, **params)
+        ends = {tuple(sorted((g.degree(u), g.degree(v)))): (u, v) for u, v in g.edges()}
+        batch = [g] + [from_edge_list(n, [e for e in g.edges() if e != uv])
+                       for uv in ends.values()]
+        rows = np.array([h.adj for h in batch], dtype=np.min_scalar_type((1 << n) - 1))
+        mask = theorems._hypothesis_mask(rows, t).tolist()
+        assert mask == [theorems.hypothesis_status(h, t)[0] for h in batch]
+        assert mask[0] and not any(mask[1:]), n
+        assert to_graph6(g) in solved, n
+
+
+def test_bracket_walk_counts_stay_below_2_to_the_53():
+    # K_n has the most walks of any order-n graph: (A + I)^p 1 is n^p.  Every
+    # x and y the bracket forms at n = 62 is an exact float64 integer, and
+    # one more pass would not be
+    n = 62
+    x = [n] * n  # (A + I) 1
+    for _ in range(theorems._bracket_passes(n)):
+        y = [sum(x) - v for v in x]
+        x = [v + w for v, w in zip(x, y)]
+        assert max(x) < 1 << 53
+    assert theorems._bracket_passes(n) == 7 and n * max(x) >= 1 << 53
+    assert theorems._bracket_passes(8) == 16
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_bracket_closes_on_bipartite_graphs(p):
+    # iterating A alone, the bounds of a bipartite graph swing between its
+    # two sides for ever; with A + I they close on rho
+    g = from_edge_list(8, [(u, v) for u in range(p) for v in range(p, 8)])
+    rho = spectral.spectral_radius(g).rho
+    rows = np.array([g.adj], dtype=np.uint8)
+    deg = graphs._popcount(rows.T)
+    upper = theorems._radius_bracket(rows, deg, rho + 0.01)[0]  # not met
+    lower = theorems._radius_bracket(rows, deg, rho - 0.01)[0]  # met
+    assert rho <= upper < rho + 0.01 - theorems.PRUNE_MARGIN
+    assert rho - 0.01 + theorems.PRUNE_MARGIN <= lower <= rho
 
 
 @pytest.mark.parametrize("t", THEOREMS, ids=str)
