@@ -268,8 +268,8 @@ def _source_chunks(source, needs: str, n: int | None = None,
     The source's lines are graph6 text as `graphs.graph6_text` leaves it.
     The order is n if given, else the first line's; every line must share
     it.  A chunk holds chunk_size lines, by default `_chunk_rows(n)`.  An
-    empty source, an odd order (`needs` says what needs an even one) and a
-    faulty line raise ValueError naming the source, and the line.
+    empty source, order 0, an odd order (`needs` says what needs an even
+    one) and a faulty line raise ValueError naming the source, and the line.
     """
     lines = source.graph6_lines()
     if not lines:
@@ -280,6 +280,8 @@ def _source_chunks(source, needs: str, n: int | None = None,
             n = graphs._from_graph6_text(lines[0]).n
         except ValueError as exc:
             raise _located(source, 0, str(exc)) from None
+    if n == 0:
+        raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
     if chunk_size is None:

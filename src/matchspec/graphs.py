@@ -225,9 +225,9 @@ def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
     order, packed big-endian into 6-bit groups, each group offset by 63.
     rows[g, v] is the neighbour mask of vertex v in line g, in the dtype
-    `_connected` reads (np.min_scalar_type((1 << n) - 1)).  Each row's lower
-    triangle is looked up per body character in `_graph6_tables`, and the
-    upper one is its bit transpose.  Also returns the indices of the lines
+    np.min_scalar_type((1 << n) - 1).  Each row's lower triangle is looked
+    up per body character in `_graph6_tables`, and the upper one is its bit
+    transpose.  Also returns the indices of the lines
     failing a check (width, header byte, character range, zero padding
     bits), whose rows are garbage.
     """
@@ -422,27 +422,6 @@ def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:
     (N, n) neighbour bit rows."""
     n = rows.shape[1]
     return (rows[:, :, None] >> np.arange(n, dtype=rows.dtype) & 1).astype(dtype)
-
-
-def _connected(rows: np.ndarray) -> np.ndarray:
-    """Which graphs of a batch are connected.
-
-    rows[g, v] is the neighbour bit mask of vertex v in graph g, in an
-    unsigned dtype at least n bits wide.  Reachability from vertex 0 grows
-    one step per pass over the whole batch at once.
-    """
-    n = rows.shape[1]
-    columns = np.ascontiguousarray(rows.T)
-    reach = np.ones(len(rows), dtype=rows.dtype)
-    for _ in range(n):
-        acc = reach.copy()
-        for v, column in enumerate(columns):
-            has = (reach >> v) & 1
-            acc |= column * has
-        if np.array_equal(acc, reach):
-            break
-        reach = acc
-    return reach == (1 << n) - 1
 
 
 def min_degree(g: Graph) -> int:

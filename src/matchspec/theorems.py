@@ -6,10 +6,11 @@ graph is one of finitely many listed exceptions"; a TheoremVerdict records
 all three pieces so a sweep can hunt for genuine counterexamples
 (hypothesis and not conclusion and not a listed exception).  A single
 graph and a sweep's batch measure differently but share one hypothesis
-rule (`_meets`), one conclusion and one exception lookup; a batch first
-certifies what it can of the conclusion at once (`_conclusion_mask`), and
-the single-graph conclusion decides the rest.  A spectral
-hypothesis, met with equality by its attaining family, is decided by
+rule (`_meets`), one conclusion and one exception lookup; a batch tests no
+connectivity, which no threshold needs (`_hypothesis_mask`), and first
+certifies what it can of the conclusion at once (`_conclusion_mask`), the
+single-graph conclusion deciding the rest.  A spectral hypothesis, met
+with equality by its attaining family, is decided by
 `rho >= threshold - SPECTRAL_TOL`, a fixed band at that tie.  A batch
 eigensolves only the graphs that two proven bounds leave open, each
 trusted only when it clears that floor by PRUNE_MARGIN: the Hong-Shu-Fang
@@ -27,7 +28,7 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _connected, _popcount, is_connected, min_degree
+from .graphs import Graph, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
@@ -226,7 +227,8 @@ def _meets(t: TheoremId, threshold, measured, connected, low):
     Every hypothesis asks for a connected graph, the exclusion statements
     (t13, t16) also for minimum degree `low` >= 2.  Size hypotheses compare
     the edge count with the threshold exactly; spectral ones use
-    `rho >= threshold - SPECTRAL_TOL`.
+    `rho >= threshold - SPECTRAL_TOL`.  A batch passes its minimum-degree
+    mask as `connected` (see `_hypothesis_mask`).
     """
     floor = threshold if t.uses_size else threshold - SPECTRAL_TOL
     return connected & (t.about_extension | (low >= 2)) & (measured >= floor)
@@ -244,11 +246,21 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
     """Which graphs of an (N, n) batch of neighbour bit rows pass the
     source's minimum-degree filter and meet t's hypothesis.
 
-    Measures on its own (degrees as popcounts of the rows, numpy
-    connectivity) and decides by the rule `hypothesis_status` uses.  The
-    threshold comes first, before any filter, so an order t does not cover
-    raises even when the filter keeps no graph.  A spectral hypothesis
-    takes three steps, each on the graphs the one before leaves open:
+    Measures on its own (degrees as popcounts of the rows) and decides by
+    the rule `hypothesis_status` uses, less its connectivity test: at an
+    order t covers, no disconnected graph meets t's measure.  Such a graph
+    - t11(k): has m <= C(n-1, 2) < C(n-1, 2) + 2k;
+    - t13: at minimum degree 2, has 3 or more vertices per component, so
+      m <= C(n-3, 2) + 3, below 10, 19 and C(n-2, 2) + 3 at n = 6, 8, >= 10;
+    - t14(k): has rho <= n - 2, while the connected attaining graph
+      K_{2k} v (K_{n-2k-1} u K1) properly contains K_{n-1} u K1;
+    - t16: at minimum degree 2, has rho <= n - 4, while the connected
+      attaining graph properly contains K4, K5, K_{n-2} at n = 6, 8, >= 10.
+    A connected graph's rho exceeds each proper subgraph's (Perron-
+    Frobenius).  The threshold comes first, before any filter, so an order
+    t does not cover raises even when the filter keeps no graph.  A
+    spectral hypothesis takes three steps, each on the graphs the one
+    before leaves open:
     1. a graph whose Hong-Shu-Fang bound (`spectral.radius_upper_bound`,
        read off the edge count and minimum degree), raised by
        PRUNE_MARGIN, falls short is not met;
@@ -257,26 +269,24 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
     3. the rest, the graphs tied with the threshold, are eigensolved by
        `spectral._radii`, which gives each the bits of
        `spectral_radius(g).rho`.
+    Each holds for every graph, and a disconnected one is at least 1e-3
+    below the threshold at n <= 62.
     """
     n = rows.shape[1]
     threshold = hypothesis_threshold(t, n)
     deg = _popcount(rows.T)  # (n, N): each reduction below is over whole columns
     low = deg.min(axis=0, initial=n)
-    keep = np.ones(len(rows), dtype=bool)
-    if min_deg is not None:
-        keep &= low >= min_deg
-    connected = keep & _connected(rows)  # filtered graphs never meet it
+    keep = low >= (min_deg or 0)
     m = deg.sum(axis=0, dtype=np.int64) // 2
     if t.uses_size:
-        return _meets(t, threshold, m, connected, low)
+        return _meets(t, threshold, m, keep, low)
     rho = np.zeros(len(rows))
-    rho[connected] = spectral.radius_upper_bound(
-        m[connected], n, low[connected]) + PRUNE_MARGIN
-    bracket = _meets(t, threshold, rho, connected, low)
+    rho[keep] = spectral.radius_upper_bound(m[keep], n, low[keep]) + PRUNE_MARGIN
+    bracket = _meets(t, threshold, rho, keep, low)
     rho[bracket] = _radius_bracket(rows[bracket], deg[:, bracket], threshold - SPECTRAL_TOL)
     tied = np.isnan(rho)
     rho[tied] = spectral._radii(rows[tied])
-    return _meets(t, threshold, rho, connected, low)
+    return _meets(t, threshold, rho, keep, low)
 
 
 def _bracket_passes(n: int) -> int:
@@ -296,9 +306,10 @@ def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarr
     For a nonnegative matrix A and a positive vector x, min_i (Ax)_i / x_i
     <= rho(A) <= max_i (Ax)_i / x_i (Collatz, Math. Z. 48, 1942; Wielandt,
     Math. Z. 52, 1950).  Starting from x = (A + I) 1, the degrees (n, M)
-    plus one, each pass takes y = Ax and both bounds, then x <- x + y: the
-    bounds close in on rho as x turns to the Perron vector, A + I keeping a
-    bipartite graph's iterates from oscillating.  A graph whose lower bound
+    plus one, each pass takes y = Ax and both bounds, then x <- x + y: on a
+    connected graph the bounds close in on rho as x turns to the Perron
+    vector, A + I keeping a bipartite graph's iterates from oscillating; on
+    a disconnected one they hold but need not meet.  A graph whose lower bound
     is at least floor + PRUNE_MARGIN gets that bound; one whose upper bound
     is below floor - PRUNE_MARGIN gets that bound; either leaves the batch.
     So does, as NaN, a graph whose bounds both lie in that band around

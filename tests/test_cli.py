@@ -431,6 +431,24 @@ def test_verify_sweep_names_an_empty_or_odd_input(capsys, tmp_path):
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (("--theorem", "t11", "--k", "1"), "sweeps"),
+    (("--theorem", "t13"), "sweeps"),
+    (("--theorem", "t14", "--k", "1"), "sweeps"),
+    (("--theorem", "t16"), "sweeps"),
+    (("--lemma", "l2.9"), "the deficiency bound suites"),
+    (("--lemma", "l2.10"), "the deficiency bound suites"),
+], ids=["t11", "t13", "t14", "t16", "l2.9", "l2.10"])
+def test_verify_refuses_an_input_of_order_zero(capsys, tmp_path, argv, needs):
+    # '?' is the graph6 line of the graph with no vertex: a usage error that
+    # names the file, not a crash and not the exit code of a counterexample
+    path = tmp_path / "zero.g6"
+    path.write_text("?\n")
+    code, out, err = run_cli(capsys, "verify", *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: file:{path}: {needs} need n >= 1, got n=0\n"
+
+
 def test_verify_refuses_n_together_with_input(capsys, n8_fixture_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--theorem", "t11", "--k", "1", "--n", "6",

@@ -16,14 +16,15 @@ import random
 import re
 import shutil
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from matchspec import families, graphs, matching, spectral, theorems
-from matchspec.enumeration import BuiltIn, File, sweep_theorem
-from matchspec.graphs import (Graph, complete_graph, cycle_graph, from_edge_list,
-                              is_connected, join, parse_graph6, to_graph6)
+from matchspec.enumeration import BuiltIn, File, enumerate_connected, sweep_theorem
+from matchspec.graphs import (Graph, complete_graph, cycle_graph, disjoint_union,
+                              from_edge_list, is_connected, join, parse_graph6, to_graph6)
 from matchspec.theorems import TheoremId
 from oracles import reference_graph6_decode, spectral_mask_reference
 
@@ -128,20 +129,103 @@ def test_radius_bound_at_minimum_degree_one_is_hongs_bit_for_bit():
         assert np.array_equal(spectral.radius_upper_bound(m, n, 1), hong), n
 
 
-def test_eigensolve_counts_at_n8(by_order):
-    # the graphs the mask sends on to the bracket: connected, with the
-    # statement's minimum degree, and not ruled out by the bound; a weaker
-    # cut changes these counts
+def test_eigensolve_counts_at_n8(by_order, monkeypatch):
+    # the graphs the mask sends on to the bracket: with the statement's
+    # minimum degree, and not ruled out by the bound; a weaker cut changes
+    # these counts.  The fixture holds connected graphs only, so the mask
+    # needs no connectivity test to send these
     _, gs, rows = by_order[8]
+    assert all(is_connected(g) for g in gs)
     deg = np.array([[g.degree(v) for v in range(8)] for g in gs])
     low, m = deg.min(axis=1), deg.sum(axis=1) // 2
-    connected = graphs._connected(rows)
     bound = spectral.radius_upper_bound(m, 8, low) + theorems.PRUNE_MARGIN
+    sent = []
+    bracket = theorems._radius_bracket
+    monkeypatch.setattr(theorems, "_radius_bracket",
+                        lambda rows, *rest: sent.append(len(rows)) or bracket(rows, *rest))
     counts = []
     for t, min_deg in (GOLDEN["t14-k1"], GOLDEN["t16"]):
         floor = theorems.hypothesis_threshold(t, 8) - theorems.SPECTRAL_TOL
-        counts.append(int((connected & (low >= (min_deg or 0)) & (bound >= floor)).sum()))
-    assert counts == [23, 900]
+        counts.append(int(((low >= (min_deg or 0)) & (bound >= floor)).sum()))
+        theorems._hypothesis_mask(rows, t, min_deg)
+    assert counts == sent == [23, 900]
+
+
+def _disconnected_graphs(n):
+    """One graph of each isomorphism class of disconnected graphs of order
+    n: the disjoint union of each multiset of connected classes of order
+    below n, from `enumerate_connected`, whose orders add up to n."""
+    pool = [g for order in range(1, n) for g in enumerate_connected(order)]
+
+    def unions(rest, last):
+        # the unions of total order rest of pool entries at index <= last
+        if rest == 0:
+            yield None
+        for i, g in enumerate(pool[:last + 1]):
+            if g.n > rest:
+                break
+            for tail in unions(rest - g.n, i):
+                yield g if tail is None else disjoint_union(g, tail)
+
+    return list(unions(n, len(pool) - 1))
+
+
+@pytest.mark.parametrize("n, count", [(4, 5), (6, 44), (8, 1229)])
+def test_no_disconnected_graph_meets_a_hypothesis(n, count):
+    # the batch tests no connectivity, because every threshold excludes
+    # every disconnected graph by its measure alone (`_hypothesis_mask`).
+    # Class counts: graphs less connected graphs (OEIS A000088 - A001349)
+    gs = _disconnected_graphs(n)
+    assert len(gs) == count and not any(is_connected(g) for g in gs)
+    rows = np.array([g.adj for g in gs], dtype=np.min_scalar_type((1 << n) - 1))
+    low = [graphs.min_degree(g) for g in gs]
+    for t in theorems.statements(n, 3):
+        threshold = theorems.hypothesis_threshold(t, n)
+        statuses = [theorems.hypothesis_status(g, t) for g in gs]
+        for min_deg in (None, 2):
+            expected = [met and (min_deg is None or d >= min_deg)
+                        for (met, _, _), d in zip(statuses, low)]
+            assert theorems._hypothesis_mask(rows, t, min_deg).tolist() == expected, t
+        # the lemma itself: connectivity granted, the measure still fails
+        assert not any(theorems._meets(t, threshold, measured, True, d)
+                       for (_, _, measured), d in zip(statuses, low)), t
+
+
+def test_every_threshold_excludes_disconnected_graphs_by_measure():
+    # at each even n <= 62 and every k a statement covers, its threshold
+    # clears the largest measure a disconnected graph can have: C(n-1, 2)
+    # edges (t11), C(n-3, 2) + 3 at minimum degree 2 (t13), rho n - 2 (t14)
+    # and rho n - 4 at minimum degree 2 (t16)
+    gaps = []
+    for n in range(4, 63, 2):
+        for k in range(1, (n - 2) // 2 + 1):
+            assert theorems.size_threshold_extendable(n, k) > comb(n - 1, 2)
+            gaps.append(theorems.spectral_threshold_extendable(n, k) - (n - 2))
+        if n >= 6:
+            assert theorems.size_threshold_excludable(n) > comb(n - 3, 2) + 3
+            gaps.append(theorems.spectral_threshold_excludable(n) - (n - 4))
+    # far above the band a spectral batch leaves to the eigensolver
+    assert min(gaps) > 1e-3 > theorems.SPECTRAL_TOL + theorems.PRUNE_MARGIN
+
+
+def test_sweep_of_disconnected_graphs_matches_verdicts(tmp_path):
+    # K7 u K1 has 21 edges and K5 u K3 minimum degree 2; K61 u K1 and
+    # K59 u K3 are as close to t14 and t16 as a disconnected graph gets
+    unions = {8: [(7, 1), (5, 3)], 62: [(61, 1), (59, 3)]}
+    for n, sizes in unions.items():
+        gs = [disjoint_union(complete_graph(a), complete_graph(b)) for a, b in sizes]
+        path = tmp_path / f"disconnected_n{n}.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in gs))
+        if n == 8:
+            assert path.read_text().split() == ["G~~~w?", "G~{?GK"]
+        for t in theorems.statements(n, 3):
+            verdicts = [theorems.theorem_verdict(g, t) for g in gs]
+            for min_deg in (None, 2):
+                report = sweep_theorem(File(str(path)), t, min_degree=min_deg)
+                kept = [v for g, v in zip(gs, verdicts)
+                        if min_deg is None or graphs.min_degree(g) >= min_deg]
+                assert report.hypothesis_count == sum(v.hypothesis_met for v in kept) == 0
+                assert report.counterexamples == report.exceptions_found == ()
 
 
 def test_hypothesis_counts_at_n8(by_order):
