@@ -37,7 +37,8 @@ def _emit(out: str, doc: dict, rows: list[list] | None, print_text) -> None:
 
 
 def _load_graph(args) -> graphs.Graph:
-    """The input's first graph; stdin and a file give their bytes to one reader."""
+    """The input's first graph; stdin and a file give their bytes to one reader.
+    A graph of order 0 is refused with its line, as a line that does not parse."""
     if args.input == "-":  # an io.StringIO standing in for stdin has no buffer
         stdin, where = sys.stdin, "stdin"
         data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode()
@@ -47,11 +48,14 @@ def _load_graph(args) -> graphs.Graph:
             data = fh.read()
     lines = enumeration.decode_lines(data, where)
     if args.format == "edgelist":
-        return graphs.parse_edge_list(lines, where)
+        return graphs.parse_edge_list(lines, where, min_order=1)
     for number, line in enumerate(map(graphs.graph6_text, lines), 1):
         if line:
             try:
-                return graphs._from_graph6_text(line)
+                g = graphs._from_graph6_text(line)
+                if not g.n:
+                    raise ValueError("vertex count must be at least 1, got 0")
+                return g
             except ValueError as exc:
                 raise ValueError(f"{where}:{number}: {exc}") from None
     raise ValueError("no graph found in input")
@@ -68,17 +72,16 @@ def cmd_analyze(args) -> int:
         "graph6": graphs.to_graph6(g) if g.n <= 62 else None,
         "n": g.n,
         "m": g.m,
-        "min_degree": graphs.min_degree(g) if g.n else None,
-        "connected": graphs.is_connected(g) if g.n else None,
+        "min_degree": graphs.min_degree(g),
+        "connected": graphs.is_connected(g),
     }
-    if g.n:
-        sr = spectral.spectral_radius(g)
-        doc["rho"] = sr.rho
-        doc["rho_residual"] = sr.residual
-        doc["matching_number"] = matching.matching_number(g)
-        doc["has_perfect_matching"] = 2 * doc["matching_number"] == g.n
+    sr = spectral.spectral_radius(g)
+    doc["rho"] = sr.rho
+    doc["rho_residual"] = sr.residual
+    doc["matching_number"] = matching.matching_number(g)
+    doc["has_perfect_matching"] = 2 * doc["matching_number"] == g.n
 
-    if g.n % 2 == 0 and g.n >= 2:
+    if g.n % 2 == 0:
         doc["k_extendable"] = {
             k: _routes(g, matching.is_k_extendable, matching.is_k_extendable_chen, k)
             for k in range(1, args.k + 1)}
@@ -111,10 +114,9 @@ def _print_analysis(doc: dict) -> None:
     print(f"n, m:             {doc['n']}, {doc['m']}")
     print(f"min degree:       {doc['min_degree']}")
     print(f"connected:        {doc['connected']}")
-    if "rho" in doc:
-        print(f"rho:              {doc['rho']:.6f}  (residual {doc['rho_residual']:.1e})")
-        print(f"matching number:  {doc['matching_number']}")
-        print(f"perfect matching: {doc['has_perfect_matching']}")
+    print(f"rho:              {doc['rho']:.6f}  (residual {doc['rho_residual']:.1e})")
+    print(f"matching number:  {doc['matching_number']}")
+    print(f"perfect matching: {doc['has_perfect_matching']}")
     if doc.get("k_extendable") is None:
         print("k-extendable:     N/A (odd order)")
         print("1-excludable:     N/A (odd order)")

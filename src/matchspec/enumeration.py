@@ -654,7 +654,10 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
 
 def _sources_for(n_values, sources):
     """Each order of the grid with its source: the one given, else BuiltIn.
-    A source for an order the grid leaves out raises ValueError."""
+    An order below 1, or a source for an order the grid leaves out, raises
+    ValueError."""
+    if min(n_values) < 1:
+        raise ValueError(f"{NO_PM_SUITES} need n >= 1, got n={min(n_values)}")
     sources = sources or {}
     for n, source in sources.items():
         if n not in n_values:

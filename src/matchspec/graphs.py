@@ -286,11 +286,12 @@ def to_graph6(g: Graph) -> str:
                                     for k in range(0, len(bits), 6)])
 
 
-def parse_edge_list(lines, where: str = "edge list") -> Graph:
+def parse_edge_list(lines, where: str = "edge list", min_order: int = 0) -> Graph:
     """Parse the plain text format from its lines: first n, then one 'u v'
     pair per line; blank and '#' lines are skipped.  A line that does not
-    parse, or names a negative order, an edge out of range or a loop, raises
-    ValueError starting `where:K:`, K its 1-based number."""
+    parse, or names a negative order, an order below min_order, an edge out
+    of range or a loop, raises ValueError starting `where:K:`, K its 1-based
+    number."""
     n, edges = None, []
     for number, line in enumerate(lines, 1):
         parts = line.split()
@@ -301,6 +302,8 @@ def parse_edge_list(lines, where: str = "edge list") -> Graph:
                 n = int(line)
                 if n < 0:
                     raise ValueError("vertex count must be nonnegative")
+                if n < min_order:
+                    raise ValueError(f"vertex count must be at least {min_order}, got {n}")
             elif len(parts) != 2:
                 raise ValueError(f"bad edge line: {line.strip()!r}")
             else:

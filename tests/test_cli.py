@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matchspec import cli, enumeration, theorems
+from matchspec import cli, enumeration, matching, theorems
 from matchspec.enumeration import sweep_theorem
 from matchspec.families import build_named
 from matchspec.graphs import cycle_graph, parse_graph6, to_graph6
@@ -75,6 +75,57 @@ def test_analyze_eigensolves_the_graph_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert run_cli(capsys, *argv) == first
     assert calls == [(10, 10)]
+
+
+# an order-14 graph with 82 of its 91 pairs joined, drawn as analyze-dense draws
+DENSE_N14 = "M~v~}{~Zv~~~Z~~~_"
+
+
+def test_analyze_inverts_a_dense_graph_once(capsys, monkeypatch):
+    # k = 1, k = 2 and 1-excludability, and the theorem verdicts that ask for
+    # them again, all read one Tutte inverse, which leaves no k-matching to
+    # the blossom search
+    calls, searched = [], []
+    eliminate, search = matching._tutte_eliminate, matching._perfect_after_deleting
+
+    def counted(t):
+        calls.append(t.shape)
+        return eliminate(t)
+
+    def recorded(adj, match, drop):
+        searched.append(drop)
+        return search(adj, match, drop)
+
+    monkeypatch.setattr(matching, "_tutte_eliminate", counted)
+    monkeypatch.setattr(matching, "_perfect_after_deleting", recorded)
+    for cached in (matching.is_k_extendable, matching.is_1_excludable, matching._direct_state):
+        cached.cache_clear()
+    feed_stdin(monkeypatch, DENSE_N14.encode() + b"\n")
+    code, out, _ = run_cli(capsys, "analyze", "--k", "2", "--out", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["graph6"] == DENSE_N14 and doc["m"] == 82
+    routes = list(doc["k_extendable"].values()) + [doc["one_excludable"]]
+    assert all(r["holds"] and r["agrees_with_criterion"] for r in routes)
+    assert calls == [(1, 14, 14)] and searched == []
+
+
+@pytest.mark.parametrize("fmt, data, line", [
+    ("g6", b"?\n", 1),
+    ("g6", b"# no vertex\n\n?\nC~\n", 3),
+    ("edgelist", b"0\n", 1),
+    ("edgelist", b"# no vertex\n0\n", 2),
+], ids=["g6", "g6-after-comment", "edgelist", "edgelist-after-comment"])
+def test_analyze_refuses_a_graph_of_order_zero(capsys, tmp_path, monkeypatch, fmt, data, line):
+    # order 0 is even, but there is no graph to analyze: a usage error that
+    # names the source and line, as a graph that does not parse is
+    path = tmp_path / "zero"
+    path.write_bytes(data)
+    message = f"{line}: vertex count must be at least 1, got 0\n"
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: file:{path}:{message}")
+    feed_stdin(monkeypatch, data)
+    code, out, err = run_cli(capsys, "analyze", "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: stdin:{message}")
 
 
 def test_analyze_reads_stdin(capsys, monkeypatch):
@@ -447,6 +498,17 @@ def test_verify_refuses_an_input_of_order_zero(capsys, tmp_path, argv, needs):
     code, out, err = run_cli(capsys, "verify", *argv, "--input", str(path))
     assert code == 2 and out == ""
     assert err == f"error: file:{path}: {needs} need n >= 1, got n=0\n"
+
+
+@pytest.mark.parametrize("lemma, grid, low", [
+    ("l2.9", "n=0..0", 0), ("l2.10", "n=0..2", 0), ("l2.10", "n=-2..4", -2),
+])
+def test_verify_lemma_grid_below_order_one_names_it(capsys, lemma, grid, low):
+    # before, l2.9 said "n must be a non-negative integer" (from math.comb)
+    # and l2.10 named only the cap of the built-in enumeration
+    code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: the deficiency bound suites need n >= 1, got n={low}\n"
 
 
 def test_verify_refuses_n_together_with_input(capsys, n8_fixture_path):

@@ -505,11 +505,38 @@ def test_direct_route_matches_reference_n8(n8_fixture_path):
                 _direct_matches_reference(parse_graph6(line))
 
 
-def test_direct_route_matches_reference_at_benchmark_orders():
+def _clear_direct_caches():
+    is_k_extendable.cache_clear()
+    is_1_excludable.cache_clear()
+    matching._direct_state.cache_clear()
+
+
+def _counting_certificates(monkeypatch):
+    """Record each graph whose Tutte matrix is inverted, and count by k the
+    k-matchings whose Pfaffian certifies them."""
+    inverted, certified = [], Counter()
+    inverse, pfaffians = matching._tutte_inverse, matching._pfaffians
+
+    def recorded_inverse(g):
+        inverted.append(g)
+        return inverse(g)
+
+    def recorded_pfaffians(b, cols):
+        pf = pfaffians(b, cols)
+        certified[cols.shape[1] // 2] += int(np.count_nonzero(pf))
+        return pf
+
+    monkeypatch.setattr(matching, "_tutte_inverse", recorded_inverse)
+    monkeypatch.setattr(matching, "_pfaffians", recorded_pfaffians)
+    return inverted, certified
+
+
+def test_direct_route_matches_reference_at_benchmark_orders(monkeypatch):
     # the orders analyze-dense draws, where k-matchings are many and most
     # are settled by the Pfaffian certificate rather than a blossom search
     rng = random.Random(53)
-    matching._tutte_inverse.cache_clear()
+    _clear_direct_caches()
+    inverted, certified = _counting_certificates(monkeypatch)
     verdicts = Counter()
     for n in (10, 12, 14):
         for p in (0.3, 0.5, 0.7, 0.9):
@@ -522,7 +549,12 @@ def test_direct_route_matches_reference_at_benchmark_orders():
     # 64-bit mask word
     _assert_matches_reference(_random_connected_graph(rng, 24, 0.8), 1)
     _assert_matches_reference(cycle_graph(66), 2)
-    assert matching._tutte_inverse.cache_info().misses >= 12
+    # one inverse per graph serves every k: 9 of the 12 benchmark-order
+    # graphs have more than _CERTIFY_ROWS 2-matchings and are inverted up
+    # front, 2 more at their first block of that many 3-matchings, and both
+    # large graphs up front; every k reads the inverse
+    assert len(inverted) == len(set(inverted)) == 13
+    assert all(certified[k] for k in (1, 2, 3))
 
 
 def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
@@ -537,9 +569,7 @@ def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
         return eliminate(t)
 
     monkeypatch.setattr(matching, "_tutte_eliminate", counted)
-    matching._tutte_inverse.cache_clear()
     b = matching._tutte_inverse(g)
-    matching._tutte_inverse.cache_clear()
     assert calls == [(1, 66, 66)]
     on = np.zeros((66, 66), dtype=bool)
     for u, v in g.edges():
@@ -611,9 +641,9 @@ def test_tutte_eliminate_is_exact(count):
 def test_pfaffian_certificate_is_sound(n8_fixture_path, monkeypatch):
     # every connected graph of order 6 or 8 with a perfect matching (k >= 2
     # needs n >= 6, and odd orders have none): each vertex set the
-    # certificate passes is re-checked from scratch, and every verdict
-    # reached with the certificate on every block equals the one reached by
-    # blossom searches alone
+    # certificate passes, B[u, v] != 0 at k = 1, is re-checked from scratch,
+    # and every verdict reached with the certificate on every block equals
+    # the one reached by blossom searches alone
     graphs = list(enumerate_connected(6))
     with open(n8_fixture_path) as fh:
         graphs += [parse_graph6(line) for line in fh if line.strip()]
@@ -632,7 +662,7 @@ def test_pfaffian_certificate_is_sound(n8_fixture_path, monkeypatch):
     verdicts = []
     certified_total = 0
     for g in graphs:
-        for k in (2, 3):
+        for k in (1, 2, 3):
             if g.n < 2 * k + 2:
                 continue
             is_k_extendable.cache_clear()
@@ -649,17 +679,80 @@ def test_pfaffian_certificate_is_sound(n8_fixture_path, monkeypatch):
     assert certified_total > 300000
     monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
     for g, k, v in verdicts:
-        is_k_extendable.cache_clear()
+        _clear_direct_caches()
         w = is_k_extendable(g, k)
         assert (w.holds, w.reason, w.witness) == (v.holds, v.reason, v.witness), (g.adj, k)
+
+
+def _direct_verdicts(g):
+    """(holds, reason, witness) of is_k_extendable(g, k) for k = 1, 2, 3 and
+    then of is_1_excludable(g), as analyze asks for them, from a fresh state."""
+    _clear_direct_caches()
+    return [(v.holds, v.reason, v.witness)
+            for v in [is_k_extendable(g, k) for k in (1, 2, 3)] + [is_1_excludable(g)]]
+
+
+def test_one_excludable_certificate_is_sound(n8_fixture_path, monkeypatch):
+    # every n = 8 graph with a perfect matching, its Tutte matrix inverted up
+    # front: each edge of M that is_1_excludable passes without a search, on
+    # 1 + w B[u, v] != 0, leaves g - e with a perfect matching, and every
+    # verdict equals the one reached by blossom searches alone (k = 1, 2, 3
+    # are compared so in test_pfaffian_certificate_is_sound)
+    with open(n8_fixture_path) as fh:
+        graphs = [g for g in map(parse_graph6, filter(str.strip, fh)) if has_perfect_matching(g)]
+    searched = []  # roots of the augmenting searches
+    search = matching._find_augmenting_path
+
+    def recorded(adj, mate, root):
+        searched.append(root)
+        return search(adj, mate, root)
+
+    monkeypatch.setattr(matching, "_find_augmenting_path", recorded)
+    monkeypatch.setattr(matching, "_CERTIFY_ROWS", 0)
+    skipped = 0
+    verdicts = []
+    for g in graphs:
+        _clear_direct_caches()
+        state = matching._direct_state(g)
+        assert state.inverse is not None
+        searched.clear()  # those of the maximum matching
+        v = is_1_excludable(g)
+        edges = state.edges
+        decided = edges if v.holds else edges[:edges.index(v.witness) + 1]
+        for u, w in decided:
+            if state.match[u] == w and u not in searched:
+                rest = from_edge_list(g.n, [e for e in edges if e != (u, w)])
+                assert 2 * max_matching(rest).size == g.n, (g.adj, (u, w))
+                skipped += 1
+        verdicts.append((g, v))
+    assert skipped > 20000
+    monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
+    for g, v in verdicts:
+        _clear_direct_caches()
+        w = is_1_excludable(g)
+        assert (w.holds, w.reason, w.witness) == (v.holds, v.reason, v.witness), g.adj
+
+
+def test_direct_verdicts_match_search_alone_at_benchmark_orders(monkeypatch):
+    # at the orders analyze-dense draws, the inverse taken up front or at a
+    # large block changes no verdict of any k, nor of 1-excludability
+    rng = random.Random(59)
+    graphs = [_random_connected_graph(rng, n, p / 10)
+              for n in (10, 12, 14) for p in range(3, 10, 2) for _ in range(2)]
+    inverted, _ = _counting_certificates(monkeypatch)
+    verdicts = [_direct_verdicts(g) for g in graphs]
+    assert len(inverted) == len(set(inverted)) >= 20
+    assert all({v[i][0] for v in verdicts} == {True, False} for i in range(4))
+    monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
+    for g, certified in zip(graphs, verdicts):
+        assert _direct_verdicts(g) == certified, g.adj
 
 
 def test_k_extendable_memory_is_bounded_by_the_block():
     # K16 has 120,120 3-matchings; held in one block, their index, vertex
     # and mask arrays would take about 20 MB, against about 1.2 MB in blocks
     g = complete_graph(16)
-    is_k_extendable.cache_clear()
-    matching._tutte_inverse.cache_clear()
+    _clear_direct_caches()
     tracemalloc.start()
     try:
         assert is_k_extendable(g, 3).holds
