@@ -48,7 +48,7 @@ def _load_graph(args) -> graphs.Graph:
             data = fh.read()
     lines = enumeration.decode_lines(data, where)
     if args.format == "edgelist":
-        return graphs.parse_edge_list(lines, where, min_order=1)
+        return graphs.parse_edge_list(lines, where)
     for number, line in enumerate(map(graphs.graph6_text, lines), 1):
         if line:
             try:

@@ -286,12 +286,11 @@ def to_graph6(g: Graph) -> str:
                                     for k in range(0, len(bits), 6)])
 
 
-def parse_edge_list(lines, where: str = "edge list", min_order: int = 0) -> Graph:
+def parse_edge_list(lines, where: str = "edge list") -> Graph:
     """Parse the plain text format from its lines: first n, then one 'u v'
     pair per line; blank and '#' lines are skipped.  A line that does not
-    parse, or names a negative order, an order below min_order, an edge out
-    of range or a loop, raises ValueError starting `where:K:`, K its 1-based
-    number."""
+    parse, or names an order below 1, an edge out of range or a loop, raises
+    ValueError starting `where:K:`, K its 1-based number."""
     n, edges = None, []
     for number, line in enumerate(lines, 1):
         parts = line.split()
@@ -302,8 +301,8 @@ def parse_edge_list(lines, where: str = "edge list", min_order: int = 0) -> Grap
                 n = int(line)
                 if n < 0:
                     raise ValueError("vertex count must be nonnegative")
-                if n < min_order:
-                    raise ValueError(f"vertex count must be at least {min_order}, got {n}")
+                if n == 0:
+                    raise ValueError("vertex count must be at least 1, got 0")
             elif len(parts) != 2:
                 raise ValueError(f"bad edge line: {line.strip()!r}")
             else:

@@ -6,18 +6,17 @@ and a structural criterion route (odd-component counting over vertex
 subsets).  The test suite relies on both routes agreeing on exhaustive
 small-graph sweeps, so neither side may call into the other.
 
-The direct route keeps one state per graph (`_direct_state`): a maximum
-matching M, the edge list and its ends, and the Tutte inverse once it is
-computed.  A k-matching F extends exactly when g - V(F) has a perfect
-matching: M minus the edges touching V(F) leaves at most 2k vertices
-exposed, and one augmenting search (Edmonds' blossom algorithm) from each
-vertex still exposed, on the adjacency masks with V(F) masked out,
-decides it.  An edge e of M is avoided by a perfect matching exactly when
-one search from an end of e succeeds in g - e; every edge outside M is
-avoided by M itself (Lovasz-Plummer, Matching Theory, 1986).  No Graph is
-built inside these loops, and both direct checks memoise their verdicts
-for the last few graphs, so asking about one graph several times pays for
-one decision.  k-extendability builds the k-matchings as numpy rows, in
+The direct route computes one maximum matching M per graph and reuses it.
+A k-matching F extends exactly when g - V(F) has a perfect matching: M
+minus the edges touching V(F) leaves at most 2k vertices exposed, and one
+augmenting search (Edmonds' blossom algorithm) from each vertex still
+exposed, on the adjacency masks with V(F) masked out, decides it.  An
+edge e of M is avoided by a perfect matching exactly when one search from
+an end of e succeeds in g - e; every edge outside M is avoided by M
+itself (Lovasz-Plummer, Matching Theory, 1986).  No Graph is built inside
+these loops, and both direct checks memoise their verdicts for the last
+few graphs, so asking about one graph several times pays for one
+decision.  k-extendability builds the k-matchings as numpy rows, in
 lexicographic edge order and in blocks of bounded size.
 
 Before any search, a certificate settles many cases at once.  g - V(F)
@@ -26,21 +25,22 @@ a nonzero polynomial (Lovasz, "On determinants, matchings, and random
 algorithms", 1979); with B = T^-1 it equals det T * Pf(B[V(F), V(F)])^2
 (the identity behind Rabin and Vazirani, "Maximum matchings in general
 graphs through randomization", 1989), det T * B[u, v]^2 for k = 1.  T is
-inverted over GF(TUTTE_PRIME) at fixed weights, at most once per graph:
-up front when g has more than _CERTIFY_ROWS 2-matchings, else on the
-first block of more than _CERTIFY_ROWS k-matchings.  From then on every
-query of the graph reads it: k-extendability the Pfaffians of each
-block, 1-excludability the value 1 + w B[u, v] of each edge of M (below).
-A nonzero value is a proof whatever the weights, since a polynomial with
-a nonzero value is not the zero polynomial; a zero may be an unlucky
-weight choice, so it goes to the blossom search, as does every case when
-T is singular.  A graph with few 2-matchings, every graph of order 6 or
-less among them, keeps to the searches unless a large k asks for many
-k-matchings: inverting T would cost more than they do.
+inverted over GF(TUTTE_PRIME) at fixed weights, and `_tutte_inverse`
+keeps the last graph's inverse, so a graph is inverted at most once
+however many queries read it.  A graph with a perfect matching and more
+than _CERTIFY_ROWS 2-matchings is inverted on its first query, whichever
+it is; k-extendability then reads the Pfaffians of every block, B[u, v]
+for k = 1, and 1-excludability the value 1 + w B[u, v] of each edge of M
+(below).  On any other graph only a block of more than _CERTIFY_ROWS
+k-matchings, as a large k asks for, reads the inverse; 1-excludability
+does not.  A nonzero value is a proof whatever the weights, since a
+polynomial with a nonzero value is not the zero polynomial; a zero may be
+an unlucky weight choice, so it goes to the blossom search, as does every
+case when T is singular.  A graph with few 2-matchings, every graph of
+order 6 or less among them, is cheaper to search than to invert.
 
 A sweep settles 1-extendability and 1-excludability for a whole batch of
-graphs from one elimination (`_tutte_certified`), with the identities a
-graph's state reads.  `_tutte_eliminate`
+graphs from one elimination (`_tutte_certified`).  `_tutte_eliminate`
 inverts every Tutte matrix of the batch at once by division-free
 Gauss-Jordan elimination, with the batch as the last, contiguous axis and
 residues held as float64 integers, exact because TUTTE_PRIME < 2^26;
@@ -477,13 +477,14 @@ def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entries[::2 * n + 1].T, a[:, n:].transpose(2, 0, 1)
 
 
+@lru_cache(maxsize=1)
 def _tutte_inverse(g: Graph) -> np.ndarray | None:
     """Inverse over GF(TUTTE_PRIME) of the Tutte matrix of g at the weights
     of `_tutte_weights`, or None when it is singular at those weights.
 
     A batch of one through `_tutte_eliminate`, its T built as
     `_tutte_certified` builds a batch's.  The inverse of a skew-symmetric
-    matrix is skew-symmetric.  `_direct_state` keeps it.
+    matrix is skew-symmetric.
     """
     p = TUTTE_PRIME
     rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
@@ -552,36 +553,11 @@ def _pfaffian(rest: tuple[int, ...], known: dict) -> np.ndarray:
     return known[rest]
 
 
-class _DirectState:
-    """The direct route's view of one graph: the partner of every vertex in
-    a maximum matching M (-1 = exposed), the edges in lexicographic order
-    and their ends as an (m, 2) array, and the Tutte inverse, None while it
-    is not computed or when T is singular at the fixed weights."""
-
-    __slots__ = ("g", "match", "edges", "ends", "inverse", "inverted")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.match = _maximum_match(g.adj)
-        self.edges = g.edges()
-        self.ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.inverse, self.inverted = None, False
-        if -1 not in self.match:  # else T is singular
-            # C(m, 2) pairs of edges, less those that share a vertex
-            self.certify(comb(g.m, 2) - sum(comb(a.bit_count(), 2) for a in g.adj))
-
-    def certify(self, rows: int) -> np.ndarray | None:
-        """The Tutte inverse for deciding `rows` matchings: inverted now if
-        it was not yet and they are more than _CERTIFY_ROWS."""
-        if rows > _CERTIFY_ROWS and not self.inverted:
-            self.inverse, self.inverted = _tutte_inverse(self.g), True
-        return self.inverse
-
-
 @lru_cache(maxsize=1)
-def _direct_state(g: Graph) -> _DirectState:
-    """The state of the most recent graph the direct route has decided."""
-    return _DirectState(g)
+def _two_matchings(g: Graph) -> int:
+    """How many 2-matchings g has: C(m, 2) pairs of edges, less the
+    C(deg v, 2) pairs that meet at each vertex v."""
+    return comb(g.m, 2) - sum(comb(a.bit_count(), 2) for a in g.adj)
 
 
 @lru_cache(maxsize=8)
@@ -593,19 +569,18 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     as holds=False, never as an error).  A k-matching F extends exactly when
     g - V(F) has a perfect matching.
 
-    Where the graph's state holds a Tutte inverse B (`_direct_state`; the
-    module docstring says when T is inverted), F is proved to extend by a
-    nonzero 2k x 2k Pfaffian of B[V(F), V(F)], B[u, v] for k = 1: then
-    det T[V-V(F)] = det T * Pf(B[V(F), V(F)])^2 (Jacobi's complementary
-    minor, as in Rabin and Vazirani, "Maximum matchings in general graphs
-    through randomization", J. Algorithms 10, 1989) is not the zero
-    polynomial, whatever the weights (Tutte 1947; Lovasz 1979).  The
-    Pfaffians of a block are computed at once.  A zero may be an unlucky
+    Where the Tutte inverse B is read (the module docstring says when), F
+    is proved to extend by a nonzero 2k x 2k Pfaffian of B[V(F), V(F)],
+    B[u, v] for k = 1: then det T[V-V(F)] = det T * Pf(B[V(F), V(F)])^2
+    (Jacobi's complementary minor, as in Rabin and Vazirani, "Maximum
+    matchings in general graphs through randomization", J. Algorithms 10,
+    1989) is not the zero polynomial, whatever the weights (Tutte 1947;
+    Lovasz 1979).  The Pfaffians of a block are computed at once.  A zero may be an unlucky
     choice of weights, so those k-matchings, and all of them when there is
     no inverse, are decided by the blossom search below.
 
-    The blossom search decides F by a search warm-started from the graph's
-    maximum matching M on g - V(F).  The witness is the first
+    The blossom search computes one maximum matching M per graph and decides
+    F by a search warm-started from M on g - V(F).  The witness is the first
     non-extendable k-matching in lexicographic edge-index order.
     """
     if k < 1:
@@ -614,14 +589,16 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
         return Verdict(False, "direct", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
         return Verdict(False, "direct", witness=frozenset(), reason="too-few-vertices")
-    state = _direct_state(g)
-    match, edges, ends = state.match, state.edges, state.ends
+    match = _maximum_match(g.adj)
     if -1 in match:
         return Verdict(False, "direct", witness=frozenset(), reason="no-perfect-matching")
+    edges = g.edges()
+    ends = np.array(edges, dtype=np.int64)
     a, b = ends.T[:, :, None]
     meets = (a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)
+    up_front = _two_matchings(g) > _CERTIFY_ROWS
     for rows in _k_matching_blocks(meets, k):
-        inverse = state.certify(len(rows))
+        inverse = _tutte_inverse(g) if up_front or len(rows) > _CERTIFY_ROWS else None
         if inverse is not None:
             rows = rows[_pfaffians(inverse, ends[rows].reshape(len(rows), 2 * k)) == 0]
         for row in rows.tolist():
@@ -697,24 +674,25 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
 def is_1_excludable(g: Graph) -> Verdict:
     """Direct check: for every edge e, g-e has a perfect matching.
 
-    The graph's maximum matching M (`_direct_state`) already avoids every
-    edge outside M.  An edge e = uv of M, u < v, is proved avoidable by the
-    graph's Tutte inverse B, when there is one, if 1 + T[u, v] B[u, v] != 0
-    mod TUTTE_PRIME (det T_(g-e) = det T * (1 + T[u, v] B[u, v])^2, the
-    determinant lemma in the module docstring).  Every other edge of M is
-    decided by one augmenting search from u in g - e, warm-started from
-    M - e.  This check never inverts T itself: it reads an inverse computed
-    up front or for k-extendability.
+    One maximum matching M is computed; it already avoids every edge
+    outside M.  On a graph with more than _CERTIFY_ROWS 2-matchings, an edge
+    e = uv of M, u < v, is proved avoidable by the Tutte inverse B if
+    1 + T[u, v] B[u, v] != 0 mod TUTTE_PRIME (det T_(g-e) = det T *
+    (1 + T[u, v] B[u, v])^2, the determinant lemma in the module
+    docstring).  B is the one k-extendability reads; asked first, this
+    check inverts T itself.  Every other edge of M is decided by one
+    augmenting search from u in g - e, warm-started from M - e.
     """
     if g.n % 2 == 1:
         return Verdict(False, "direct", witness=frozenset(), reason="odd-order")
-    if not any(g.adj):  # no edge
+    edges = g.edges()
+    if not edges:
         return Verdict(True, "direct")
-    state = _direct_state(g)
-    match, edges, inverse = state.match, state.edges, state.inverse
+    match = _maximum_match(g.adj)
     if -1 in match:
         return Verdict(False, "direct", witness=edges[0],
                        reason="no-perfect-matching")
+    inverse = _tutte_inverse(g) if _two_matchings(g) > _CERTIFY_ROWS else None
     weights = None if inverse is None else _tutte_weights(g.n)
     for e in edges:
         u, v = e

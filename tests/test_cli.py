@@ -98,7 +98,7 @@ def test_analyze_inverts_a_dense_graph_once(capsys, monkeypatch):
 
     monkeypatch.setattr(matching, "_tutte_eliminate", counted)
     monkeypatch.setattr(matching, "_perfect_after_deleting", recorded)
-    for cached in (matching.is_k_extendable, matching.is_1_excludable, matching._direct_state):
+    for cached in (matching.is_k_extendable, matching.is_1_excludable, matching._tutte_inverse):
         cached.cache_clear()
     feed_stdin(monkeypatch, DENSE_N14.encode() + b"\n")
     code, out, _ = run_cli(capsys, "analyze", "--k", "2", "--out", "json")

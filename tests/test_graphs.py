@@ -215,6 +215,8 @@ def test_parse_edge_list_text():
         parse_edge_list([])
     with pytest.raises(ValueError, match=r"^g\.txt:4: bad edge line: '1 2 3'$"):
         parse_edge_list(["4", "0 1", "", "1 2 3"], "g.txt")
+    with pytest.raises(ValueError, match=r"^g\.txt:2: vertex count must be at least 1, got 0$"):
+        parse_edge_list(["# no vertex", "0"], "g.txt")
 
 
 # --- construction algebra ---------------------------------------------------

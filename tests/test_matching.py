@@ -508,18 +508,24 @@ def test_direct_route_matches_reference_n8(n8_fixture_path):
 def _clear_direct_caches():
     is_k_extendable.cache_clear()
     is_1_excludable.cache_clear()
-    matching._direct_state.cache_clear()
 
 
 def _counting_certificates(monkeypatch):
-    """Record each graph whose Tutte matrix is inverted, and count by k the
-    k-matchings whose Pfaffian certifies them."""
-    inverted, certified = [], Counter()
-    inverse, pfaffians = matching._tutte_inverse, matching._pfaffians
+    """Record each graph whose Tutte inverse is asked for and the shape of
+    each Tutte elimination, and count by k the k-matchings whose Pfaffian
+    certifies them."""
+    asked, eliminated, certified = [], [], Counter()
+    inverse, eliminate, pfaffians = (matching._tutte_inverse, matching._tutte_eliminate,
+                                     matching._pfaffians)
+    inverse.cache_clear()
 
     def recorded_inverse(g):
-        inverted.append(g)
+        asked.append(g)
         return inverse(g)
+
+    def recorded_eliminate(t):
+        eliminated.append(t.shape)
+        return eliminate(t)
 
     def recorded_pfaffians(b, cols):
         pf = pfaffians(b, cols)
@@ -527,8 +533,9 @@ def _counting_certificates(monkeypatch):
         return pf
 
     monkeypatch.setattr(matching, "_tutte_inverse", recorded_inverse)
+    monkeypatch.setattr(matching, "_tutte_eliminate", recorded_eliminate)
     monkeypatch.setattr(matching, "_pfaffians", recorded_pfaffians)
-    return inverted, certified
+    return asked, eliminated, certified
 
 
 def test_direct_route_matches_reference_at_benchmark_orders(monkeypatch):
@@ -536,7 +543,7 @@ def test_direct_route_matches_reference_at_benchmark_orders(monkeypatch):
     # are settled by the Pfaffian certificate rather than a blossom search
     rng = random.Random(53)
     _clear_direct_caches()
-    inverted, certified = _counting_certificates(monkeypatch)
+    asked, eliminated, certified = _counting_certificates(monkeypatch)
     verdicts = Counter()
     for n in (10, 12, 14):
         for p in (0.3, 0.5, 0.7, 0.9):
@@ -549,11 +556,11 @@ def test_direct_route_matches_reference_at_benchmark_orders(monkeypatch):
     # 64-bit mask word
     _assert_matches_reference(_random_connected_graph(rng, 24, 0.8), 1)
     _assert_matches_reference(cycle_graph(66), 2)
-    # one inverse per graph serves every k: 9 of the 12 benchmark-order
-    # graphs have more than _CERTIFY_ROWS 2-matchings and are inverted up
-    # front, 2 more at their first block of that many 3-matchings, and both
-    # large graphs up front; every k reads the inverse
-    assert len(inverted) == len(set(inverted)) == 13
+    # one elimination per graph serves every k: 9 of the 12 benchmark-order
+    # graphs have more than _CERTIFY_ROWS 2-matchings and are inverted at
+    # k = 1, 2 more at their first block of that many 3-matchings, and both
+    # large graphs at their first query; every k reads the inverse
+    assert len(eliminated) == len(set(asked)) == 13
     assert all(certified[k] for k in (1, 2, 3))
 
 
@@ -569,7 +576,9 @@ def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
         return eliminate(t)
 
     monkeypatch.setattr(matching, "_tutte_eliminate", counted)
+    matching._tutte_inverse.cache_clear()
     b = matching._tutte_inverse(g)
+    matching._tutte_inverse.cache_clear()
     assert calls == [(1, 66, 66)]
     on = np.zeros((66, 66), dtype=bool)
     for u, v in g.edges():
@@ -679,14 +688,15 @@ def test_pfaffian_certificate_is_sound(n8_fixture_path, monkeypatch):
     assert certified_total > 300000
     monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
     for g, k, v in verdicts:
-        _clear_direct_caches()
+        is_k_extendable.cache_clear()
         w = is_k_extendable(g, k)
         assert (w.holds, w.reason, w.witness) == (v.holds, v.reason, v.witness), (g.adj, k)
 
 
 def _direct_verdicts(g):
     """(holds, reason, witness) of is_k_extendable(g, k) for k = 1, 2, 3 and
-    then of is_1_excludable(g), as analyze asks for them, from a fresh state."""
+    then of is_1_excludable(g), as analyze asks for them, with no verdict
+    memoised."""
     _clear_direct_caches()
     return [(v.holds, v.reason, v.witness)
             for v in [is_k_extendable(g, k) for k in (1, 2, 3)] + [is_1_excludable(g)]]
@@ -700,27 +710,32 @@ def test_one_excludable_certificate_is_sound(n8_fixture_path, monkeypatch):
     # are compared so in test_pfaffian_certificate_is_sound)
     with open(n8_fixture_path) as fh:
         graphs = [g for g in map(parse_graph6, filter(str.strip, fh)) if has_perfect_matching(g)]
-    searched = []  # roots of the augmenting searches
-    search = matching._find_augmenting_path
+    searched = []  # roots of the augmenting searches since M was found
+    search, maximum_match = matching._find_augmenting_path, matching._maximum_match
 
     def recorded(adj, mate, root):
         searched.append(root)
         return search(adj, mate, root)
 
+    def found(adj):
+        match = maximum_match(adj)
+        searched.clear()
+        return match
+
     monkeypatch.setattr(matching, "_find_augmenting_path", recorded)
+    monkeypatch.setattr(matching, "_maximum_match", found)
     monkeypatch.setattr(matching, "_CERTIFY_ROWS", 0)
     skipped = 0
     verdicts = []
     for g in graphs:
         _clear_direct_caches()
-        state = matching._direct_state(g)
-        assert state.inverse is not None
-        searched.clear()  # those of the maximum matching
+        assert matching._tutte_inverse(g) is not None
         v = is_1_excludable(g)
-        edges = state.edges
+        roots = set(searched)  # max_matching below finds an M of its own
+        edges, match = g.edges(), maximum_match(g.adj)
         decided = edges if v.holds else edges[:edges.index(v.witness) + 1]
         for u, w in decided:
-            if state.match[u] == w and u not in searched:
+            if match[u] == w and u not in roots:
                 rest = from_edge_list(g.n, [e for e in edges if e != (u, w)])
                 assert 2 * max_matching(rest).size == g.n, (g.adj, (u, w))
                 skipped += 1
@@ -739,9 +754,9 @@ def test_direct_verdicts_match_search_alone_at_benchmark_orders(monkeypatch):
     rng = random.Random(59)
     graphs = [_random_connected_graph(rng, n, p / 10)
               for n in (10, 12, 14) for p in range(3, 10, 2) for _ in range(2)]
-    inverted, _ = _counting_certificates(monkeypatch)
+    asked, eliminated, _ = _counting_certificates(monkeypatch)
     verdicts = [_direct_verdicts(g) for g in graphs]
-    assert len(inverted) == len(set(inverted)) >= 20
+    assert len(eliminated) == len(set(asked)) >= 20
     assert all({v[i][0] for v in verdicts} == {True, False} for i in range(4))
     monkeypatch.setattr(matching, "_tutte_inverse", lambda g: None)
     for g, certified in zip(graphs, verdicts):
@@ -752,7 +767,8 @@ def test_k_extendable_memory_is_bounded_by_the_block():
     # K16 has 120,120 3-matchings; held in one block, their index, vertex
     # and mask arrays would take about 20 MB, against about 1.2 MB in blocks
     g = complete_graph(16)
-    _clear_direct_caches()
+    is_k_extendable.cache_clear()
+    matching._tutte_inverse.cache_clear()
     tracemalloc.start()
     try:
         assert is_k_extendable(g, 3).holds
