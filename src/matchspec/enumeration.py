@@ -4,10 +4,11 @@ The built-in source enumerates every connected graph on n <= 7 vertices,
 one representative per isomorphism class.  A sieve over all 2^C(n,2)
 labeled edge bit-strings takes the least one not yet marked, which is the
 minimum of its class, and marks its whole orbit under the n! vertex
-permutations at once.  Every class is sieved; connectivity, an isomorphism
-invariant, is tested on the representatives only.  Larger orders are
-ingested from graph6 files produced externally; the n=8 file ships as a
-test fixture.
+permutations at once, by summing the int32 image rows of its edge slots
+into one buffer.  Every class is sieved; connectivity, an isomorphism
+invariant, is tested by `graphs.is_connected` on the representatives only.
+Larger orders are ingested from graph6 files produced externally; the n=8
+file ships as a test fixture.
 
 Sweeps evaluate a threshold statement over a source, collecting the graphs
 that satisfy the hypothesis but fail the conclusion, tagging each with the
@@ -80,9 +81,12 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     Each representative is the labeled graph whose edge bit-string (graph6
     slot order) is minimal within its class, and they come in increasing
     bit-string order.  The sieve visits every class, connected or not: the
-    orbit of a representative is marked with one gather-sum over a table of
-    the slot images of all n! vertex permutations, and connectivity is
-    tested on the representative alone.
+    orbit of a representative is the sum, in one int32 buffer, of the image
+    rows of its edge slots, each the slot bits that the n! vertex
+    permutations send it to (int32 holds them: up to ENUMERATION_CAP a
+    bit-string has at most C(7, 2) = 21 bits).  The same slot loop builds
+    the representative's neighbour masks, and `graphs.is_connected` tests
+    the representative alone.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(
@@ -93,32 +97,35 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
 
     pairs = all_pairs(n)
     nslots = len(pairs)
-    total = 1 << nslots
     lo, hi = np.array(pairs).T
-    slot = np.zeros((n, n), dtype=np.int64)
+    slot = np.zeros((n, n), dtype=np.int32)
     slot[lo, hi] = slot[hi, lo] = np.arange(nslots)
-    # image[p, s]: the bit of the slot that vertex permutation p sends slot s to
-    perm = np.array(list(permutations(range(n))))
-    image = np.int64(1) << slot[perm[:, lo], perm[:, hi]]
+    # image[s, p]: the bit of the slot that vertex permutation p sends slot s to
+    perm = np.array(list(permutations(range(n))), dtype=np.int8)
+    image = np.int32(1) << slot[perm[:, lo], perm[:, hi]].T
 
-    todo = np.ones(total, dtype=bool)
+    todo = np.ones(1 << nslots, dtype=bool)
+    orbit = np.empty(len(perm), dtype=np.int32)
     out = []
     ptr = 0
-    chunk = 1 << 16
-    while ptr < total:
-        if not todo[ptr]:
-            hits = np.flatnonzero(todo[ptr:ptr + chunk])
-            if hits.size == 0:
-                ptr += chunk
-                continue
-            ptr += int(hits[0])
-        on = [i for i in range(nslots) if ptr >> i & 1]
-        todo[image[:, on].sum(axis=1)] = False
-        g = from_edge_list(n, [pairs[i] for i in on])
+    while True:
+        orbit.fill(0)
+        adj = [0] * n
+        for s, (u, v) in enumerate(pairs):
+            if ptr >> s & 1:
+                orbit += image[s]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        todo[orbit] = False
+        g = Graph(n, tuple(adj))
         if graphs.is_connected(g):
             out.append(g)
-        ptr += 1
-    return tuple(out)
+        # todo[ptr] is now marked (the identity is in its orbit), so a step
+        # of 0 means that no bit-string is left; bool argmax stops at a True
+        step = int(todo[ptr:].argmax())
+        if not step:
+            return tuple(out)
+        ptr += step
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +686,10 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
         hit = 0
         for g in _graphs_without_pm(source, n):
             instances += 1
-            hit = max(hit, g.m)
-            if g.m > bound:
-                violations.append(
-                    f"n={n}: {to_graph6(g)} has m={g.m} > bound {bound}")
+            m = g.m
+            hit = max(hit, m)
+            if m > bound:
+                violations.append(f"n={n}: {to_graph6(g)} has m={m} > bound {bound}")
         max_m_ratio = max(max_m_ratio, hit / bound if bound else 0.0)
         notes.append(f"n={n}: max size among qualifying graphs {hit} (bound {bound})")
     return ({"n_values": n_values}, instances, violations, max_m_ratio, notes)

@@ -56,6 +56,26 @@ def test_representatives_are_min_bitstrings():
             assert relabeled >= mask
 
 
+def test_representatives_are_orbit_minima_n_le_7():
+    # weight[a, b] = 2^slot(a, b), graph6 slot j(j-1)/2 + i of i < j, zero on
+    # the diagonal; half of sum(A * weight[p][:, p]) is the bit-string of the
+    # graph relabeled by p (v -> p[v]), for every one of the n! permutations
+    for n in range(2, 8):
+        labels = np.arange(n)
+        i, j = np.minimum.outer(labels, labels), np.maximum.outer(labels, labels)
+        weight = np.where(i == j, 0.0, 2.0 ** (j * (j - 1) // 2 + i))
+        perms = np.array(list(permutations(range(n))))
+        relabel = weight[perms[:, :, None], perms[:, None, :]].reshape(len(perms), -1)
+        reps = enumerate_connected(n)
+        adj = np.array([[[g.adj[u] >> v & 1 for v in range(n)] for u in range(n)]
+                        for g in reps], dtype=float).reshape(len(reps), -1)
+        bits = (adj @ weight.ravel() / 2).astype(np.int64)
+        minima = np.concatenate([(block @ relabel.T / 2).min(axis=1)
+                                 for block in np.array_split(adj, -(-len(reps) // 64))])
+        assert np.array_equal(minima.astype(np.int64), bits), n
+        assert len(set(bits.tolist())) == len(reps) == CONNECTED_GRAPH_COUNTS[n], n
+
+
 # sha256 of the newline-joined graph6 lines of enumerate_connected(n)
 ENUMERATION_DIGESTS = {
     1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
