@@ -92,12 +92,9 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         raise ValueError(
             f"built-in enumeration is capped at n <= {ENUMERATION_CAP}; "
             "use a graph6 file source for larger orders")
-    if n == 1:
-        return (graphs.empty_graph(1),)
-
     pairs = all_pairs(n)
     nslots = len(pairs)
-    lo, hi = np.array(pairs).T
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     slot = np.zeros((n, n), dtype=np.int32)
     slot[lo, hi] = slot[hi, lo] = np.arange(nslots)
     # image[s, p]: the bit of the slot that vertex permutation p sends slot s to
@@ -418,10 +415,8 @@ def _verify_subgraph_monotonicity(trials: int = 100, seed: int = 20240601):
             removable = rng.sample(edges, rng.randint(1, len(edges)))
             keep = [e for e in edges if e not in set(removable)]
             h = from_edge_list(h.n, keep)
-        if h.n == 0 or not graphs.is_connected(h):
+        if not graphs.is_connected(h):
             continue
-        if h.n == g.n and h.m == g.m:
-            continue  # not a proper subgraph
         rho_g = spectral.spectral_radius(g).rho
         rho_h = spectral.spectral_radius(h).rho
         gap = rho_g - rho_h
@@ -804,6 +799,10 @@ def verify_lemma(lemma: str, **options) -> LemmaReport:
     if unknown:
         raise ValueError(f"{lemma} does not take {', '.join(map(repr, unknown))}; "
                          f"it takes: {', '.join(accepted)}")
+    return _lemma_report(lemma, suite, options)
+
+
+def _lemma_report(lemma: str, suite, options: dict) -> LemmaReport:
     start = time.perf_counter()
     grid, instances, violations, gap, notes = suite(**options)
     if not instances:
@@ -908,10 +907,13 @@ def verify_charpoly_identities(grid=None) -> LemmaReport:
     largest root must also match the eigensolver's rho on the built graph
     to LEMMA_TOL.  Mismatches are reported verbatim, never patched over.
     """
-    start = time.perf_counter()
     grid = list(grid) if grid is not None else default_identity_grid()
     if not grid:
         raise ValueError("charpoly-identities needs at least one grid point")
+    return _lemma_report("charpoly-identities", _verify_identities, {"grid": grid})
+
+
+def _verify_identities(grid: list[tuple[str, dict]]):
     violations = []
     max_dev = 0.0
     for name, params in grid:
@@ -930,10 +932,7 @@ def verify_charpoly_identities(grid=None) -> LemmaReport:
         if dev > LEMMA_TOL:
             violations.append(
                 f"{name}{params}: formula root {root} vs rho {rho}")
-    return LemmaReport(
-        lemma="charpoly-identities", grid={"instances": len(grid)},
-        instances=len(grid), violations=tuple(violations),
-        max_equality_gap=max_dev, wall_time=time.perf_counter() - start)
+    return {"instances": len(grid)}, len(grid), violations, max_dev, ()
 
 
 __all__ = [

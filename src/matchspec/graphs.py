@@ -420,10 +420,11 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 
 
 def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:
-    """The (N, n, n) 0/1 adjacency matrices, in `dtype`, of a batch of
-    (N, n) neighbour bit rows."""
+    """The 0/1 adjacency matrices, in `dtype`, of a batch of (N, n) neighbour
+    bit rows, laid out (n, n, N), C-contiguous: graph i's is [:, :, i].  The
+    rows are transposed first, or numpy would keep their batch-first strides."""
     n = rows.shape[1]
-    return (rows[:, :, None] >> np.arange(n, dtype=rows.dtype) & 1).astype(dtype)
+    return (rows.T.copy()[:, None] >> np.arange(n, dtype=rows.dtype)[:, None] & 1).astype(dtype)
 
 
 def min_degree(g: Graph) -> int:

@@ -42,9 +42,9 @@ order 6 or less among them, is cheaper to search than to invert.
 A sweep settles 1-extendability and 1-excludability for a whole batch of
 graphs from one elimination (`_tutte_certified`).  `_tutte_eliminate`
 inverts every Tutte matrix of the batch at once by division-free
-Gauss-Jordan elimination, with the batch as the last, contiguous axis and
-residues held as float64 integers, exact because TUTTE_PRIME < 2^26;
-`_tutte_inverse` is a batch of one through it.
+Gauss-Jordan elimination, each stack laid out (n, n, N) from
+`graphs._adjacency` on, and residues held as float64 integers, exact
+because TUTTE_PRIME < 2^26; `_tutte_inverse` is a batch of one through it.
 With B = T^-1, g - u - v has a perfect matching iff B[u, v] != 0 (the
 k = 1 Pfaffian above).  For an edge e = uv, u < v, of weight w = T[u, v],
 the Tutte matrix of g - e is the rank-2 update T - w (E_uv - E_vu) =
@@ -65,12 +65,12 @@ so checking one graph several ways pays for one scan.  One routine,
 for every remaining set R = V-S of every graph at once: a batched flood
 grows the component C of R's lowest vertex one breadth-first layer per
 pass, then o(R) = o(R-C) + [|C| odd] is summed along the links R -> R-C.
-A single graph's table is a batch of one; the deficiency suites scan
-their graphs without a perfect matching in batches of bounded size.  The
-readers scan the table as arrays and run Python only on the subsets that
-could violate their criterion, in mask order, so every witness is the
-first in mask order.  At n = SUBSET_SCAN_CAP = 20 a table takes about
-0.1 s and 18 MB of work arrays to build, and keeps 1 MB.
+It returns one row per graph, indexed by S; a single graph's table is a
+batch of one, and the deficiency suites scan their graphs without a
+perfect matching in batches of bounded size.  The readers scan the table
+as arrays and run Python only on the subsets that could violate their
+criterion, in mask order, so every witness is the first.  A table at
+n = SUBSET_SCAN_CAP = 20 takes about 0.1 s and 18 MB to build; 1 MB stays.
 """
 
 from __future__ import annotations
@@ -278,22 +278,22 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 def _odd_component_counts(rows) -> np.ndarray:
-    """o(g[R]) for every vertex set R of each graph of a batch, as a uint8
-    array holding graph i's o(g[R]) at address i << n | R.
+    """o(g_i - S) for every vertex set S of each graph g_i of a batch, as an
+    (N, 2^n) uint8 table indexed [i, S]: the layout every reader scans.
 
     rows[i][v] is the neighbour bit mask of vertex v in graph i: rows is an
     (N, n) array, or a list of one graph's adjacency.  Exponential in n;
-    refuses n > SUBSET_SCAN_CAP.  The mask arrays below hold addresses
-    i << n | R, so every pass covers all sets R of all graphs at once:
+    refuses n > SUBSET_SCAN_CAP.  The work runs on the remaining sets
+    R = full - S, at addresses i << n | R (R alone in a batch of one
+    graph), so every pass covers all sets R of all graphs at once:
     - flood: the component C of R's lowest vertex starts as that vertex
       and grows to (C + N(C)) & R, read from a table of C + N(C) for every
       mask, until no mask grows (one pass per breadth-first layer);
     - count: o(R) = [|C| odd] + o(R-C), summed along the links R -> R-C
       -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most); every
       chain ends at address 0, whose count is 0.
-    A batch of one graph is addressed by R alone, with no graph bits.  At
-    n = SUBSET_SCAN_CAP (2^20 masks) one graph takes about 0.1 s and 18 MB
-    of work arrays, and its counts are 1 MB.
+    At n = SUBSET_SCAN_CAP (2^20 masks) one graph takes about 0.1 s and
+    18 MB of work arrays, and its counts are 1 MB.
     """
     count, n = len(rows), len(rows[0])
     if n > SUBSET_SCAN_CAP:
@@ -327,12 +327,13 @@ def _odd_component_counts(rows) -> np.ndarray:
     while rest.any():
         odd += odd[rest]
         rest = rest[rest]
-    return odd
+    # index by S = full - R; a copy, as numpy compares a reversed view slowly
+    return np.ascontiguousarray(odd.reshape(count, 1 << n)[:, ::-1])
 
 
 def _deficiencies(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max over S of o(g-S) - |S|, and the first mask S in mask order that
-    attains it, for each of (..., 2^n) odd-component tables indexed by S."""
+    attains it, for each row of odd-component tables."""
     excess = tables.astype(np.int16)
     excess -= _popcounts(tables.shape[-1].bit_length() - 1)
     return excess.max(axis=-1), excess.argmax(axis=-1)
@@ -345,21 +346,20 @@ def _berge_tutte_deficiencies(rows: np.ndarray) -> list[tuple[int, frozenset[int
     """`berge_tutte_deficiency` of each graph of an (N, n) array of
     neighbour masks, at most max(1, _SCAN_ENTRIES >> n) graphs per scan."""
     out = []
-    n = rows.shape[1]
-    step = max(1, _SCAN_ENTRIES >> n)
+    step = max(1, _SCAN_ENTRIES >> rows.shape[1])
     for start in range(0, len(rows), step):
-        odd = _odd_component_counts(rows[start:start + step])
-        deficiency, best = _deficiencies(odd.reshape(-1, 1 << n)[:, ::-1])
+        deficiency, best = _deficiencies(_odd_component_counts(rows[start:start + step]))
         out += [(d, frozenset(_mask_to_vertices(s)))
                 for d, s in zip(deficiency.tolist(), best.tolist())]
     return out
 
 
 @lru_cache(maxsize=1)
-def _odd_component_table(g: Graph) -> bytes:
-    """o(g-S) for every vertex subset S of g, indexed by the mask of S: a
-    batch of one through `_odd_component_counts`."""
-    return _odd_component_counts([g.adj])[::-1].tobytes()  # S holds o(g[full - S])
+def _odd_component_table(g: Graph) -> np.ndarray:
+    """g's row of `_odd_component_counts`, read-only: the cache shares it."""
+    table = _odd_component_counts([g.adj])[0]
+    table.flags.writeable = False
+    return table
 
 
 def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
@@ -369,7 +369,7 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
     satisfies 2*nu = n - deficiency.  The first maximizing S in mask order
     is returned.
     """
-    deficiency, best = _deficiencies(np.frombuffer(_odd_component_table(g), dtype=np.uint8))
+    deficiency, best = _deficiencies(_odd_component_table(g))
     return int(deficiency), frozenset(_mask_to_vertices(int(best)))
 
 
@@ -432,7 +432,7 @@ def _tutte_weights(n: int) -> np.ndarray:
 
 def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, r) with diag(d) T^-1 = r over GF(TUTTE_PRIME), for each T of an
-    (N, n, n) stack; a singular T leaves a zero in its d.
+    (n, n, N) stack, the batch last; a singular T leaves a zero in its d.
 
     Division-free Gauss-Jordan elimination on [T | I], one pivot column of
     every matrix per pass: the first row at or below the diagonal with a
@@ -440,18 +440,18 @@ def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other row i becomes pivot * row_i - a[i, c] * pivot row.  The left half
     ends as diag(d) and the right half as diag(d) T^-1.
 
-    The work array is (n, 2n, N), the batch last, so every pass runs over
-    contiguous rows of N entries into buffers allocated once.  Entries are
-    float64 integers, reduced after every pass as x - p * rint(x / p) for
+    The work array is (n, 2n, N), so every pass runs over contiguous rows
+    of N entries into buffers allocated once.  Entries are float64
+    integers, reduced after every pass as x - p * rint(x / p) for
     p = TUTTE_PRIME < 2^26: a reduced entry is below p in magnitude, so an
     update pivot * a - a' * b is below 2 p^2 < 2^53 and every value is
-    exact.  d and r are (N, n) and (N, n, n) views of the work array, with
+    exact.  d and r are (n, N) and (n, n, N) views of the work array, with
     entries in (-p, p).
     """
-    count, n = t.shape[:2]
+    n, count = t.shape[1:]
     p = TUTTE_PRIME
     a = np.zeros((n, 2 * n, count))
-    a[:, :n] = t.transpose(1, 2, 0)
+    a[:, :n] = t
     entries = a.reshape(2 * n * n, count)  # entry (i, j) at row i * 2n + j
     entries[n::2 * n + 1] = 1
     below, pivot = np.empty_like(a), np.empty_like(a[0])
@@ -474,7 +474,7 @@ def _tutte_eliminate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         below *= p
         a -= below
         a[c] = pivot
-    return entries[::2 * n + 1].T, a[:, n:].transpose(2, 0, 1)
+    return entries[::2 * n + 1], a[:, n:]
 
 
 @lru_cache(maxsize=1)
@@ -488,11 +488,11 @@ def _tutte_inverse(g: Graph) -> np.ndarray | None:
     """
     p = TUTTE_PRIME
     rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
-    d, r = _tutte_eliminate(np.where(_adjacency(rows, bool), _tutte_weights(g.n), 0))
+    d, r = _tutte_eliminate(np.where(_adjacency(rows, bool), _tutte_weights(g.n)[..., None], 0))
     if not d.all():
         return None
-    scale = np.array([pow(int(x), -1, p) for x in d[0].tolist()])
-    inverse = r[0].astype(np.int64) * scale[:, None] % p
+    scale = np.array([pow(int(x), -1, p) for x in d[:, 0].tolist()])
+    inverse = r[:, :, 0].astype(np.int64) * scale[:, None] % p
     inverse.flags.writeable = False
     return inverse
 
@@ -510,7 +510,7 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
     graphs are expanded to adjacency matrices.
     """
     n = rows.shape[1]
-    weights = _tutte_weights(n)
+    weights = _tutte_weights(n)[..., None]
     step = max(1, _TUTTE_ENTRIES // (2 * n * n))
     out = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), step):
@@ -519,11 +519,11 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
         d, r = _tutte_eliminate(t)
         if excludable:
             r *= t
-            r += d[:, :, None]  # below p^2 + p < 2^53 in magnitude: exact
+            r += d[:, None]  # below p^2 + p < 2^53 in magnitude: exact
             nonzero = np.rint(r * (1 / TUTTE_PRIME)) * TUTTE_PRIME != r
         else:
             nonzero = r != 0
-        out[start:start + step] = d.all(axis=1) & (nonzero | ~on).all(axis=(1, 2))
+        out[start:start + step] = d.all(axis=0) & (nonzero | ~on).all(axis=(0, 1))
     return out
 
 
@@ -645,7 +645,7 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    odd = np.frombuffer(_odd_component_table(g), dtype=np.uint8)
+    odd = _odd_component_table(g)
     if g.n % 2 == 1:
         return Verdict(False, "criterion", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
@@ -763,11 +763,10 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
 
     Requires a connected input; the direct checker has no such restriction.
     """
-    table = _odd_component_table(g)
+    odd = _odd_component_table(g)
     if g.n == 0 or not is_connected(g):
         raise ValueError("criterion check requires a connected graph")
     full = (1 << g.n) - 1
-    odd = np.frombuffer(table, dtype=np.uint8)
     # every other S has o(g-S) <= |S| - 2, which meets both conditions
     for smask in np.flatnonzero(odd + 2 > _popcounts(g.n)).tolist():
         comps = _component_masks(g.adj, full & ~smask)
@@ -775,7 +774,7 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-i")
-        if table[smask] > smask.bit_count():
+        if odd[smask] > smask.bit_count():
             return Verdict(False, "criterion",
                            witness=frozenset(_mask_to_vertices(smask)),
                            reason="criterion-ii")

@@ -38,7 +38,7 @@ class SpectralResult:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The (n, n) 0/1 float64 adjacency matrix, built as a batch's are."""
     rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
-    return _adjacency(rows, np.float64)[0]
+    return _adjacency(rows, np.float64)[:, :, 0]
 
 
 def eigenvalues(g: Graph) -> list[float]:
@@ -78,7 +78,7 @@ def _radii(rows: np.ndarray) -> np.ndarray:
     eigh, as in `spectral_radius`, and not eigvalsh, whose values can
     differ in the last bits: each radius equals spectral_radius(g).rho.
     """
-    return np.linalg.eigh(_adjacency(rows, np.float64))[0][:, -1]
+    return np.linalg.eigh(_adjacency(rows, np.float64).transpose(2, 0, 1))[0][:, -1]
 
 
 def radius_upper_bound(m, n: int, low) -> np.ndarray:

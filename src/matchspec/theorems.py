@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _popcount, is_connected, min_degree
+from .graphs import Graph, _adjacency, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
@@ -316,12 +316,12 @@ def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarr
     floor: its rho is there too, and no later bound can decide it.
     Every x and y is a vector of walk counts, an exact integer in float64
     for `_bracket_passes(n)` passes, so each bound is a correctly rounded
-    ratio of integers.  The adjacency is laid out (n, n, M), the batch last.
+    ratio of integers.
     """
     count, n = rows.shape
     out = np.full(count, np.nan)
     at = np.arange(count)
-    a = (rows.T >> np.arange(n, dtype=rows.dtype)[:, None, None] & 1).astype(np.float64)
+    a = _adjacency(rows, np.float64)
     x = deg.astype(np.float64) + 1.0
     for _ in range(_bracket_passes(n)):
         if not at.size:

@@ -106,7 +106,7 @@ def test_analyze_inverts_a_dense_graph_once(capsys, monkeypatch):
     assert code == 0 and doc["graph6"] == DENSE_N14 and doc["m"] == 82
     routes = list(doc["k_extendable"].values()) + [doc["one_excludable"]]
     assert all(r["holds"] and r["agrees_with_criterion"] for r in routes)
-    assert calls == [(1, 14, 14)] and searched == []
+    assert calls == [(14, 14, 1)] and searched == []
 
 
 @pytest.mark.parametrize("fmt, data, line", [

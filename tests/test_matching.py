@@ -123,7 +123,17 @@ def test_odd_component_table_matches_reference(n8_fixture_path):
                disjoint_union(PETERSEN, disjoint_union(cycle_graph(5), empty_graph(2))),
                cycle_graph(20)]
     for g in graphs:
-        assert _odd_component_table(g) == odd_component_table_reference(g), g.adj
+        assert _odd_component_table(g).tobytes() == odd_component_table_reference(g), g.adj
+
+
+def test_cached_tables_are_read_only():
+    # every reader of a cached table shares one array: a write must fail
+    # rather than corrupt the next reader's verdict
+    g = cycle_graph(8)
+    for table in (_odd_component_table(g), matching._tutte_inverse(g)):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert berge_tutte_deficiency(g) == (0, frozenset())
 
 
 def test_berge_tutte_deficiency_returns_first_maximiser():
@@ -160,7 +170,7 @@ def test_odd_component_table_memory_at_n18():
 def _batched_tables(gs):
     # one scan of same-order graphs; row i is graph i's table, indexed by S
     rows = np.array([g.adj for g in gs], dtype=np.uint8)
-    return matching._odd_component_counts(rows).reshape(len(gs), -1)[:, ::-1]
+    return matching._odd_component_counts(rows)
 
 
 def test_batched_scan_matches_reference_on_connected_n_le_7():
@@ -579,7 +589,7 @@ def test_tutte_inverse_is_a_batch_of_one(monkeypatch):
     matching._tutte_inverse.cache_clear()
     b = matching._tutte_inverse(g)
     matching._tutte_inverse.cache_clear()
-    assert calls == [(1, 66, 66)]
+    assert calls == [(66, 66, 1)]
     on = np.zeros((66, 66), dtype=bool)
     for u, v in g.edges():
         on[u, v] = on[v, u] = True
@@ -633,15 +643,15 @@ def test_tutte_eliminate_is_exact(count):
         batches = [[kind] for kind in range(6)] if count == 1 else [[i % 6 for i in range(count)]]
         for batch in batches:
             t = _elimination_cases(rng, n, batch)
-            d, r = matching._tutte_eliminate(t)
-            assert d.shape == (len(t), n) and r.shape == (len(t), n, n)
+            d, r = matching._tutte_eliminate(t.transpose(1, 2, 0))
+            assert d.shape == (n, len(t)) and r.shape == (n, n, len(t))
             assert (np.abs(d) < p).all() and (np.abs(r) < p).all()
             for i, (kind, ti) in enumerate(zip(batch, t)):
                 det, inverse = tutte_eliminate_reference(ti.tolist(), p)
-                assert bool(d[i].all()) == (det != 0), (n, kind)
+                assert bool(d[:, i].all()) == (det != 0), (n, kind)
                 if det:
-                    scale = np.array([pow(int(x), -1, p) for x in d[i]])
-                    got = r[i].astype(np.int64) % p * scale[:, None] % p
+                    scale = np.array([pow(int(x), -1, p) for x in d[:, i]])
+                    got = r[:, :, i].astype(np.int64) % p * scale[:, None] % p
                     assert got.tolist() == inverse, (n, kind)
 
 
