@@ -113,7 +113,7 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
                 orbit += image[s]
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        todo[orbit] = False
+        todo[orbit.astype(np.intp)] = False  # an intp index skips numpy's slower cast path
         g = Graph(n, tuple(adj))
         if graphs.is_connected(g):
             out.append(g)

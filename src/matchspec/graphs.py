@@ -415,7 +415,8 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     """The number of set bits of each entry of an unsigned integer array, as
     uint8, summed over its bytes from a lookup (np.bitwise_count needs
     numpy 2)."""
-    counts = _BYTE_POPCOUNT[np.ascontiguousarray(masks).view(np.uint8)]
+    # take, as numpy fancy-indexes with a uint8 index on its slower cast path
+    counts = _BYTE_POPCOUNT.take(np.ascontiguousarray(masks).view(np.uint8))
     return counts.reshape(*masks.shape, masks.itemsize).sum(axis=-1, dtype=np.uint8)
 
 

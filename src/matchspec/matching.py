@@ -70,7 +70,7 @@ batch of one, and the deficiency suites scan their graphs without a
 perfect matching in batches of bounded size.  The readers scan the table
 as arrays and run Python only on the subsets that could violate their
 criterion, in mask order, so every witness is the first.  A table at
-n = SUBSET_SCAN_CAP = 20 takes about 0.1 s and 18 MB to build; 1 MB stays.
+n = SUBSET_SCAN_CAP = 20 takes about 0.1 s and 25 MB to build; 1 MB stays.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def _odd_component_counts(rows) -> np.ndarray:
       -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most); every
       chain ends at address 0, whose count is 0.
     At n = SUBSET_SCAN_CAP (2^20 masks) one graph takes about 0.1 s and
-    18 MB of work arrays, and its counts are 1 MB.
+    24 bytes per mask (25 MB) of work arrays, and its counts are 1 MB.
     """
     count, n = len(rows), len(rows[0])
     if n > SUBSET_SCAN_CAP:
@@ -312,21 +312,24 @@ def _odd_component_counts(rows) -> np.ndarray:
         cols = (rows | np.left_shift(1, np.arange(n, dtype=np.uint32))).T
     for v, col in enumerate(cols):
         np.bitwise_or(table[:1 << v], col, out=table[1 << v:2 << v])
+    # every gather below goes through take: numpy fancy-indexes with a uint32
+    # index on its general cast path, two to three times slower than take,
+    # which converts the index to intp once (8 bytes per mask while it runs)
     while True:
-        grown = closed[comp]
+        grown = closed.take(comp)
         grown &= rem
         if (grown == comp).all():
             break
         comp = grown
     del closed, table, grown  # freed before the count pass allocates its own
-    odd = _popcounts(n)[comp & full if count > 1 else comp] & 1
+    odd = _popcounts(n).take(comp & full if count > 1 else comp) & 1
     rest = np.bitwise_xor(rem, comp, out=comp)  # R - C
     del rem
     if count > 1:
         np.bitwise_or(rest, graph, out=rest, where=rest != 0)
     while rest.any():
-        odd += odd[rest]
-        rest = rest[rest]
+        odd += odd.take(rest)
+        rest = rest.take(rest)
     # index by S = full - R; a copy, as numpy compares a reversed view slowly
     return np.ascontiguousarray(odd.reshape(count, 1 << n)[:, ::-1])
 
@@ -406,10 +409,10 @@ def _k_matching_blocks(meets: np.ndarray, k: int):
             rows = prefixes[start:start + step]
             free = later > rows[:, -1:]
             for col in rows.T:
-                free &= ~meets[col]
+                free &= ~meets.take(col, axis=0)
             row, nxt = np.nonzero(free)
             if len(row):
-                yield np.column_stack((rows[row], nxt))
+                yield np.column_stack((rows.take(row, axis=0), nxt))
 
 
 @lru_cache(maxsize=8)
@@ -600,7 +603,8 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
     for rows in _k_matching_blocks(meets, k):
         inverse = _tutte_inverse(g) if up_front or len(rows) > _CERTIFY_ROWS else None
         if inverse is not None:
-            rows = rows[_pfaffians(inverse, ends[rows].reshape(len(rows), 2 * k)) == 0]
+            cols = ends.take(rows, axis=0).reshape(len(rows), 2 * k)
+            rows = rows[_pfaffians(inverse, cols) == 0]
         for row in rows.tolist():
             drop = 0
             for i in row:

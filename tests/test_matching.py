@@ -183,6 +183,20 @@ def test_batched_scan_matches_reference_on_connected_n_le_7():
     assert total == 996
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_batched_scan_matches_reference_past_16_bit_addresses(n):
+    # uint16 rows, connected and disconnected, and a batch whose addresses
+    # i << n | R pass 2^16
+    rng = random.Random(n)
+    gs = [random_graph(rng, n, rng.choice((0.15, 0.3, 0.5))) for _ in range((1 << 16 >> n) + 2)]
+    assert {is_connected(g) for g in gs} == {False, True}
+    rows = np.array([g.adj for g in gs], dtype=np.uint16)
+    tables = matching._odd_component_counts(rows)
+    assert tables.shape == (len(gs), 1 << n)
+    for g, row in zip(gs, tables, strict=True):
+        assert row.tobytes() == odd_component_table_reference(g), g.adj
+
+
 def test_batched_deficiency_matches_per_graph_on_n8_fixture(n8_fixture_path):
     with open(n8_fixture_path) as fh:
         gs = [parse_graph6(line) for line in fh if line.strip()]
