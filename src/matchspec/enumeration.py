@@ -305,21 +305,21 @@ def _source_chunks(source, needs: str, n: int | None = None,
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
-                  jobs: int = 1, chunk_size: int | None = None) -> SweepReport:
+                  jobs: int = 1) -> SweepReport:
     """Evaluate theorem t over every graph in the source, in one process.
 
     Deterministic: output lists are sorted by graph6 string, so reports are
-    identical for any chunk size (wall_time aside); by default a chunk holds
-    at most SOURCE_ENTRIES adjacency entries.  `jobs` is accepted and
-    ignored.  An empty source, one of odd order, a malformed line, or one of
-    another order than the first raises ValueError naming the source, and
-    the line where there is one; an order t does not cover raises too,
-    however few graphs min_degree keeps.
+    identical for any chunk size (wall_time aside); a chunk holds at most
+    SOURCE_ENTRIES adjacency entries.  `jobs` is accepted and ignored.  An
+    empty source, one of odd order, a malformed line, or one of another
+    order than the first raises ValueError naming the source, and the line
+    where there is one; an order t does not cover raises too, however few
+    graphs min_degree keeps.
     """
     start = time.perf_counter()
     scanned = hyp = 0
     events = []
-    for lines, rows in _source_chunks(source, "sweeps", chunk_size=chunk_size):
+    for lines, rows in _source_chunks(source, "sweeps"):
         n = rows.shape[1]
         met = np.flatnonzero(theorems._hypothesis_mask(rows, t, min_degree))
         scanned += len(lines)
@@ -387,10 +387,10 @@ def _check_grid_cap(values, cap: int, what: str, key: str) -> None:
         raise ValueError(f"{what} is capped at n <= {cap}, got {max(values)}")
 
 
-def _random_connected(rng: Random, n: int, p: float = 0.5) -> Graph:
+def _random_connected(rng: Random, n: int) -> Graph:
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
+                 if rng.random() < 0.5]
         g = from_edge_list(n, edges)
         if graphs.is_connected(g):
             return g
@@ -407,7 +407,7 @@ def _verify_subgraph_monotonicity(trials: int = 100, seed: int = 20240601):
         g = _random_connected(rng, n)
         # delete a few vertices and/or edges, keep the rest connected
         h = g
-        if rng.random() < 0.5 and n > 2:
+        if rng.random() < 0.5:
             drop = rng.sample(range(n), rng.randint(1, n - 2))
             h, _ = graphs.delete_vertices(g, drop)
         edges = h.edges()
@@ -591,18 +591,12 @@ def _no_pm_size_bound(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _complete_perfect_matchings(n: int) -> np.ndarray:
-    """The (n-1)!! perfect matchings of K_n as an (M, n/2, 2) array of
-    vertex pairs; none (M = 0) for odd n."""
-    def extend(rest):
-        if not rest:
-            yield []
-            return
-        for i in range(1, len(rest)):
-            for tail in extend(rest[1:i] + rest[i + 1:]):
-                yield [(rest[0], rest[i])] + tail
-
-    found = list(extend(list(range(n))))
-    pairs = np.array(found, dtype=np.intp).reshape(len(found), n // 2, 2)
+    """The (n-1)!! perfect matchings of K_n, its n/2-matchings by
+    `matching._k_matching_blocks`, as an (M, n/2, 2) array of vertex pairs;
+    none (M = 0) for odd n.  Read-only."""
+    ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2)
+    blocks = matching._k_matching_blocks(ends, n // 2) if n % 2 == 0 else ()
+    pairs = ends.take(np.concatenate([np.empty((0, n // 2), np.intp), *blocks]), axis=0)
     pairs.setflags(write=False)
     return pairs
 
@@ -625,8 +619,9 @@ def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _graphs_without_pm(source, n: int) -> list[Graph]:
-    """Connected graphs from the source with some S: o(G-S) >= |S|+2.
+def _graphs_without_pm(source, n: int) -> tuple[list[str], np.ndarray]:
+    """The graphs from the source with some S: o(G-S) >= |S|+2, as their
+    graph6 lines and their (N, n) neighbour bit rows as decoded.
 
     For even order that is exactly 'no perfect matching' (deficiency >= 2
     by parity).  Each decoded chunk is tested against every perfect
@@ -634,24 +629,27 @@ def _graphs_without_pm(source, n: int) -> list[Graph]:
     proved to have a perfect matching by that explicit matching, and is
     dropped.  The graphs no matching covers get their Berge-Tutte sets from
     one subset scan per chunk (`matching._berge_tutte_deficiencies`), and
-    each becomes a `Graph` whose witness is re-validated by an explicit
-    odd-component count, so no verdict rests on the filter alone.  The
-    source is read as a sweep reads it, so an empty source, an odd n, a
-    malformed line or one of another order than n raises ValueError naming
-    the source, and the line where there is one.
+    each witness is re-validated by an explicit odd-component count on a
+    `Graph` of its row, so no verdict rests on the filter alone.  A line is
+    `to_graph6` of its row: the decoder checks its header, width,
+    character range and padding bits.  The source is read as a sweep reads
+    it, so an empty source, an odd n, a malformed line or one of another
+    order than n raises ValueError naming the source, and the line where
+    there is one.
     """
-    out = []
-    for lines, rows in _source_chunks(source, NO_PM_SUITES, n):
-        rest = np.flatnonzero(~_covered_by_perfect_matching(rows))
-        left = rows[rest]
+    lines, rows = [], []
+    for chunk, chunk_rows in _source_chunks(source, NO_PM_SUITES, n):
+        rest = np.flatnonzero(~_covered_by_perfect_matching(chunk_rows))
+        left = chunk_rows[rest]
         for i, row, (d, witness) in zip(rest, left.tolist(),
                                         matching._berge_tutte_deficiencies(left)):
             g = Graph(n, tuple(row))
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
-                    f"deficiency witness failed to re-validate on {lines[i]}")
-            out.append(g)
-    return out
+                    f"deficiency witness failed to re-validate on {chunk[i]}")
+            lines.append(chunk[i])
+        rows.append(left)
+    return lines, np.concatenate(rows)
 
 
 def _sources_for(n_values, sources):
@@ -678,13 +676,12 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     notes = []
     for n, source in _sources_for(n_values, sources).items():
         bound = _no_pm_size_bound(n)
-        hit = 0
-        for g in _graphs_without_pm(source, n):
-            instances += 1
-            m = g.m
-            hit = max(hit, m)
-            if m > bound:
-                violations.append(f"n={n}: {to_graph6(g)} has m={m} > bound {bound}")
+        lines, rows = _graphs_without_pm(source, n)
+        sizes = (graphs._popcount(rows.T).sum(axis=0) // 2).tolist()
+        instances += len(lines)
+        hit = max(sizes, default=0)
+        violations += [f"n={n}: {line} has m={m} > bound {bound}"
+                       for line, m in zip(lines, sizes) if m > bound]
         max_m_ratio = max(max_m_ratio, hit / bound if bound else 0.0)
         notes.append(f"n={n}: max size among qualifying graphs {hit} (bound {bound})")
     return ({"n_values": n_values}, instances, violations, max_m_ratio, notes)
@@ -698,7 +695,7 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
     instances = 0
     notes = []
     for n, source in _sources_for(n_values, sources).items():
-        qualifying = _graphs_without_pm(source, n)  # first: it names a bad source
+        lines, rows = _graphs_without_pm(source, n)  # first: it names a bad source
         # the bound is the attaining family's exact quotient root
         attaining = (families.Join(families.Complete(2), families.Empty(4))
                      if n == 6 else families.named_spec("lem210", n=n))
@@ -707,14 +704,11 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
         if abs(rho_att - bound) > LEMMA_TOL:
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
-        best = 0.0
-        rows = np.array([g.adj for g in qualifying], dtype=np.int64).reshape(-1, n)
-        for g, rho in zip(qualifying, spectral._radii(rows).tolist()):
-            instances += 1
-            best = max(best, rho)
-            if rho > bound + LEMMA_TOL:
-                violations.append(
-                    f"n={n}: {to_graph6(g)} has rho={rho} > bound {bound}")
+        radii = spectral._radii(rows).tolist()
+        instances += len(lines)
+        best = max([0.0, *radii])  # 0.0 on a tie, as a running max from 0.0
+        violations += [f"n={n}: {line} has rho={rho} > bound {bound}"
+                       for line, rho in zip(lines, radii) if rho > bound + LEMMA_TOL]
         notes.append(f"n={n}: max rho among qualifying graphs {best} "
                      f"(bound {bound})")
         max_dev = max(max_dev, abs(best - bound))
@@ -750,7 +744,7 @@ def _verify_bridged_extremes(l_values=(6, 8, 10, 12)):
             if 1 in (p, q):
                 continue
             min_gap = min(min_gap, pend_m - m, pend_rho - rho)
-            if m > runner_m or (runner_rho is not None and rho > runner_rho + LEMMA_TOL):
+            if m > runner_m or rho > runner_rho + LEMMA_TOL:
                 violations.append(
                     f"l={l}: split ({p},{q}) beats the (3,{l - 3}) runner-up")
             if 3 in (p, q):

@@ -386,25 +386,27 @@ _CERTIFY_ROWS = 200  # about where the certificate starts to cost less than sear
 _TUTTE_ENTRIES = 1 << 17  # float64 entries of [T | I] eliminated at once (1 MB)
 
 
-def _k_matching_blocks(meets: np.ndarray, k: int):
-    """Every k-matching as rows of k edge indices, in lexicographic order.
+def _k_matching_blocks(ends: np.ndarray, k: int):
+    """Every k-matching of the edges `ends`, an (m, 2) array of their vertex
+    pairs, as rows of k edge indices, in lexicographic order.
 
-    `meets[i, j]` says whether edges i and j share a vertex (true for i = j).
-    Yields int64 arrays of at most _BLOCK_ROWS rows (or of m rows, if the
-    graph has more edges than that), so memory stays bounded however many
+    Yields int64 arrays of at most _BLOCK_ROWS rows (or of m rows, if there
+    are more edges than that), so memory stays bounded however many
     k-matchings there are.  Each block of (k-1)-matchings is extended by
     every later edge that shares no vertex with it; np.nonzero walks the
     rows in order and each row's edges in increasing index, which keeps the
     order lexicographic.
     """
-    m = len(meets)
+    m = len(ends)
     if k == 1:
         for start in range(0, m, _BLOCK_ROWS):
             yield np.arange(start, min(start + _BLOCK_ROWS, m))[:, None]
         return
+    a, b = ends.T[:, :, None]
+    meets = (a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)  # edges i, j share a vertex
     later = np.arange(m)
     step = max(1, _BLOCK_ROWS // m)
-    for prefixes in _k_matching_blocks(meets, k - 1):
+    for prefixes in _k_matching_blocks(ends, k - 1):
         for start in range(0, len(prefixes), step):
             rows = prefixes[start:start + step]
             free = later > rows[:, -1:]
@@ -597,10 +599,8 @@ def is_k_extendable(g: Graph, k: int) -> Verdict:
         return Verdict(False, "direct", witness=frozenset(), reason="no-perfect-matching")
     edges = g.edges()
     ends = np.array(edges, dtype=np.int64)
-    a, b = ends.T[:, :, None]
-    meets = (a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)
     up_front = _two_matchings(g) > _CERTIFY_ROWS
-    for rows in _k_matching_blocks(meets, k):
+    for rows in _k_matching_blocks(ends, k):
         inverse = _tutte_inverse(g) if up_front or len(rows) > _CERTIFY_ROWS else None
         if inverse is not None:
             cols = ends.take(rows, axis=0).reshape(len(rows), 2 * k)

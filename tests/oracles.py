@@ -230,6 +230,19 @@ def spectral_mask_reference(gs, t, min_deg=None) -> list[bool]:
     return out
 
 
+def perfect_matchings_reference(n: int) -> set[frozenset[tuple[int, int]]]:
+    """The perfect matchings of K_n, each a set of pairs (u, v), u < v: the
+    lowest unmatched vertex is paired with each other one in turn."""
+    def extend(rest):
+        if not rest:
+            yield frozenset()
+        for i in range(1, len(rest)):
+            for tail in extend(rest[1:i] + rest[i + 1:]):
+                yield tail | {(rest[0], rest[i])}
+
+    return set(extend(tuple(range(n))))
+
+
 def graphs_without_pm_reference(lines: list[str]) -> list[str]:
     """The graph6 lines, in order, of the graphs with no perfect matching.
 

@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from matchspec import enumeration
 from matchspec.enumeration import (BuiltIn, File, enumerate_connected,
                                    sweep_theorem, verify_charpoly_identities,
                                    verify_lemma)
@@ -87,7 +88,7 @@ def _battery_n10(tmp_path):
     return str(path), len(lines)
 
 
-def test_criterion_3_t13_sweeps(tmp_path, n8_fixture_path):
+def test_criterion_3_t13_sweeps(tmp_path, n8_fixture_path, monkeypatch):
     r6 = sweep_theorem(BuiltIn(6), TheoremId("t13"), min_degree=2)
     ok = not r6.counterexamples and len(r6.exceptions_found) == 1
     g6 = parse_graph6(r6.exceptions_found[0][0])
@@ -108,8 +109,9 @@ def test_criterion_3_t13_sweeps(tmp_path, n8_fixture_path):
     ok = ok and pendant_variant.n == 11  # odd order: excluded from even sweeps
 
     battery_path, battery_size = _battery_n10(tmp_path)
-    r10 = sweep_theorem(File(battery_path), TheoremId("t13"), min_degree=2,
-                        jobs=2, chunk_size=32)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "SOURCE_ENTRIES", 3200)  # 32 lines of order 10
+        r10 = sweep_theorem(File(battery_path), TheoremId("t13"), min_degree=2, jobs=2)
     ok = ok and not r10.counterexamples
     fams = sorted(e[1] for e in r10.exceptions_found)
     ok = ok and fams == ["thm13-f3", "thm13-fact3-split"]

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from matchspec.enumeration import (BuiltIn, File, decode_lines, default_identity_grid,
                                    enumerate_connected, sweep_theorem,
                                    verify_charpoly_identities, verify_lemma)
-from matchspec.graphs import (all_pairs, are_isomorphic, complete_graph,
+from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
                               from_edge_list, graph6_text, is_connected, parse_graph6,
                               to_graph6)
 from matchspec.matching import has_perfect_matching
@@ -19,7 +20,7 @@ from matchspec.theorems import TheoremId
 from matchspec import enumeration, spectral
 
 from oracles import (CONNECTED_GRAPH_COUNTS, decode_lines_reference,
-                     graphs_without_pm_reference)
+                     graphs_without_pm_reference, perfect_matchings_reference)
 
 
 # --- built-in enumeration ---------------------------------------------------
@@ -201,21 +202,33 @@ def test_perfect_matching_filter_agrees_with_blossom(n8_fixture_path):
         assert covered.tolist() == [has_perfect_matching(g) for g in batch]
 
 
+def test_complete_perfect_matchings_are_every_pairing_once():
+    for n in range(1, 13):
+        pairs = enumeration._complete_perfect_matchings(n)
+        assert not pairs.flags.writeable
+        rows = pairs.tolist()
+        found = {frozenset(map(tuple, row)) for row in rows}
+        count = prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0  # (n-1)!!
+        assert len(found) == len(rows) == count, n
+        assert all(sorted(sum(row, [])) == list(range(n)) for row in rows), n
+        assert found == perfect_matchings_reference(n), n
+
+
 def test_graphs_without_pm_match_the_blossom_loop(n8_fixture_path):
     for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
-        got = [to_graph6(g) for g in enumeration._graphs_without_pm(source, n)]
+        got, rows = enumeration._graphs_without_pm(source, n)
         assert got == graphs_without_pm_reference(source.graph6_lines())
         assert got, n
+        assert [to_graph6(Graph(n, tuple(row))) for row in rows.tolist()] == got
 
 
 def test_batched_radii_equal_spectral_radius(n8_fixture_path):
     # l2.10 takes rho from one eigh over its qualifying graphs; its report's
     # max_equality_gap needs each value bit for bit, not to a tolerance
     for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
-        qualifying = enumeration._graphs_without_pm(source, n)
-        rows = np.array([g.adj for g in qualifying], dtype=np.int64)
+        lines, rows = enumeration._graphs_without_pm(source, n)
         radii = spectral._radii(rows).tolist()
-        assert radii == [spectral_radius(g).rho for g in qualifying] != []
+        assert radii == [spectral_radius(parse_graph6(line)).rho for line in lines] != []
 
 
 def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):
@@ -229,13 +242,13 @@ def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):
     enumeration._complete_perfect_matchings(12)  # cached, not counted
     tracemalloc.start()
     try:
-        got = enumeration._graphs_without_pm(File(str(path)), 12)
+        got, _ = enumeration._graphs_without_pm(File(str(path)), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2 << 20
     lines = File(str(path)).graph6_lines()
-    assert [to_graph6(g) for g in got] == graphs_without_pm_reference(lines) != []
+    assert got == graphs_without_pm_reference(lines) != []
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -305,10 +318,13 @@ def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path)
     assert [rows.shape for _, rows in chunks] == [(68, 62), (1, 62)]
 
 
-def test_sweep_report_independent_of_chunk_size():
-    whole, chunked = (sweep_theorem(BuiltIn(6), TheoremId("t11", 1), chunk_size=size)
-                      for size in (1024, 8))
-    assert whole.to_json(include_timing=False) == chunked.to_json(include_timing=False)
+def test_sweep_report_independent_of_chunk_size(monkeypatch):
+    reports = []
+    for size in (1024, 8):  # lines of order 6 per chunk
+        monkeypatch.setattr(enumeration, "SOURCE_ENTRIES", size * 36)
+        reports.append(sweep_theorem(BuiltIn(6), TheoremId("t11", 1)))
+    whole, chunked = (r.to_json(include_timing=False) for r in reports)
+    assert whole == chunked
 
 
 def test_sweep_json_and_csv_shape():
@@ -356,6 +372,26 @@ def test_lemma_refuses_a_source_the_grid_leaves_out(n8_fixture_path, monkeypatch
             f"file:{n8_fixture_path} holds graphs of order 8, which the grid "
             f"leaves out (its orders: 4, 6)")
     assert read == []  # refused before any source is read
+
+
+def test_deficiency_suites_name_each_violating_graph_by_its_line(n8_fixture_path, monkeypatch):
+    # with the bounds below every qualifying graph, the violations are the
+    # reference graphs without a perfect matching, each named by its line
+    sources = {8: File(n8_fixture_path)}
+    grid = {n: graphs_without_pm_reference(source.graph6_lines())
+            for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, sources[8]))}
+    monkeypatch.setattr(enumeration, "_no_pm_size_bound", lambda n: 0)
+    report = verify_lemma("l2.9", n_values=(4, 6, 8), sources=sources)
+    assert report.violations == tuple(f"n={n}: {line} has m={parse_graph6(line).m} > bound 0"
+                                      for n, lines in grid.items() for line in lines)
+    real = enumeration.families._quotient_root
+    monkeypatch.setattr(enumeration.families, "_quotient_root",
+                        lambda spec: (real(spec)[0], -1.0))
+    report = verify_lemma("l2.10", n_values=(4, 6, 8), sources=sources)
+    named = [v for v in report.violations if "attaining family" not in v]
+    assert named == [f"n={n}: {line} has rho={spectral_radius(parse_graph6(line)).rho} "
+                     f"> bound -1.0" for n, lines in grid.items() for line in lines]
+    assert len(report.violations) - len(named) == len(grid)  # one attaining family each
 
 
 def test_lemma_report_json():
