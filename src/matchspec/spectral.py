@@ -10,6 +10,7 @@ compared coefficient by coefficient, not just numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,8 +19,6 @@ from operator import mul
 import numpy as np
 
 from .graphs import Graph, _adjacency
-
-ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,7 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0,))
 
 
 def characteristic_polynomial(matrix) -> Polynomial:
@@ -242,69 +239,71 @@ def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
 # ---------------------------------------------------------------------------
 
 def largest_real_root(p: Polynomial, lo: float, hi: float) -> float:
-    """Largest real root of p in [lo, hi].
+    """Largest real root of p in [lo, hi], correctly rounded; ValueError if none.
 
-    Scans down from hi in unit steps to find the highest sign change, then
-    bisects and polishes with Newton to a relative ROOT_TOL.  Requires that
-    p has a real root in the bracket with a sign change at the unit-grid
-    scale (true for the Perron-type polynomials this library works with,
-    whose largest root is simple and separated).
+    Exact: points are dyadic, x / 2^s like lo and hi, and signs are integers'.
+    p's Sturm chain over gcd(p, p') counts the distinct roots above a point;
+    its head has p's roots, each simple.  Bisect by that count until (a, b)
+    holds the top root alone, then by the head's sign, until a and b round to
+    one float.  Midpoints on the grid of a and b meet a dyadic root exactly.
     """
     if hi < lo:
         raise ValueError("empty bracket")
+    chain = _sturm_chain(p)
+    s = max(Fraction(x).denominator for x in (lo, hi)).bit_length() - 1
+    a, b = (int(Fraction(x) * (1 << s)) for x in (lo, hi))
 
-    def f(x: float) -> float:
-        return float(p(float(x)))
+    def value(q, x):  # 2^(s deg q) q(x / 2^s), an integer of its sign
+        acc = 0
+        for i, c in enumerate(reversed(q)):
+            acc = acc * x + (c << s * i)
+        return acc
 
-    upper = float(hi)
-    f_upper = f(upper)
-    if f_upper == 0.0:
-        return upper
-    x = upper
-    a = b = None
-    while x > lo:
-        nxt = max(lo, x - 1.0)
-        fx, fn = f(x), f(nxt)
-        if fn == 0.0:
-            return _polish(p, nxt, nxt)
-        if fx * fn < 0.0:
-            a, b = nxt, x
-            break
-        x = nxt
-    if a is None:
-        raise ValueError(f"no sign change of polynomial in [{lo}, {hi}]")
-    fa = f(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= ROOT_TOL * max(1.0, abs(mid)):
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
+    def variations(x):  # sign changes along the chain at x / 2^s
+        signs = [v > 0 for v in (value(q, x) for q in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    up, top = value(chain[0], b), variations(b)
+    if not up:
+        return b / (1 << s)
+    count = variations(a) - top  # roots of p in (a, b)
+    if not count and value(chain[0], a):
+        raise ValueError(f"no real root of polynomial in [{lo}, {hi}]")
+    while count and a / (1 << s) != b / (1 << s):
+        if b - a == 1:
+            a, b, s = 2 * a, 2 * b, s + 1
+        mid = (a + b) >> 1
+        v = value(chain[0], mid)
+        above = variations(mid) - top if count > 1 else int(v * up < 0)
+        if above:
+            a, count = mid, above
+        elif v:
             b = mid
         else:
-            a, fa = mid, fm
-    return _polish(p, 0.5 * (a + b), a, b=b if a != b else None)
+            return mid / (1 << s)
+    return a / (1 << s)
 
 
-def _polish(p: Polynomial, x: float, lo: float, b: float | None = None):
-    dp = p.derivative()
-    for _ in range(50):
-        fx = float(p(x))
-        dfx = float(dp(x))
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        nxt = x - step
-        if b is not None and not (lo - 1e-9 <= nxt <= b + 1e-9):
-            break
-        if abs(step) <= ROOT_TOL * max(1.0, abs(x)):
-            x = nxt
-            break
-        x = nxt
-    return x
+def _sturm_chain(p: Polynomial) -> list[list[int]]:
+    """p's Sturm chain in integers, over gcd(p, p') if p has a multiple root."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    chain = [[int(c * scale) for c in q.coeffs] for q in (p, p.derivative())]
+    while any(chain[-1]):
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return [_divmod(q, chain[-1])[0] for q in chain] if len(chain[-1]) > 1 else chain
+
+
+def _divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Positive multiples of the quotient and remainder of a by b."""
+    m, r, q = b[-1] ** 2, list(a), []
+    while len(r) >= len(b):
+        c, j = r[-1] * b[-1], len(r) - len(b)
+        q = [m * x for x in q] + [c]
+        r = [m * x - (c * b[i - j] if i >= j else 0) for i, x in enumerate(r[:-1])]
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
 
 
 def theta(n: int) -> float:
@@ -324,5 +323,5 @@ __all__ = [
     "SpectralResult", "adjacency_matrix", "eigenvalues", "spectral_radius",
     "radius_upper_bound", "Polynomial",
     "characteristic_polynomial", "Partition", "QuotientMatrix",
-    "quotient_matrix", "largest_real_root", "theta", "ROOT_TOL",
+    "quotient_matrix", "largest_real_root", "theta",
 ]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchspec import enumeration
+from matchspec import enumeration, families
 from matchspec.families import (build, build_named, canonical_partition, named_spec,
                                 quotient_rows)
 from matchspec.graphs import (complete_graph, cycle_graph, delete_vertices,
@@ -14,6 +14,7 @@ from matchspec.spectral import (Partition, Polynomial, adjacency_matrix,
                                 characteristic_polynomial, eigenvalues,
                                 largest_real_root, quotient_matrix,
                                 spectral_radius, theta)
+from matchspec.theorems import exception_candidates, statements
 from oracles import (adjacency_matrix_exact, characteristic_polynomial_reference,
                      power_iteration_rho)
 
@@ -251,11 +252,77 @@ def test_largest_real_root_examples():
                - math.sqrt(3)) < 1e-12
 
 
+def _product(*factors):
+    coeffs = [1]
+    for f in factors:
+        out = [0] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        coeffs = out
+    return Polynomial(tuple(coeffs))
+
+
+def test_largest_real_root_two_roots_in_one_unit_cell():
+    # (5x - 11)(5x - 13)(x - 1): 2.2 and 2.6 both lie in [2, 3]
+    assert largest_real_root(_product((-11, 5), (-13, 5), (-1, 1)), 0.0, 5.0) == 2.6
+
+
+def test_largest_real_root_of_even_multiplicity():
+    # (2x - 5)^2 (x - 1): p does not change sign at its top root
+    assert largest_real_root(_product((-5, 2), (-5, 2), (-1, 1)), 0.0, 5.0) == 2.5
+    assert largest_real_root(_product((-1, 1), (-1, 1), (-3, 1), (-3, 1)), -1.0, 2.5) == 1.0
+    # the first midpoint of [0, 4] is the double root 2, with the root 3 above it
+    assert largest_real_root(_product((-2, 1), (-2, 1), (-3, 1)), 0.0, 4.0) == 3.0
+
+
+def test_largest_real_root_is_correctly_rounded():
+    assert largest_real_root(Polynomial((-3, 0, 1)), 0.0, 2.0) == math.sqrt(3)
+    assert theta(4) == math.sqrt(3)
+    assert largest_real_root(Polynomial((Fraction(-1, 3), 1)), 0, 1) == 1 / 3
+    # 1 + 2^-53 and 1 + 3 * 2^-53 lie halfway between two floats: ties go to even
+    half = 2 ** 53
+    assert largest_real_root(Polynomial((-(half + 1), half)), 0.0, 3.0) == 1.0
+    assert largest_real_root(Polynomial((-(half + 3), half)), 0.0, 3.0) == 1 + 4 / half
+
+
+def test_largest_real_root_at_either_end_of_the_bracket():
+    assert largest_real_root(Polynomial((-2, 1)), 0.0, 2.0) == 2.0
+    assert largest_real_root(Polynomial((0, 1)), 0.0, 2.0) == 0.0
+    assert largest_real_root(_product((-1, 1), (-3, 1)), 1.0, 2.0) == 1.0
+    assert largest_real_root(_product((-1, 1), (-3, 1)), -1.0, 3.0) == 3.0
+    assert largest_real_root(Polynomial((0,)), 0.0, 3.0) == 3.0  # every point is a root
+
+
 def test_largest_real_root_errors():
     with pytest.raises(ValueError):
         largest_real_root(Polynomial((1, 0, 1)), -3, 3)  # x^2 + 1
     with pytest.raises(ValueError):
         largest_real_root(Polynomial((1,)), 3, 0)
+
+
+def _reached_quotient_roots():
+    # {charpoly: root} of every quotient behind the pinned thresholds, the
+    # charpoly identities and the spectral family grid
+    named = [exception_candidates(t, n)[0] for n in range(4, 63, 2)
+             for t in statements(n, 4) if t.kind in ("t14", "t16")]
+    named += enumeration._registry_grid((6, 8, 10, 12, 14))
+    specs = [named_spec(fid, **params) for fid, params in named]
+    specs += [enumeration._IDENTITIES[name](**params)[0]
+              for name, params in enumeration.default_identity_grid()]
+    return dict(families._quotient_root(spec) for spec in specs)
+
+
+def test_largest_real_root_matches_sympy():
+    # sympy isolates the real roots exactly and evaluates the top one to 60
+    # digits, far past the 17 that round it to a float: an independent route
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    roots = _reached_quotient_roots()
+    assert len(roots) > 150
+    for poly, root in roots.items():
+        top = max(sympy.Poly(poly.coeffs[::-1], x).real_roots())
+        assert root == float(top.evalf(60)), poly
 
 
 # --- theta ------------------------------------------------------------------
