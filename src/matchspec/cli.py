@@ -234,8 +234,8 @@ def cmd_verify(args) -> int:
         options = _parse_grid(args.grid)
         if args.input:
             src = File(args.input)
-            _, first = next(enumeration._source_chunks(  # the first line's order
-                src, enumeration.NO_PM_SUITES, chunk_size=1))
+            _, first = next(enumeration._source_chunks(  # the first chunk's order
+                src, enumeration.NO_PM_SUITES))
             n = first.shape[1]
             options.setdefault("n_values", (n,))
             options["sources"] = {n: src}

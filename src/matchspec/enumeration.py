@@ -21,8 +21,10 @@ memory stays bounded at large ones:
 
 1. decode the chunk into an (N, n) array of neighbour bit masks, one row
    per graph and `Graph`'s own representation, with the graph6 decoder of
-   `graphs`; a line it rejects is named with its fault and the source and
-   line number;
+   `graphs`; a file whose lines all hold one graph of one width, and no
+   other character, is decoded straight from a view of its bytes, any
+   other source from its lines as text; a line the decoder rejects is
+   named with its fault and the source and line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses: a spectral one
    from a spectral-radius bound, then from Collatz-Wielandt bounds on the
@@ -135,6 +137,8 @@ class BuiltIn:
 
     n: int
 
+    graph6_cells = None  # the lines are made by `to_graph6`, not read as bytes
+
     def graph6_lines(self) -> list[str]:
         return [to_graph6(g) for g in enumerate_connected(self.n)]
 
@@ -167,17 +171,39 @@ def decode_lines(data: bytes, where: str) -> list[str]:
 
 @dataclass(frozen=True)
 class File:
-    """graph6 lines from a file, read once per instance by `decode_lines` and
-    `graphs.graph6_text` (blank, '#' and bare `>>graph6<<` lines are skipped)."""
+    """graph6 lines from a file, read once per instance.
+
+    A file whose every line is one graph of one width, `width` graph6
+    characters (63..126) and a b"\\n" (the last one may be missing), is
+    decoded straight from its bytes, `graph6_cells`.  Every other file is
+    read as lines by `decode_lines` and `graphs.graph6_text` (blank, '#' and
+    bare `>>graph6<<` lines are skipped)."""
 
     path: str
+
+    @cached_property
+    def _data(self) -> bytes:
+        with open(self.path, "rb") as fh:
+            return fh.read()
+
+    @cached_property
+    def graph6_cells(self) -> np.ndarray | None:
+        """The file's lines as a read-only (N, width) uint8 view of its bytes,
+        when every line is one graph of one width, else None."""
+        data = self._data if self._data.endswith(b"\n") else self._data + b"\n"
+        width = data.index(b"\n")
+        if not width or len(data) % (width + 1):
+            return None
+        cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, width + 1)
+        if (cells[:, width] != 10).any() or (cells[:, :width] - 63 > 63).any():
+            return None
+        return cells[:, :width]
 
     @cached_property
     def _lines(self) -> list[str]:
         """Line k of the file by `graphs.graph6_text`, at index k - 1.  That
         is a plain strip unless the file holds a '#' or `>>graph6<<`."""
-        with open(self.path, "rb") as fh:
-            data = fh.read()
+        data = self._data
         lines = decode_lines(data, self.describe())
         plain = b"#" not in data and b">>graph6<<" not in data
         return list(map(str.strip if plain else graphs.graph6_text, lines))
@@ -187,6 +213,8 @@ class File:
 
     def line_number(self, index: int) -> int:
         """1-based file line of the index-th graph6 line."""
+        if self.graph6_cells is not None:
+            return index + 1
         return [k for k, line in enumerate(self._lines, 1) if line][index]
 
     def describe(self) -> str:
@@ -264,44 +292,53 @@ def _chunk_rows(n: int) -> int:
     return max(1, SOURCE_ENTRIES // (n * n))
 
 
-def _source_chunks(source, needs: str, n: int | None = None,
-                   chunk_size: int | None = None):
-    """Read the source once and yield (lines, rows) per chunk of graph6
-    lines, rows being their (N, n) neighbour bit masks.
+def _source_chunks(source, needs: str, n: int | None = None):
+    """Read the source once and yield (line, rows) per chunk of graph6
+    lines: rows their (N, n) neighbour bit masks, line(i) the text of the
+    chunk's i-th line.
 
-    The source's lines are graph6 text as `graphs.graph6_text` leaves it.
-    The order is n if given, else the first line's; every line must share
-    it.  A chunk holds chunk_size lines, by default `_chunk_rows(n)`.  An
-    empty source, order 0, an odd order (`needs` says what needs an even
-    one) and a faulty line raise ValueError naming the source, and the line.
+    A source with `graph6_cells` is decoded from those bytes, and a line's
+    text is made from them only when it is asked for; any other gives its
+    `graph6_lines`, graph6 text as `graphs.graph6_text` leaves it.  The
+    order is n if given, else the first line's; every line must share it.
+    A chunk holds `_chunk_rows(n)` lines.  An empty source, order 0, an odd
+    order (`needs` says what needs an even one) and a faulty line raise
+    ValueError naming the source, and the line.
     """
-    lines = source.graph6_lines()
-    if not lines:
+    cells = source.graph6_cells
+    if cells is None:
+        batch = source.graph6_lines()
+        decode, text = graphs._decode_graph6, batch.__getitem__
+    else:
+        batch, decode = cells, graphs._decode_cells
+
+        def text(index: int) -> str:
+            return cells[index].tobytes().decode()
+    if not len(batch):
         raise ValueError(
             f"empty graph source: {getattr(source, 'path', source.describe())}")
     if n is None:
         try:
-            n = graphs._from_graph6_text(lines[0]).n
+            n = graphs._from_graph6_text(text(0)).n
         except ValueError as exc:
             raise _located(source, 0, str(exc)) from None
     if n == 0:
         raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
-    if chunk_size is None:
-        chunk_size = _chunk_rows(n)
-    for start in range(0, len(lines), chunk_size):
-        chunk = lines[start:start + chunk_size]
-        rows, bad = graphs._decode_graph6(chunk, n)
+    size = _chunk_rows(n)
+    for start in range(0, len(batch), size):
+        rows, bad = decode(batch[start:start + size], n)
         if bad.size:  # name the line's fault, or else its order
-            line = chunk[bad[0]]
+            index = start + int(bad[0])
+            line = text(index)
             try:
                 message = (f"mixed vertex counts in source: expected n={n}, "
                            f"found n={graphs._from_graph6_text(line).n} in {line!r}")
             except ValueError as exc:
                 message = str(exc)
-            raise _located(source, start + int(bad[0]), message)
-        yield chunk, rows
+            raise _located(source, index, message)
+        yield (lambda i, start=start: text(start + i)), rows
 
 
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
@@ -319,16 +356,16 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
     start = time.perf_counter()
     scanned = hyp = 0
     events = []
-    for lines, rows in _source_chunks(source, "sweeps"):
+    for line, rows in _source_chunks(source, "sweeps"):
         n = rows.shape[1]
         met = np.flatnonzero(theorems._hypothesis_mask(rows, t, min_degree))
-        scanned += len(lines)
+        scanned += len(rows)
         hyp += len(met)
         undecided = met[~theorems._conclusion_mask(rows[met], t)]
         for i, row in zip(undecided, rows[undecided].tolist()):
             g = Graph(n, tuple(row))
             if not theorems.conclusion_holds(g, t):
-                events.append((lines[i], theorems.recognize_exception(g, t)))
+                events.append((line(i), theorems.recognize_exception(g, t)))
     events.sort(key=lambda e: e[0])
     counterexamples = tuple(g6 for g6, rec in events if rec is None)
     exceptions = tuple(
@@ -638,7 +675,7 @@ def _graphs_without_pm(source, n: int) -> tuple[list[str], np.ndarray]:
     there is one.
     """
     lines, rows = [], []
-    for chunk, chunk_rows in _source_chunks(source, NO_PM_SUITES, n):
+    for line, chunk_rows in _source_chunks(source, NO_PM_SUITES, n):
         rest = np.flatnonzero(~_covered_by_perfect_matching(chunk_rows))
         left = chunk_rows[rest]
         for i, row, (d, witness) in zip(rest, left.tolist(),
@@ -646,8 +683,8 @@ def _graphs_without_pm(source, n: int) -> tuple[list[str], np.ndarray]:
             g = Graph(n, tuple(row))
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
-                    f"deficiency witness failed to re-validate on {chunk[i]}")
-            lines.append(chunk[i])
+                    f"deficiency witness failed to re-validate on {line(i)}")
+            lines.append(line(i))
         rows.append(left)
     return lines, np.concatenate(rows)
 

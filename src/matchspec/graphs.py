@@ -220,27 +220,38 @@ def _transpose_bits(square: np.ndarray) -> None:
 
 
 def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode graph6 text of order n into (N, n) neighbour bit rows.
+    """Decode graph6 text of order n by `_decode_cells`, from the code points
+    of its lines; a line of another length than the order's fails."""
+    cells, other_length = _code_points(lines, 1 + (comb(n, 2) + 5) // 6)
+    return _decode_cells(cells, n, other_length)
+
+
+def _decode_cells(cells: np.ndarray, n: int,
+                  bad: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an (N, width) array of graph6 code points of order n, one line
+    per row (uint8 bytes or uint32 text), into (N, n) neighbour bit rows.
 
     Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
     order, packed big-endian into 6-bit groups, each group offset by 63.
     rows[g, v] is the neighbour mask of vertex v in line g, in the dtype
     np.min_scalar_type((1 << n) - 1).  Each row's lower triangle is looked
     up per body character in `_graph6_tables`, and the upper one is its bit
-    transpose.  Also returns the indices of the lines
-    failing a check (width, header byte, character range, zero padding
-    bits), whose rows are garbage.
+    transpose.  Also returns the indices of the lines failing a check
+    (`bad`, header byte, character range, zero padding bits), whose rows
+    are garbage; cells of another width than the order's fail every line.
     """
     nbits = comb(n, 2)
     width = 1 + (nbits + 5) // 6
-    cells, bad = _code_points(lines, width)
-    body = np.ascontiguousarray(cells[:, 1:].T) - np.uint32(63)  # below '?' wraps past 63
-    bad |= (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
+    dtype, table, chars, offsets = _graph6_tables(n)
+    if cells.shape[1] != width:
+        return np.zeros((len(cells), n), dtype=dtype), np.arange(len(cells))
+    # in the cells' own dtype: a code point below '?' wraps past 63
+    body = np.ascontiguousarray(cells[:, 1:].T) - cells.dtype.type(63)
+    bad = bad | (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
     bad |= (body[-1:] & ((1 << (6 * (width - 1) - nbits)) - 1)).any(axis=0)
     body &= 63
-    dtype, table, chars, offsets = _graph6_tables(n)
     lower = np.bitwise_or.reduce(table.take(body[chars] + offsets), axis=0)
-    square = np.zeros((8 * dtype.itemsize, len(lines)), dtype=dtype)
+    square = np.zeros((8 * dtype.itemsize, len(cells)), dtype=dtype)
     square[:n] = lower
     _transpose_bits(square)
     square[:n] |= lower

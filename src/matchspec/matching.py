@@ -281,35 +281,32 @@ def _odd_component_counts(rows) -> np.ndarray:
     """o(g_i - S) for every vertex set S of each graph g_i of a batch, as an
     (N, 2^n) uint8 table indexed [i, S]: the layout every reader scans.
 
-    rows[i][v] is the neighbour bit mask of vertex v in graph i: rows is an
-    (N, n) array, or a list of one graph's adjacency.  Exponential in n;
-    refuses n > SUBSET_SCAN_CAP.  The work runs on the remaining sets
-    R = full - S, at addresses i << n | R (R alone in a batch of one
-    graph), so every pass covers all sets R of all graphs at once:
+    rows[i, v] is the neighbour bit mask of vertex v in graph i, an (N, n)
+    array.  Exponential in n; refuses n > SUBSET_SCAN_CAP.  The work runs
+    on the remaining sets R = full - S, at addresses i << n | R, so every
+    pass covers all sets R of all graphs at once:
     - flood: the component C of R's lowest vertex starts as that vertex
       and grows to (C + N(C)) & R, read from a table of C + N(C) for every
       mask, until no mask grows (one pass per breadth-first layer);
     - count: o(R) = [|C| odd] + o(R-C), summed along the links R -> R-C
-      -> ... -> 0 by pointer doubling (ceil(log2 n) passes at most); every
-      chain ends at address 0, whose count is 0.
+      -> ... -> 0 by pointer doubling (ceil(log2(n + 1)) passes at most);
+      every chain ends at graph i's address of R = 0, which links to
+      address 0, both of count 0.
     At n = SUBSET_SCAN_CAP (2^20 masks) one graph takes about 0.1 s and
     24 bytes per mask (25 MB) of work arrays, and its counts are 1 MB.
     """
-    count, n = len(rows), len(rows[0])
+    count, n = rows.shape
     if n > SUBSET_SCAN_CAP:
         raise ValueError(f"subset scan capped at n <= {SUBSET_SCAN_CAP}")
     full = (1 << n) - 1
     rem = np.arange(count << n, dtype=np.uint32)
     closed = np.zeros(count << n, dtype=np.uint32)  # i << n | C + N(C) for every mask C
-    comp = rem & -rem
-    if count == 1:
-        table, cols = closed, [nb | 1 << v for v, nb in enumerate(rows[0])]
-    else:
-        graph = rem & ~np.uint32(full)  # i << n
-        comp |= graph
-        table = closed.reshape(count, 1 << n).T  # table[C] holds every graph's C
-        table[0] = graph[::1 << n]
-        cols = (rows | np.left_shift(1, np.arange(n, dtype=np.uint32))).T
+    comp = -rem  # i << n | R's lowest vertex, or i << n at R = 0
+    comp |= ~np.uint32(full)
+    comp &= rem
+    table = closed.reshape(count, 1 << n).T  # table[C] holds every graph's C
+    table[0] = comp[::1 << n]
+    cols = (rows | np.left_shift(1, np.arange(n, dtype=np.uint32))).T
     for v, col in enumerate(cols):
         np.bitwise_or(table[:1 << v], col, out=table[1 << v:2 << v])
     # every gather below goes through take: numpy fancy-indexes with a uint32
@@ -322,11 +319,11 @@ def _odd_component_counts(rows) -> np.ndarray:
             break
         comp = grown
     del closed, table, grown  # freed before the count pass allocates its own
-    odd = _popcounts(n).take(comp & full if count > 1 else comp) & 1
-    rest = np.bitwise_xor(rem, comp, out=comp)  # R - C
+    comp &= full
+    odd = _popcounts(n).take(comp) & 1
+    rest = np.bitwise_xor(rem, comp, out=comp)  # i << n | R - C
     del rem
-    if count > 1:
-        np.bitwise_or(rest, graph, out=rest, where=rest != 0)
+    rest[::1 << n] = 0  # R = 0 of each graph, where R - C = 0 leads, links to 0
     while rest.any():
         odd += odd.take(rest)
         rest = rest.take(rest)
@@ -360,7 +357,8 @@ def _berge_tutte_deficiencies(rows: np.ndarray) -> list[tuple[int, frozenset[int
 @lru_cache(maxsize=1)
 def _odd_component_table(g: Graph) -> np.ndarray:
     """g's row of `_odd_component_counts`, read-only: the cache shares it."""
-    table = _odd_component_counts([g.adj])[0]
+    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
+    table = _odd_component_counts(rows)[0]
     table.flags.writeable = False
     return table
 

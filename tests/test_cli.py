@@ -560,6 +560,11 @@ def test_import_starts_no_process_machinery():
      "mixed vertex counts in source: expected n=6, found n=8 in 'G~~~~{'"),
     (["E~~?", "E~~"], 2, "graph6 body has 2 chars, expected 3 for n=6"),
     (["", "E~~", "E~~?"], 2, "graph6 body has 2 chars, expected 3 for n=6"),
+    # lines of one width: all but the last file are decoded from their bytes
+    (["C~", "Bw"], 2, "mixed vertex counts in source: expected n=4, found n=3 in 'Bw'"),
+    (["C~", "D~"], 2, "graph6 body has 1 chars, expected 2 for n=5"),
+    (["E?Bw", "E?Bx"], 2, "nonzero padding bits in graph6 body"),
+    (["C~", "C\x7f"], 2, "graph6 char '\\x7f' out of range"),
 ])
 def test_verify_deficiency_lemma_names_file_and_line(capsys, tmp_path,
                                                      lines, where, message):
@@ -620,6 +625,24 @@ def test_verify_skips_a_bare_graph6_header_line(capsys, tmp_path, n8_fixture_pat
             doc.pop("wall_time")
             doc.pop("source", None)
         assert headed == plain
+
+
+def test_deficiency_lemma_reports_are_the_same_on_either_read_path(capsys, tmp_path,
+                                                                   n8_fixture_variants):
+    # the plain fixture and a copy without its last newline are decoded from
+    # their bytes; CRLF, '#' and >>graph6<< copies are read as lines
+    path = tmp_path / "copy.g6"
+    for lemma in ("l2.9", "l2.10"):
+        texts = set()
+        for data in n8_fixture_variants.values():
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", "n=4..8",
+                                     "--input", str(path), "--out", "json")
+            doc = json.loads(out)
+            doc.pop("wall_time")
+            assert code == 0 and err == "" and doc["instances"] == 838
+            texts.add(enumeration.json_text(doc))
+        assert len(texts) == 1, lemma
 
 
 def test_verify_accepts_jobs_and_ignores_it(capsys, n8_fixture_path):

@@ -185,6 +185,53 @@ def test_file_lines_equal_graph6_text_of_every_line(tmp_path, data):
     assert source._lines == list(map(graph6_text, decode_lines_reference(data, "f")))
 
 
+@pytest.mark.parametrize("data, width", [
+    (b"C~\nCl\n", 2), (b"C~\nCl", 2), (b"E?Bw\n", 4), (b"?", 1),
+    (b"C~\r\nCl\r\n", None), (b"C~\n\nCl\n", None), (b"C~\nE~~?\n", None),
+    (b"C~\nCl\n\n", None), (b"# c\nC~\n", None), (b">>graph6<<C~\n", None),
+    (b" C~\n", None), (b"C~\nC\x7f\n", None), (b"C~\nC\xc3\xa9\n", None),
+    (b"C~\nC>\n", None), (b"", None), (b"\n", None),
+])
+def test_file_cells_are_its_lines_when_they_have_one_width(tmp_path, data, width):
+    # exactly the files whose lines are all `width` characters 63..126, each
+    # ended by a newline but perhaps the last, are decoded from their bytes
+    path = tmp_path / "lines.g6"
+    path.write_bytes(data)
+    source = File(str(path))
+    cells = source.graph6_cells
+    if width is None:
+        assert cells is None
+    else:
+        assert cells.shape[1] == width and not cells.flags.writeable
+        assert [row.tobytes().decode() for row in cells] == source.graph6_lines()
+
+
+def test_a_one_width_file_is_swept_from_its_bytes(monkeypatch, n8_fixture_path):
+    # the lines-as-text reader is never reached, for a sweep or the l2.9
+    # and l2.10 suites, and the reports are those it would give
+    expected = [sweep_theorem(File(n8_fixture_path), TheoremId("t13"), min_degree=2),
+                verify_lemma("l2.9", n_values=(8,), sources={8: File(n8_fixture_path)})]
+
+    def refuse(data, where):
+        raise AssertionError(f"{where} was read as lines")
+
+    monkeypatch.setattr(enumeration, "decode_lines", refuse)
+    got = [sweep_theorem(File(n8_fixture_path), TheoremId("t13"), min_degree=2),
+           verify_lemma("l2.9", n_values=(8,), sources={8: File(n8_fixture_path)})]
+    assert [r.to_json(include_timing=False) for r in got] == [
+        r.to_json(include_timing=False) for r in expected]
+    assert got[0].hypothesis_count == 812
+
+
+def test_a_one_width_file_of_another_order_fails_at_its_first_line(n8_fixture_path):
+    # the suite asks for order 6, whose lines are 4 characters; the file's
+    # are 6, so every line fails and the first is named
+    with pytest.raises(ValueError) as err:
+        verify_lemma("l2.9", n_values=(4, 6), sources={6: File(n8_fixture_path)})
+    assert str(err.value) == (f"file:{n8_fixture_path}:1: mixed vertex counts in source: "
+                              "expected n=6, found n=8 in 'G???F{'")
+
+
 def test_builtin_source():
     assert len(BuiltIn(6).graph6_lines()) == 112
 

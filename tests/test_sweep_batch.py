@@ -393,6 +393,26 @@ def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixtu
         assert texts[0] == texts[1]
 
 
+def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
+                                                  n8_fixture_variants):
+    # a one-width file is decoded from its bytes, any other read as lines;
+    # each copy sits at the benchmark's path, so its reports are the golden
+    # ones byte for byte, source included
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(".perfbench_work")
+    path = os.path.join(".perfbench_work", "connected_n8.g6")
+    for name, data in n8_fixture_variants.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        source = File(path)
+        assert (source.graph6_cells is not None) == (name in ("plain", "no final newline"))
+        for golden, (t, min_deg) in GOLDEN.items():
+            with open(os.path.join(GOLDEN_DIR, f"sweep-{golden}.json")) as fh:
+                expected = fh.read()
+            report = sweep_theorem(source, t, min_degree=min_deg)
+            assert report.to_json(include_timing=False) == expected, (name, golden)
+
+
 def test_conclusion_certificate_is_sound(by_order):
     # every graph the batch certifies meets the conclusion by the direct
     # route; the counts of graphs that meet it are observed data, and the
