@@ -21,10 +21,11 @@ memory stays bounded at large ones:
 
 1. decode the chunk into an (N, n) array of neighbour bit masks, one row
    per graph and `Graph`'s own representation, with the graph6 decoder of
-   `graphs`; a file whose lines all hold one graph of one width, and no
-   other character, is decoded straight from a view of its bytes, any
-   other source from its lines as text; a line the decoder rejects is
-   named with its fault and the source and line number;
+   `graphs`, from the source's lines as uint8 cells: a file whose lines
+   all hold one graph of one width, and no other character, is a view of
+   its own bytes, and any other source's graph6 lines are joined into such
+   bytes first; a line the decoder rejects is named with its fault and the
+   source and line number;
 2. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses: a spectral one
    from a spectral-radius bound, then from Collatz-Wielandt bounds on the
@@ -137,7 +138,10 @@ class BuiltIn:
 
     n: int
 
-    graph6_cells = None  # the lines are made by `to_graph6`, not read as bytes
+    @cached_property
+    def graph6_cells(self) -> np.ndarray:
+        """The graph6 lines as a read-only (N, width) uint8 array."""
+        return graphs._graph6_cells("\n".join(self.graph6_lines()).encode())
 
     def graph6_lines(self) -> list[str]:
         return [to_graph6(g) for g in enumerate_connected(self.n)]
@@ -173,11 +177,11 @@ def decode_lines(data: bytes, where: str) -> list[str]:
 class File:
     """graph6 lines from a file, read once per instance.
 
-    A file whose every line is one graph of one width, `width` graph6
-    characters (63..126) and a b"\\n" (the last one may be missing), is
-    decoded straight from its bytes, `graph6_cells`.  Every other file is
-    read as lines by `decode_lines` and `graphs.graph6_text` (blank, '#' and
-    bare `>>graph6<<` lines are skipped)."""
+    Its lines are those of `decode_lines` by `graphs.graph6_text` (blank,
+    '#' and bare `>>graph6<<` lines are skipped).  A file whose every line
+    is one graph of one width, `width` graph6 characters (63..126) and a
+    b"\\n" (the last one may be missing), is already those lines, and
+    `graph6_cells` views its bytes without reading them as text."""
 
     path: str
 
@@ -188,33 +192,24 @@ class File:
 
     @cached_property
     def graph6_cells(self) -> np.ndarray | None:
-        """The file's lines as a read-only (N, width) uint8 view of its bytes,
-        when every line is one graph of one width, else None."""
-        data = self._data if self._data.endswith(b"\n") else self._data + b"\n"
-        width = data.index(b"\n")
-        if not width or len(data) % (width + 1):
-            return None
-        cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, width + 1)
-        if (cells[:, width] != 10).any() or (cells[:, :width] - 63 > 63).any():
-            return None
-        return cells[:, :width]
+        """The graph6 lines as a read-only (N, width) uint8 array: a view of
+        the file's bytes, else of its `graph6_lines` joined; None when those
+        differ in width or hold a character outside 63..126, or are none."""
+        cells = graphs._graph6_cells(self._data)
+        if cells is None:
+            cells = graphs._graph6_cells("\n".join(self.graph6_lines()).encode())
+        return cells
 
     @cached_property
     def _lines(self) -> list[str]:
-        """Line k of the file by `graphs.graph6_text`, at index k - 1.  That
-        is a plain strip unless the file holds a '#' or `>>graph6<<`."""
-        data = self._data
-        lines = decode_lines(data, self.describe())
-        plain = b"#" not in data and b">>graph6<<" not in data
-        return list(map(str.strip if plain else graphs.graph6_text, lines))
+        """Line k of the file by `graphs.graph6_text`, at index k - 1."""
+        return list(map(graphs.graph6_text, decode_lines(self._data, self.describe())))
 
     def graph6_lines(self) -> list[str]:
         return [line for line in self._lines if line]
 
     def line_number(self, index: int) -> int:
         """1-based file line of the index-th graph6 line."""
-        if self.graph6_cells is not None:
-            return index + 1
         return [k for k, line in enumerate(self._lines, 1) if line][index]
 
     def describe(self) -> str:
@@ -292,31 +287,41 @@ def _chunk_rows(n: int) -> int:
     return max(1, SOURCE_ENTRIES // (n * n))
 
 
+def _fault(line: str, n: int) -> str | None:
+    """Why graph6 text is not one graph of order n: the error of
+    `graphs._from_graph6_text`, or else its other order; None if it is."""
+    try:
+        found = graphs._from_graph6_text(line).n
+    except ValueError as exc:
+        return str(exc)
+    if found == n:
+        return None
+    return f"mixed vertex counts in source: expected n={n}, found n={found} in {line!r}"
+
+
 def _source_chunks(source, needs: str, n: int | None = None):
     """Read the source once and yield (line, rows) per chunk of graph6
     lines: rows their (N, n) neighbour bit masks, line(i) the text of the
     chunk's i-th line.
 
-    A source with `graph6_cells` is decoded from those bytes, and a line's
-    text is made from them only when it is asked for; any other gives its
-    `graph6_lines`, graph6 text as `graphs.graph6_text` leaves it.  The
-    order is n if given, else the first line's; every line must share it.
-    A chunk holds `_chunk_rows(n)` lines.  An empty source, order 0, an odd
-    order (`needs` says what needs an even one) and a faulty line raise
-    ValueError naming the source, and the line.
+    Every source is decoded from its `graph6_cells`, and a line's text is
+    made from them only when it is asked for.  The order is n if given,
+    else the first line's; every line must share it.  A chunk holds
+    `_chunk_rows(n)` lines.  An empty source, order 0, an odd order
+    (`needs` says what needs an even one) and a faulty line raise
+    ValueError naming the source, and the line.  A source without cells
+    has lines of unequal width or another character, so it is empty or
+    faulty, and its first faulty `graph6_lines` line is named at once.
     """
     cells = source.graph6_cells
     if cells is None:
-        batch = source.graph6_lines()
-        decode, text = graphs._decode_graph6, batch.__getitem__
+        lines = source.graph6_lines()
+        if not lines:
+            raise ValueError(f"empty graph source: {source.path}")
+        text = lines.__getitem__
     else:
-        batch, decode = cells, graphs._decode_cells
-
         def text(index: int) -> str:
             return cells[index].tobytes().decode()
-    if not len(batch):
-        raise ValueError(
-            f"empty graph source: {getattr(source, 'path', source.describe())}")
     if n is None:
         try:
             n = graphs._from_graph6_text(text(0)).n
@@ -326,18 +331,16 @@ def _source_chunks(source, needs: str, n: int | None = None):
         raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
+    if cells is None:
+        for index, line in enumerate(lines):
+            if message := _fault(line, n):
+                raise _located(source, index, message)
     size = _chunk_rows(n)
-    for start in range(0, len(batch), size):
-        rows, bad = decode(batch[start:start + size], n)
-        if bad.size:  # name the line's fault, or else its order
+    for start in range(0, len(cells), size):
+        rows, bad = graphs._decode_cells(cells[start:start + size], n)
+        if bad.size:
             index = start + int(bad[0])
-            line = text(index)
-            try:
-                message = (f"mixed vertex counts in source: expected n={n}, "
-                           f"found n={graphs._from_graph6_text(line).n} in {line!r}")
-            except ValueError as exc:
-                message = str(exc)
-            raise _located(source, index, message)
+            raise _located(source, index, _fault(text(index), n))
         yield (lambda i, start=start: text(start + i)), rows
 
 

@@ -180,21 +180,19 @@ def _graph6_tables(n: int):
     return dtype, table, chars, offsets
 
 
-def _code_points(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first `width` code points of each line, shorter lines padded with
-    NUL (below '?'), as an (N, width) uint32 array, and which lines are not
-    `width` long.  When every line is, they are read from one encoded buffer
-    of the lines, no per-line step."""
-    count = len(lines)
-    text = "\n".join(lines) + "\n"
-    if len(text) == count * (width + 1) and text.count("\n") == count:  # no line holds "\n"
-        cells = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        cells = cells.reshape(count, width + 1)
-        if (cells[:, width] == 10).all():  # so every line is width long
-            return cells[:, :width], np.zeros(count, dtype=bool)
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
-    cells = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(count, width)
-    return cells, lengths != width
+def _graph6_cells(data: bytes) -> np.ndarray | None:
+    """The lines of data as a read-only (N, width) uint8 view of its bytes,
+    when every line is `width` graph6 characters (63..126) followed by a
+    b"\\n", the last one optional; else None (so for empty data too)."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    width = data.index(b"\n")
+    if not width or len(data) % (width + 1):
+        return None
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, width + 1)
+    if (cells[:, width] != 10).any() or (cells[:, :width] - 63 > 63).any():
+        return None
+    return cells[:, :width]
 
 
 def _transpose_bits(square: np.ndarray) -> None:
@@ -219,17 +217,9 @@ def _transpose_bits(square: np.ndarray) -> None:
         s //= 2
 
 
-def _decode_graph6(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode graph6 text of order n by `_decode_cells`, from the code points
-    of its lines; a line of another length than the order's fails."""
-    cells, other_length = _code_points(lines, 1 + (comb(n, 2) + 5) // 6)
-    return _decode_cells(cells, n, other_length)
-
-
-def _decode_cells(cells: np.ndarray, n: int,
-                  bad: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Decode an (N, width) array of graph6 code points of order n, one line
-    per row (uint8 bytes or uint32 text), into (N, n) neighbour bit rows.
+def _decode_cells(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an (N, width) uint8 array of graph6 bytes of order n, one line
+    per row, into (N, n) neighbour bit rows.
 
     Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
     order, packed big-endian into 6-bit groups, each group offset by 63.
@@ -237,17 +227,17 @@ def _decode_cells(cells: np.ndarray, n: int,
     np.min_scalar_type((1 << n) - 1).  Each row's lower triangle is looked
     up per body character in `_graph6_tables`, and the upper one is its bit
     transpose.  Also returns the indices of the lines failing a check
-    (`bad`, header byte, character range, zero padding bits), whose rows
-    are garbage; cells of another width than the order's fail every line.
+    (header byte, character range, zero padding bits), whose rows are
+    garbage; cells of another width than the order's fail every line.
     """
     nbits = comb(n, 2)
     width = 1 + (nbits + 5) // 6
     dtype, table, chars, offsets = _graph6_tables(n)
     if cells.shape[1] != width:
         return np.zeros((len(cells), n), dtype=dtype), np.arange(len(cells))
-    # in the cells' own dtype: a code point below '?' wraps past 63
-    body = np.ascontiguousarray(cells[:, 1:].T) - cells.dtype.type(63)
-    bad = bad | (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
+    # a byte below '?' wraps past 63
+    body = np.ascontiguousarray(cells[:, 1:].T) - np.uint8(63)
+    bad = (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
     bad |= (body[-1:] & ((1 << (6 * (width - 1) - nbits)) - 1)).any(axis=0)
     body &= 63
     lower = np.bitwise_or.reduce(table.take(body[chars] + offsets), axis=0)
@@ -278,7 +268,9 @@ def _from_graph6_text(line: str) -> Graph:
     if len(body) != nchars:
         raise ValueError(
             f"graph6 body has {len(body)} chars, expected {nchars} for n={n}")
-    rows, bad = _decode_graph6([line], n)
+    # a character past ASCII is bytes >= 128, which the decoder flags
+    rows, bad = _decode_cells(np.frombuffer(line.encode("utf-8", "surrogatepass"),
+                                            dtype=np.uint8)[None], n)
     if bad.size:  # a character out of range, else a padding bit
         for ch in body:
             if not 63 <= ord(ch) <= 126:

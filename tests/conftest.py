@@ -15,8 +15,9 @@ def n8_fixture_path():
 @pytest.fixture(scope="session")
 def n8_fixture_variants(n8_fixture_path):
     """The n = 8 fixture's bytes as they are, and as copies of the same graphs
-    that a `File` reads as lines rather than straight from its bytes (all but
-    the first and the last): name -> bytes."""
+    whose bytes are not the lines themselves, so that a `File` reads them as
+    lines before it has cells (all but the first and the last): name ->
+    bytes."""
     with open(n8_fixture_path, "rb") as fh:
         data = fh.read()
     return {

@@ -629,8 +629,9 @@ def test_verify_skips_a_bare_graph6_header_line(capsys, tmp_path, n8_fixture_pat
 
 def test_deficiency_lemma_reports_are_the_same_on_either_read_path(capsys, tmp_path,
                                                                    n8_fixture_variants):
-    # the plain fixture and a copy without its last newline are decoded from
-    # their bytes; CRLF, '#' and >>graph6<< copies are read as lines
+    # the plain fixture and a copy without its last newline are views of
+    # their bytes; CRLF, '#' and >>graph6<< copies are read as lines first,
+    # then decoded from the same bytes
     path = tmp_path / "copy.g6"
     for lemma in ("l2.9", "l2.10"):
         texts = set()

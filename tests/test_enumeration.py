@@ -17,7 +17,7 @@ from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
 from matchspec.matching import has_perfect_matching
 from matchspec.spectral import spectral_radius
 from matchspec.theorems import TheoremId
-from matchspec import enumeration, spectral
+from matchspec import enumeration, graphs, spectral
 
 from oracles import (CONNECTED_GRAPH_COUNTS, decode_lines_reference,
                      graphs_without_pm_reference, perfect_matchings_reference)
@@ -177,8 +177,7 @@ def test_decode_lines_matches_the_per_line_loop():
     b"C~ # not a comment\r\n", "\x85C~\u2028\n".encode(), b"\r\n\r\n",
 ])
 def test_file_lines_equal_graph6_text_of_every_line(tmp_path, data):
-    # File strips every line, and applies the comment and header rule only
-    # when the file holds a '#' or `>>graph6<<`
+    # File strips every line and applies the comment and header rule
     path = tmp_path / "lines.g6"
     path.write_bytes(data)
     source = File(str(path))
@@ -192,18 +191,29 @@ def test_file_lines_equal_graph6_text_of_every_line(tmp_path, data):
     (b" C~\n", None), (b"C~\nC\x7f\n", None), (b"C~\nC\xc3\xa9\n", None),
     (b"C~\nC>\n", None), (b"", None), (b"\n", None),
 ])
-def test_file_cells_are_its_lines_when_they_have_one_width(tmp_path, data, width):
-    # exactly the files whose lines are all `width` characters 63..126, each
-    # ended by a newline but perhaps the last, are decoded from their bytes
+def test_file_cells_are_its_lines_when_they_have_one_width(tmp_path, monkeypatch,
+                                                          data, width):
+    # a file whose lines are all `width` characters 63..126, each ended by a
+    # newline but perhaps the last, is viewed from its bytes, never read as
+    # lines; any other has the cells of its graph6 lines, unless those
+    # differ in width or hold another character, or are none
     path = tmp_path / "lines.g6"
     path.write_bytes(data)
     source = File(str(path))
+    if width is not None:
+        monkeypatch.setattr(enumeration, "decode_lines", _refuse_lines)
     cells = source.graph6_cells
-    if width is None:
+    monkeypatch.undo()
+    if data in (b"C~\nE~~?\n", b"C~\nC\x7f\n", b"C~\nC\xc3\xa9\n", b"C~\nC>\n", b"", b"\n"):
         assert cells is None
     else:
-        assert cells.shape[1] == width and not cells.flags.writeable
+        assert width is None or cells.shape[1] == width
+        assert cells.dtype == np.uint8 and not cells.flags.writeable
         assert [row.tobytes().decode() for row in cells] == source.graph6_lines()
+
+
+def _refuse_lines(data, where):
+    raise AssertionError(f"{where} was read as lines")
 
 
 def test_a_one_width_file_is_swept_from_its_bytes(monkeypatch, n8_fixture_path):
@@ -211,16 +221,27 @@ def test_a_one_width_file_is_swept_from_its_bytes(monkeypatch, n8_fixture_path):
     # and l2.10 suites, and the reports are those it would give
     expected = [sweep_theorem(File(n8_fixture_path), TheoremId("t13"), min_degree=2),
                 verify_lemma("l2.9", n_values=(8,), sources={8: File(n8_fixture_path)})]
-
-    def refuse(data, where):
-        raise AssertionError(f"{where} was read as lines")
-
-    monkeypatch.setattr(enumeration, "decode_lines", refuse)
+    monkeypatch.setattr(enumeration, "decode_lines", _refuse_lines)
     got = [sweep_theorem(File(n8_fixture_path), TheoremId("t13"), min_degree=2),
            verify_lemma("l2.9", n_values=(8,), sources={8: File(n8_fixture_path)})]
     assert [r.to_json(include_timing=False) for r in got] == [
         r.to_json(include_timing=False) for r in expected]
     assert got[0].hypothesis_count == 812
+
+
+def test_a_file_read_as_lines_is_decoded_from_uint8_cells(tmp_path, monkeypatch,
+                                                          n8_fixture_variants):
+    # its graph6 lines are joined into bytes first, so the one batch decoder
+    # sees only uint8 cells
+    decode, dtypes = graphs._decode_cells, []
+    monkeypatch.setattr(graphs, "_decode_cells",
+                        lambda cells, *rest: dtypes.append(cells.dtype) or decode(cells, *rest))
+    for name in ("crlf", "comment"):
+        path = tmp_path / f"{name}.g6"
+        path.write_bytes(n8_fixture_variants[name])
+        report = sweep_theorem(File(str(path)), TheoremId("t13"), min_degree=2)
+        assert (report.graphs_scanned, report.hypothesis_count) == (11117, 812)
+    assert dtypes and set(dtypes) == {np.dtype(np.uint8)}
 
 
 def test_a_one_width_file_of_another_order_fails_at_its_first_line(n8_fixture_path):

@@ -169,25 +169,38 @@ def _mutated(rng, line, any_width):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 13, 62])
 def test_row_decoder_rejects_what_the_adjacency_decoder_rejects(n):
-    # lines of one width and no newline (then the decoder reads all their
-    # code points from one buffer), lines of any width (a mutation may leave
-    # a line good), and faults whose lengths cancel out over the batch
+    # lines of one width and no newline, lines of any width (a mutation may
+    # leave a line good), and faults whose lengths cancel out over the batch:
+    # each line alone, as parse_graph6 decodes it, and as a batch the lines
+    # that are bytes 63..126 of the order's width, the only ones cells hold
     rng = random.Random(n)
+    width = 1 + (n * (n - 1) // 2 + 5) // 6
     good = [to_graph6(random_graph(rng, n, p=rng.random())) for _ in range(60)]
     batches = [[_mutated(rng, line, any_width) if rng.random() < 0.6 else line
                 for line in good] for any_width in (False, True)]
     batches += [[good[0][:-1], good[1] + "?"] + good[2:],
                 [good[0] + "\n", good[1][:-1]] + good[2:]]
     for lines in batches:
-        rows, bad = graphs._decode_graph6(lines, n)
         adj, expected_bad = adjacency_graph6_decode(lines, n)
-        assert bad.tolist() == expected_bad.tolist()
-        ok = np.setdiff1d(np.arange(len(lines)), bad)
-        assert rows.dtype == np.min_scalar_type((1 << n) - 1) and rows.shape == (len(lines), n)
-        assert np.array_equal(rows[ok], bit_rows(adj)[ok])
-        for k in range(0, len(lines), 7):  # one line at a time, as parse_graph6 decodes
-            one, one_bad = graphs._decode_graph6(lines[k:k + 1], n)
-            assert one_bad.size == (k in bad) and (k in bad or one[0].tolist() == rows[k].tolist())
+        expected_rows = bit_rows(adj)
+        for k, line in enumerate(lines):
+            try:
+                g = graphs._from_graph6_text(line)
+            except ValueError:
+                assert k in expected_bad
+            else:
+                assert (g.n == n) == (k not in expected_bad)
+                assert g.n != n or list(g.adj) == expected_rows[k].tolist()
+        one_width = [len(line.encode()) == width and all(63 <= ord(c) <= 126 for c in line)
+                    for line in lines]
+        assert (graphs._graph6_cells("\n".join(lines).encode()) is None) == (not all(one_width))
+        kept = np.flatnonzero(one_width)
+        cells = graphs._graph6_cells("\n".join(lines[k] for k in kept).encode())
+        rows, bad = graphs._decode_cells(cells, n)
+        assert kept[bad].tolist() == np.intersect1d(kept, expected_bad).tolist()
+        ok = np.setdiff1d(np.arange(len(kept)), bad)
+        assert rows.dtype == np.min_scalar_type((1 << n) - 1) and rows.shape == (len(kept), n)
+        assert np.array_equal(rows[ok], expected_rows[kept[ok]])
 
 
 def test_decode_state_is_bounded_at_the_largest_order():

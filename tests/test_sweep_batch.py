@@ -52,7 +52,7 @@ def by_order(n8_fixture_path):
     for source in (BuiltIn(4), BuiltIn(6), File(n8_fixture_path)):
         lines = source.graph6_lines()
         gs = [parse_graph6(line) for line in lines]
-        rows, bad = graphs._decode_graph6(lines, gs[0].n)
+        rows, bad = graphs._decode_cells(source.graph6_cells, gs[0].n)
         assert bad.size == 0
         out[gs[0].n] = (lines, gs, rows)
     return out
@@ -61,8 +61,9 @@ def by_order(n8_fixture_path):
 def test_batched_decode_matches_reference_decoder(by_order):
     decoded = {n: (lines, rows) for n, (lines, _, rows) in by_order.items()}
     for n in (1, 2, 3, 5, 7):
-        lines = BuiltIn(n).graph6_lines()
-        rows, bad = graphs._decode_graph6(lines, n)
+        source = BuiltIn(n)
+        lines = source.graph6_lines()
+        rows, bad = graphs._decode_cells(source.graph6_cells, n)
         assert bad.size == 0
         decoded[n] = lines, rows
     for n, (lines, rows) in decoded.items():
@@ -395,9 +396,9 @@ def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixtu
 
 def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
                                                   n8_fixture_variants):
-    # a one-width file is decoded from its bytes, any other read as lines;
-    # each copy sits at the benchmark's path, so its reports are the golden
-    # ones byte for byte, source included
+    # every copy has cells, from its bytes or from its lines; each sits at
+    # the benchmark's path, so its reports are the golden ones byte for
+    # byte, source included
     monkeypatch.chdir(tmp_path)
     os.mkdir(".perfbench_work")
     path = os.path.join(".perfbench_work", "connected_n8.g6")
@@ -405,7 +406,7 @@ def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
         with open(path, "wb") as fh:
             fh.write(data)
         source = File(path)
-        assert (source.graph6_cells is not None) == (name in ("plain", "no final newline"))
+        assert source.graph6_cells is not None, name
         for golden, (t, min_deg) in GOLDEN.items():
             with open(os.path.join(GOLDEN_DIR, f"sweep-{golden}.json")) as fh:
                 expected = fh.read()
@@ -418,10 +419,11 @@ def test_conclusion_certificate_is_sound(by_order):
     # route; the counts of graphs that meet it are observed data, and the
     # certificate leaves none of them open at n = 6 and 8 (t13 and t16 do
     # not cover n = 4, so nothing is certified there)
-    orders = {2: BuiltIn(2).graph6_lines(), **{n: lines for n, (lines, _, _) in by_order.items()}}
+    k2 = BuiltIn(2)
+    orders = {2: (k2.graph6_lines(), graphs._decode_cells(k2.graph6_cells, 2)[0]),
+              **{n: (lines, rows) for n, (lines, _, rows) in by_order.items()}}
     counts = {}
-    for n, lines in orders.items():
-        rows, _ = graphs._decode_graph6(lines, n)
+    for n, (lines, rows) in orders.items():
         gs = [parse_graph6(line) for line in lines]
         for t in CERTIFIED:
             certified = theorems._conclusion_mask(rows, t)
