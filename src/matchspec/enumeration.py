@@ -14,10 +14,12 @@ Sweeps evaluate a threshold statement over a source, collecting the graphs
 that satisfy the hypothesis but fail the conclusion, tagging each with the
 registered exception family it matches (an unmatched one is a genuine
 counterexample).  A sweep works on chunks of graph6 lines, each as one
-batch of arrays.  A chunk is sized by its adjacency entries, at most
-SOURCE_ENTRIES of them (4096 lines at n = 8, 68 at n = 62), so the
-per-chunk passes are paid a few times per source at small orders and the
-memory stays bounded at large ones:
+batch of arrays.  A chunk is sized by the bytes of its decoded rows, at
+most `graphs.SOURCE_ENTRIES` of them (32768 lines at n = 8, so the n = 8
+fixture is one chunk, and 528 at n = 62), and every kernel that expands
+rows to n x n matrices holds at most SOURCE_ENTRIES adjacency entries at
+once, so the per-pass costs are paid once per source at small orders and
+the memory stays bounded at large ones, whatever batch a kernel is given:
 
 1. decode the chunk into an (N, n) array of neighbour bit masks, one row
    per graph and `Graph`'s own representation, with the graph6 decoder of
@@ -58,10 +60,6 @@ from .graphs import Graph, all_pairs, from_edge_list, to_graph6
 from .theorems import TheoremId
 
 ENUMERATION_CAP = 7
-
-# adjacency entries decoded as one batch by sweeps and the deficiency suites:
-# a chunk of order-n graph6 lines holds max(1, SOURCE_ENTRIES // n^2) of them
-SOURCE_ENTRIES = 1 << 18
 
 # the deficiency suites (l2.9, l2.10), as their source errors name them
 NO_PM_SUITES = "the deficiency bound suites"
@@ -282,9 +280,11 @@ def _located(source, index: int, message: str) -> ValueError:
 
 
 def _chunk_rows(n: int) -> int:
-    """Graph6 lines of order n in a chunk of at most SOURCE_ENTRIES
-    adjacency entries (one line at least)."""
-    return max(1, SOURCE_ENTRIES // (n * n))
+    """Graph6 lines of order n in a chunk of at most `graphs.SOURCE_ENTRIES`
+    bytes of decoded rows, n rows of np.min_scalar_type((1 << n) - 1) per
+    line (one line at least): 32768 lines at n = 8, 528 at n = 62."""
+    itemsize = np.min_scalar_type((1 << n) - 1).itemsize
+    return max(1, graphs.SOURCE_ENTRIES // (n * itemsize))
 
 
 def _fault(line: str, n: int) -> str | None:
@@ -307,11 +307,16 @@ def _source_chunks(source, needs: str, n: int | None = None):
     Every source is decoded from its `graph6_cells`, and a line's text is
     made from them only when it is asked for.  The order is n if given,
     else the first line's; every line must share it.  A chunk holds
-    `_chunk_rows(n)` lines.  An empty source, order 0, an odd order
-    (`needs` says what needs an even one) and a faulty line raise
+    `_chunk_rows(n)` lines, at most `graphs.SOURCE_ENTRIES` bytes of rows,
+    however many adjacency entries they expand to: each kernel that
+    expands them bounds its own batch.  An empty source, order 0, an odd
+    order (`needs` says what needs an even one) and a faulty line raise
     ValueError naming the source, and the line.  A source without cells
     has lines of unequal width or another character, so it is empty or
-    faulty, and its first faulty `graph6_lines` line is named at once.
+    faulty, and its first faulty `graph6_lines` line is named before any
+    chunk is yielded: the lines before the first one of another width than
+    the order's, or not ASCII, are decoded chunk by chunk as cells, and
+    the first one the decoder flags, else that line, is named.
     """
     cells = source.graph6_cells
     if cells is None:
@@ -331,11 +336,19 @@ def _source_chunks(source, needs: str, n: int | None = None):
         raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
     if n % 2 != 0:
         raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
-    if cells is None:
-        for index, line in enumerate(lines):
-            if message := _fault(line, n):
-                raise _located(source, index, message)
     size = _chunk_rows(n)
+    if cells is None:
+        width = 1 + (comb(n, 2) + 5) // 6
+        index = next((i for i, line in enumerate(lines)
+                      if len(line) != width or not line.isascii()), len(lines))
+        head = np.frombuffer("".join(lines[:index]).encode(), dtype=np.uint8)
+        head = head.reshape(index, width)
+        for start in range(0, index, size):
+            bad = graphs._decode_cells(head[start:start + size], n)[1]
+            if bad.size:
+                index = start + int(bad[0])
+                break
+        raise _located(source, index, _fault(lines[index], n))
     for start in range(0, len(cells), size):
         rows, bad = graphs._decode_cells(cells[start:start + size], n)
         if bad.size:
@@ -350,7 +363,8 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
 
     Deterministic: output lists are sorted by graph6 string, so reports are
     identical for any chunk size (wall_time aside); a chunk holds at most
-    SOURCE_ENTRIES adjacency entries.  `jobs` is accepted and ignored.  An
+    `graphs.SOURCE_ENTRIES` bytes of rows, and each kernel at most that
+    many adjacency entries.  `jobs` is accepted and ignored.  An
     empty source, one of odd order, a malformed line, or one of another
     order than the first raises ValueError naming the source, and the line
     where there is one; an order t does not cover raises too, however few
@@ -646,12 +660,12 @@ def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
     the perfect matchings of K_n, that is, have a perfect matching.
 
     A graph's test gathers (n-1)!! * n/2 row entries, one per matched pair
-    uv, and reads bit v of row u; at most SOURCE_ENTRIES of them are
-    gathered at once, one graph's at least.
+    uv, and reads bit v of row u; at most `graphs.SOURCE_ENTRIES` of them
+    are gathered at once, one graph's at least.
     """
     pairs = _complete_perfect_matchings(rows.shape[1])
     ends = pairs[..., 1].astype(rows.dtype)
-    step = max(1, SOURCE_ENTRIES // max(1, pairs.size // 2))
+    step = max(1, graphs.SOURCE_ENTRIES // max(1, pairs.size // 2))
     out = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), step):
         part = rows[start:start + step, pairs[..., 0]] >> ends & 1

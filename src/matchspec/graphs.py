@@ -14,6 +14,12 @@ from math import comb
 
 import numpy as np
 
+# The batch budget of the array code, in one number for both of its jobs: a
+# source chunk holds at most this many bytes of neighbour rows, and a kernel
+# that expands rows to n x n matrices holds at most this many adjacency
+# entries, max(1, SOURCE_ENTRIES // n^2) graphs, at once
+SOURCE_ENTRIES = 1 << 18
+
 
 class Graph:
     """Immutable simple graph: no loops, symmetric adjacency."""
@@ -225,8 +231,9 @@ def _decode_cells(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order, packed big-endian into 6-bit groups, each group offset by 63.
     rows[g, v] is the neighbour mask of vertex v in line g, in the dtype
     np.min_scalar_type((1 << n) - 1).  Each row's lower triangle is looked
-    up per body character in `_graph6_tables`, and the upper one is its bit
-    transpose.  Also returns the indices of the lines failing a check
+    up per body character in `_graph6_tables`, one character of every row
+    at a time, so the transient index is (n, N), and the upper one is its
+    bit transpose.  Also returns the indices of the lines failing a check
     (header byte, character range, zero padding bits), whose rows are
     garbage; cells of another width than the order's fail every line.
     """
@@ -240,7 +247,9 @@ def _decode_cells(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     bad = (cells[:, 0] != n + 63) | (body > 63).any(axis=0)
     bad |= (body[-1:] & ((1 << (6 * (width - 1) - nbits)) - 1)).any(axis=0)
     body &= 63
-    lower = np.bitwise_or.reduce(table.take(body[chars] + offsets), axis=0)
+    lower = np.zeros((n, len(cells)), dtype=dtype)
+    for k_chars, k_offsets in zip(chars, offsets):  # the k-th character of each row
+        lower |= table.take(body[k_chars] + k_offsets)
     square = np.zeros((8 * dtype.itemsize, len(cells)), dtype=dtype)
     square[:n] = lower
     _transpose_bits(square)
@@ -429,6 +438,12 @@ def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:
     rows are transposed first, or numpy would keep their batch-first strides."""
     n = rows.shape[1]
     return (rows.T.copy()[:, None] >> np.arange(n, dtype=rows.dtype)[:, None] & 1).astype(dtype)
+
+
+def _matrix_rows(n: int) -> int:
+    """Graphs of order n that a kernel expands to n x n matrices at once:
+    max(1, SOURCE_ENTRIES // n^2), 4096 at n = 8 and 68 at n = 62."""
+    return max(1, SOURCE_ENTRIES // (n * n))
 
 
 def min_degree(g: Graph) -> int:

@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _adjacency, _popcount, is_connected, min_degree
+from .graphs import Graph, _adjacency, _matrix_rows, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
@@ -270,7 +270,9 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
        `spectral._radii`, which gives each the bits of
        `spectral_radius(g).rho`.
     Each holds for every graph, and a disconnected one is at least 1e-3
-    below the threshold at n <= 62.
+    below the threshold at n <= 62.  Only steps 2 and 3 expand rows to
+    adjacency matrices, each at most `graphs._matrix_rows(n)` graphs at
+    once, so a batch of any size is measured in bounded memory.
     """
     n = rows.shape[1]
     threshold = hypothesis_threshold(t, n)
@@ -316,9 +318,15 @@ def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarr
     floor: its rho is there too, and no later bound can decide it.
     Every x and y is a vector of walk counts, an exact integer in float64
     for `_bracket_passes(n)` passes, so each bound is a correctly rounded
-    ratio of integers.
+    ratio of integers.  A batch of more than `graphs._matrix_rows(n)`
+    graphs is bracketed that many at a time, each expanded to adjacency
+    matrices only then.
     """
     count, n = rows.shape
+    step = _matrix_rows(n)
+    if count > step:
+        return np.concatenate([_radius_bracket(rows[i:i + step], deg[:, i:i + step], floor)
+                               for i in range(0, count, step)])
     out = np.full(count, np.nan)
     at = np.arange(count)
     a = _adjacency(rows, np.float64)

@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from matchspec import enumeration
+from matchspec import graphs
 from matchspec.enumeration import (BuiltIn, File, enumerate_connected,
                                    sweep_theorem, verify_charpoly_identities,
                                    verify_lemma)
@@ -110,7 +110,7 @@ def test_criterion_3_t13_sweeps(tmp_path, n8_fixture_path, monkeypatch):
 
     battery_path, battery_size = _battery_n10(tmp_path)
     with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "SOURCE_ENTRIES", 3200)  # 32 lines of order 10
+        patch.setattr(graphs, "SOURCE_ENTRIES", 640)  # 32 lines of order 10 (uint16 rows)
         r10 = sweep_theorem(File(battery_path), TheoremId("t13"), min_degree=2, jobs=2)
     ok = ok and not r10.counterexamples
     fams = sorted(e[1] for e in r10.exceptions_found)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matchspec import cli, enumeration, matching, theorems
+from matchspec import cli, enumeration, graphs, matching, theorems
 from matchspec.enumeration import sweep_theorem
 from matchspec.families import build_named
 from matchspec.graphs import cycle_graph, parse_graph6, to_graph6
@@ -581,12 +581,13 @@ def test_verify_deficiency_lemma_names_file_and_line(capsys, tmp_path,
     ("G~~~~", "graph6 body has 4 chars, expected 5 for n=8"),
     ("E~~?", "mixed vertex counts in source: expected n=8, found n=6 in 'E~~?'"),
 ])
-def test_verify_names_file_and_line_of_a_bad_graph(capsys, tmp_path,
+def test_verify_names_file_and_line_of_a_bad_graph(capsys, monkeypatch, tmp_path,
                                                    n8_fixture_path, bad, message):
     with open(n8_fixture_path) as fh:
         good = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     # the bad line follows comments and blank lines, in the first chunk of
-    # the sweep or in the second
+    # the sweep or in the second, of 4096 lines each
+    monkeypatch.setattr(graphs, "SOURCE_ENTRIES", 4096 * 8)
     head = ["# header", "", good[0], "# note", good[1]]
     path = tmp_path / "bad.g6"
     for skip in (0, enumeration._chunk_rows(8)):
@@ -597,6 +598,38 @@ def test_verify_names_file_and_line_of_a_bad_graph(capsys, tmp_path,
                                  "--input", str(path))
         assert code == 2 and out == ""
         assert err == f"error: file:{path}:{where}: {message}\n"
+
+
+@pytest.mark.parametrize("at, bad, message", [
+    (None, None, "mixed vertex counts in source: expected n=8, found n=4 in 'C~'"),
+    (5000, "G~~~~~", "nonzero padding bits in graph6 body"),
+    (5000, "H~~~~{", "graph6 body has 5 chars, expected 6 for n=9"),
+], ids=["other-width", "padding", "header"])
+def test_verify_decodes_a_file_of_two_widths_in_batches(capsys, monkeypatch, tmp_path,
+                                                        n8_fixture_path, at, bad, message):
+    # a line of order 4 at the end leaves the file without cells; the lines
+    # before it are decoded in chunks of 4096, and only the first line and
+    # the one at fault, line `at` if one of the order's width is, are read
+    # one by one
+    with open(n8_fixture_path) as fh:
+        lines = fh.read().split()
+    if at:
+        lines[at - 1] = bad
+    path = tmp_path / "two_widths.g6"
+    path.write_text("\n".join(lines + ["C~"]) + "\n")
+    monkeypatch.setattr(graphs, "SOURCE_ENTRIES", 4096 * 8)
+    read = []
+    from_text = graphs._from_graph6_text
+
+    def recording(line):
+        read.append(line)
+        return from_text(line)
+
+    monkeypatch.setattr(graphs, "_from_graph6_text", recording)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "t13", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: file:{path}:{at or len(lines) + 1}: {message}\n"
+    assert read == [lines[0], bad or "C~"]
 
 
 def test_verify_names_the_line_that_is_not_utf8(capsys, tmp_path, n8_fixture_path):

@@ -373,23 +373,26 @@ def test_sweep_refuses_an_uncovered_order_whatever_min_degree_keeps(n8_fixture_p
 
 def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path):
     for n in range(2, 63):
-        rows = enumeration._chunk_rows(n)
-        # one row at least, and as many as the budget holds
-        assert 1 <= rows and rows * n * n <= enumeration.SOURCE_ENTRIES < (rows + 1) * n * n, n
-    # a source read with the default: full chunks of 4096 lines at n = 8,
-    # of 68 at n = 62
+        # a chunk: as many lines as the budget holds bytes of their rows,
+        # one at least; a matrix kernel: as many graphs as it holds entries
+        rows, line = enumeration._chunk_rows(n), n * np.min_scalar_type((1 << n) - 1).itemsize
+        assert 1 <= rows and rows * line <= graphs.SOURCE_ENTRIES < (rows + 1) * line, n
+        matrices = graphs._matrix_rows(n)
+        assert 1 <= matrices and matrices * n * n <= graphs.SOURCE_ENTRIES < (matrices + 1) * n * n, n
+    # a source read with the default: the n = 8 fixture is one chunk (32768
+    # lines at most), and so are 69 lines at n = 62 (528 at most)
     chunks = enumeration._source_chunks(File(n8_fixture_path), "sweeps")
-    assert [rows.shape for _, rows in chunks] == [(4096, 8)] * 2 + [(2925, 8)]
+    assert [rows.shape for _, rows in chunks] == [(11117, 8)]
     path = tmp_path / "k62.g6"
     path.write_text((to_graph6(complete_graph(62)) + "\n") * 69)
     chunks = enumeration._source_chunks(File(str(path)), "sweeps")
-    assert [rows.shape for _, rows in chunks] == [(68, 62), (1, 62)]
+    assert [rows.shape for _, rows in chunks] == [(69, 62)]
 
 
 def test_sweep_report_independent_of_chunk_size(monkeypatch):
     reports = []
     for size in (1024, 8):  # lines of order 6 per chunk
-        monkeypatch.setattr(enumeration, "SOURCE_ENTRIES", size * 36)
+        monkeypatch.setattr(graphs, "SOURCE_ENTRIES", size * 6)
         reports.append(sweep_theorem(BuiltIn(6), TheoremId("t11", 1)))
     whole, chunked = (r.to_json(include_timing=False) for r in reports)
     assert whole == chunked

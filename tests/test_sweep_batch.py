@@ -383,13 +383,13 @@ def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixtu
         with open(os.path.join(GOLDEN_DIR, f"sweep-{name}.json")) as fh:
             golden = fh.read()
         for chunk_size in (1024, 1500):  # lines of order 8 per chunk
-            monkeypatch.setattr(enumeration, "SOURCE_ENTRIES", chunk_size * 64)
+            monkeypatch.setattr(graphs, "SOURCE_ENTRIES", chunk_size * 8)
             report = sweep_theorem(source, t, min_degree=min_deg)
             assert report.to_json(include_timing=False) == golden
     for t in (TheoremId("t11", 2), TheoremId("t14", 2)):
         texts = []
         for chunk_size in (1024, 1500):
-            monkeypatch.setattr(enumeration, "SOURCE_ENTRIES", chunk_size * 64)
+            monkeypatch.setattr(graphs, "SOURCE_ENTRIES", chunk_size * 8)
             texts.append(sweep_theorem(source, t).to_json(include_timing=False))
         assert texts[0] == texts[1]
 
@@ -449,11 +449,12 @@ def test_conclusion_certificate_stays_off_orders_and_k_it_does_not_cover(by_orde
         assert not theorems._conclusion_mask(rows, t).any()
 
 
-def _near_complete(rng: random.Random, n: int):
-    """A connected graph: K_n less up to 3n edges drawn at random."""
+def _near_complete(rng: random.Random, n: int, most: int | None = None):
+    """A connected graph: K_n less fewer than `most` edges (3n by default)
+    drawn at random."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
-        drop = set(rng.sample(range(len(pairs)), rng.randrange(3 * n)))
+        drop = set(rng.sample(range(len(pairs)), rng.randrange(most or 3 * n)))
         g = from_edge_list(n, [e for i, e in enumerate(pairs) if i not in drop])
         if is_connected(g):
             return g
@@ -465,21 +466,34 @@ def _relabelled(g, rng: random.Random):
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-@pytest.mark.parametrize("n, count, t, min_deg, family", [
-    (62, 150, TheoremId("t13"), 2, ("thm13-f3", {"n": 62})),
-    (40, 50, TheoremId("t11", 1), None, ("thm11-exc1", {"n": 40, "k": 1})),
-], ids=["t13-n62", "t11-n40"])
-def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(tmp_path, n, count, t,
-                                                                 min_deg, family):
-    # dense graphs, about two thirds of which meet the hypothesis, and a
-    # relabelled listed exception: the certificate eliminates at most
-    # _TUTTE_ENTRIES entries at once, where all 95 met graphs of order 62
-    # at once would peak at about 22 MB
+@pytest.mark.parametrize("n, count, most, t, min_deg, family", [
+    (62, 150, None, TheoremId("t13"), 2, ("thm13-f3", {"n": 62})),
+    (40, 50, None, TheoremId("t11", 1), None, ("thm11-exc1", {"n": 40, "k": 1})),
+    (62, 150, 62, TheoremId("t14", 1), None, ("thm11-exc1", {"n": 62, "k": 1})),
+    (62, 150, 124, TheoremId("t16"), 2, ("thm13-f3", {"n": 62})),
+], ids=["t13-n62", "t11-n40", "t14-n62", "t16-n62"])
+def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(monkeypatch, tmp_path, n,
+                                                                 count, most, t, min_deg,
+                                                                 family):
+    # dense graphs, about half or more of which meet the hypothesis, and a
+    # relabelled listed exception, each line three times, in one chunk: the
+    # certificate eliminates at most _TUTTE_ENTRIES entries at once, where
+    # the 95 met graphs of t13 at once would peak at about 22 MB, and the
+    # bracket expands at most `graphs._matrix_rows(n)` graphs at once,
+    # where the 234 or 252 of t14 or t16 at once would peak at about 15 MB
     rng = random.Random(n)
-    gs = [_near_complete(rng, n) for _ in range(count)]
+    gs = [_near_complete(rng, n, most) for _ in range(count)]
     gs.append(_relabelled(families.build_named(family[0], **family[1]), rng))
     path = tmp_path / f"n{n}.g6"
-    path.write_text("".join(to_graph6(g) + "\n" for g in gs))
+    path.write_text("".join(to_graph6(g) + "\n" for g in gs) * 3)
+    bracketed = []
+    bracket = theorems._radius_bracket
+
+    def recording(rows, deg, floor):
+        bracketed.append(len(rows))
+        return bracket(rows, deg, floor)
+
+    monkeypatch.setattr(theorems, "_radius_bracket", recording)
     tracemalloc.start()
     try:
         report = sweep_theorem(File(str(path)), t, min_degree=min_deg)
@@ -487,13 +501,19 @@ def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(tmp_path, n, co
     finally:
         tracemalloc.stop()
     assert peak <= 10 << 20
+    assert t.uses_size or max(bracketed) > graphs._matrix_rows(n)
+    # the same report from one batch per kernel
+    monkeypatch.setattr(graphs, "SOURCE_ENTRIES", n * n * 3 * len(gs))
+    whole = sweep_theorem(File(str(path)), t, min_degree=min_deg)
+    assert whole.to_json(include_timing=False) == report.to_json(include_timing=False)
     kept = [g for g in gs if min_deg is None or graphs.min_degree(g) >= min_deg]
     verdicts = [(to_graph6(g), theorems.theorem_verdict(g, t)) for g in kept]
     failing = sorted((g6, v.recognized) for g6, v in verdicts
                      if v.hypothesis_met and not v.conclusion_met)
-    assert report.hypothesis_count == sum(v.hypothesis_met for _, v in verdicts) > count // 4
+    met = sum(v.hypothesis_met for _, v in verdicts)
+    assert report.hypothesis_count == 3 * met and met > count // 4
     assert [(g6, (fam, params) if fam else None)
-            for g6, fam, params in report.exceptions_found] == failing
+            for g6, fam, params in report.exceptions_found] == sorted(failing * 3)
     assert [rec for _, rec in failing] == [family]
     assert report.counterexamples == ()
 
