@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
+    if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     if getattr(args, "k", None) is not None and args.k < 1:
         parser.error("--k must be >= 1")

@@ -16,10 +16,11 @@ registered exception family it matches (an unmatched one is a genuine
 counterexample).  A sweep works on chunks of graph6 lines, each as one
 batch of arrays.  A chunk is sized by the bytes of its decoded rows, at
 most `graphs.SOURCE_ENTRIES` of them (32768 lines at n = 8, so the n = 8
-fixture is one chunk, and 528 at n = 62), and every kernel that expands
-rows to n x n matrices holds at most SOURCE_ENTRIES adjacency entries at
-once, so the per-pass costs are paid once per source at small orders and
-the memory stays bounded at large ones, whatever batch a kernel is given:
+fixture is one chunk, and 528 at n = 62), and every array kernel takes
+its rows in `graphs._batched` slices of at most SOURCE_ENTRIES array
+entries, or of one graph, so the per-pass costs are paid once per source
+at small orders and the memory stays bounded at large ones, whatever
+batch a kernel is given:
 
 1. decode the chunk into an (N, n) array of neighbour bit masks, one row
    per graph and `Graph`'s own representation, with the graph6 decoder of
@@ -363,12 +364,12 @@ def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
 
     Deterministic: output lists are sorted by graph6 string, so reports are
     identical for any chunk size (wall_time aside); a chunk holds at most
-    `graphs.SOURCE_ENTRIES` bytes of rows, and each kernel at most that
-    many adjacency entries.  `jobs` is accepted and ignored.  An
-    empty source, one of odd order, a malformed line, or one of another
-    order than the first raises ValueError naming the source, and the line
-    where there is one; an order t does not cover raises too, however few
-    graphs min_degree keeps.
+    `graphs.SOURCE_ENTRIES` bytes of rows, and each kernel's
+    `graphs._batched` slice at most that many entries.  `jobs` is accepted
+    and ignored.  An empty source, one of odd order, a malformed line, or
+    one of another order than the first raises ValueError naming the
+    source, and the line where there is one; an order t does not cover
+    raises too, however few graphs min_degree keeps.
     """
     start = time.perf_counter()
     scanned = hyp = 0
@@ -660,17 +661,13 @@ def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
     the perfect matchings of K_n, that is, have a perfect matching.
 
     A graph's test gathers (n-1)!! * n/2 row entries, one per matched pair
-    uv, and reads bit v of row u; at most `graphs.SOURCE_ENTRIES` of them
-    are gathered at once, one graph's at least.
+    uv, and reads bit v of row u; the graphs are gathered in
+    `graphs._batched` slices, that many entries per graph.
     """
     pairs = _complete_perfect_matchings(rows.shape[1])
     ends = pairs[..., 1].astype(rows.dtype)
-    step = max(1, graphs.SOURCE_ENTRIES // max(1, pairs.size // 2))
-    out = np.zeros(len(rows), dtype=bool)
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step, pairs[..., 0]] >> ends & 1
-        out[start:start + step] = part.all(-1).any(-1)
-    return out
+    return graphs._batched(lambda part: (part[:, pairs[..., 0]] >> ends & 1).all(-1).any(-1),
+                           rows, max(1, pairs.size // 2))
 
 
 def _graphs_without_pm(source, n: int) -> tuple[list[str], np.ndarray]:

@@ -14,10 +14,10 @@ from math import comb
 
 import numpy as np
 
-# The batch budget of the array code, in one number for both of its jobs: a
-# source chunk holds at most this many bytes of neighbour rows, and a kernel
-# that expands rows to n x n matrices holds at most this many adjacency
-# entries, max(1, SOURCE_ENTRIES // n^2) graphs, at once
+# The one batch budget of the array code: a source chunk holds at most this
+# many bytes of neighbour rows, and every array kernel takes its rows through
+# `_batched`, at most max(1, SOURCE_ENTRIES // entries) graphs at once, for
+# the entries it holds per graph
 SOURCE_ENTRIES = 1 << 18
 
 
@@ -440,10 +440,16 @@ def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:
     return (rows.T.copy()[:, None] >> np.arange(n, dtype=rows.dtype)[:, None] & 1).astype(dtype)
 
 
-def _matrix_rows(n: int) -> int:
-    """Graphs of order n that a kernel expands to n x n matrices at once:
-    max(1, SOURCE_ENTRIES // n^2), 4096 at n = 8 and 68 at n = 62."""
-    return max(1, SOURCE_ENTRIES // (n * n))
+def _batched(kernel, rows: np.ndarray, entries: int) -> np.ndarray:
+    """kernel(rows), for a kernel that holds `entries` array entries per
+    graph of a batch of neighbour bit rows and returns an array with the
+    batch as its last axis: the rows go in consecutive slices of at most
+    max(1, SOURCE_ENTRIES // entries) and the results are joined along that
+    axis.  A batch that fits, an empty one too, is passed through whole."""
+    step = max(1, SOURCE_ENTRIES // entries)
+    if len(rows) <= step:
+        return kernel(rows)
+    return np.concatenate([kernel(rows[i:i + step]) for i in range(0, len(rows), step)], axis=-1)
 
 
 def min_degree(g: Graph) -> int:

@@ -40,11 +40,12 @@ case when T is singular.  A graph with few 2-matchings, every graph of
 order 6 or less among them, is cheaper to search than to invert.
 
 A sweep settles 1-extendability and 1-excludability for a whole batch of
-graphs from one elimination (`_tutte_certified`).  `_tutte_eliminate`
-inverts every Tutte matrix of the batch at once by division-free
-Gauss-Jordan elimination, each stack laid out (n, n, N) from
-`graphs._adjacency` on, and residues held as float64 integers, exact
-because TUTTE_PRIME < 2^26; `_tutte_inverse` is a batch of one through it.
+graphs from one elimination per `graphs._batched` slice, 4n^2 entries per
+graph (`_tutte_certified`).  `_tutte_eliminate` inverts every Tutte
+matrix of the batch at once by division-free Gauss-Jordan elimination,
+each stack laid out (n, n, N) from `graphs._adjacency` on, and residues
+held as float64 integers, exact because TUTTE_PRIME < 2^26;
+`_tutte_inverse` is a batch of one through it.
 With B = T^-1, g - u - v has a perfect matching iff B[u, v] != 0 (the
 k = 1 Pfaffian above).  For an edge e = uv, u < v, of weight w = T[u, v],
 the Tutte matrix of g - e is the rank-2 update T - w (E_uv - E_vu) =
@@ -67,9 +68,10 @@ grows the component C of R's lowest vertex one breadth-first layer per
 pass, then o(R) = o(R-C) + [|C| odd] is summed along the links R -> R-C.
 It returns one row per graph, indexed by S; a single graph's table is a
 batch of one, and the deficiency suites scan their graphs without a
-perfect matching in batches of bounded size.  The readers scan the table
-as arrays and run Python only on the subsets that could violate their
-criterion, in mask order, so every witness is the first.  A table at
+perfect matching in `graphs._batched` slices, 4 * 2^n entries per graph.
+The readers scan the table as arrays and run Python only on the subsets
+that could violate their criterion, in mask order, so every witness is
+the first.  A table at
 n = SUBSET_SCAN_CAP = 20 takes about 0.1 s and 25 MB to build; 1 MB stays.
 """
 
@@ -83,8 +85,8 @@ from math import comb
 
 import numpy as np
 
-from .graphs import (_BYTE_POPCOUNT, Graph, _adjacency, _component_masks, _mask_to_vertices,
-                     is_connected)
+from .graphs import (_BYTE_POPCOUNT, Graph, _adjacency, _batched, _component_masks,
+                     _mask_to_vertices, is_connected)
 
 SUBSET_SCAN_CAP = 20
 
@@ -339,19 +341,15 @@ def _deficiencies(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return excess.max(axis=-1), excess.argmax(axis=-1)
 
 
-_SCAN_ENTRIES = 1 << 16  # subset masks of the graphs scanned at once (256 KB per work array)
-
-
 def _berge_tutte_deficiencies(rows: np.ndarray) -> list[tuple[int, frozenset[int]]]:
     """`berge_tutte_deficiency` of each graph of an (N, n) array of
-    neighbour masks, at most max(1, _SCAN_ENTRIES >> n) graphs per scan."""
-    out = []
-    step = max(1, _SCAN_ENTRIES >> rows.shape[1])
-    for start in range(0, len(rows), step):
-        deficiency, best = _deficiencies(_odd_component_counts(rows[start:start + step]))
-        out += [(d, frozenset(_mask_to_vertices(s)))
-                for d, s in zip(deficiency.tolist(), best.tolist())]
-    return out
+    neighbour masks, one scan per `graphs._batched` slice at 4 * 2^n
+    entries per graph: 2^16 subset masks at once, or one graph's."""
+    def scan(part):
+        return np.stack(_deficiencies(_odd_component_counts(part)))
+
+    deficiency, best = _batched(scan, rows, 4 << rows.shape[1]).tolist()
+    return [(d, frozenset(_mask_to_vertices(s))) for d, s in zip(deficiency, best)]
 
 
 @lru_cache(maxsize=1)
@@ -381,7 +379,6 @@ def berge_tutte_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
 TUTTE_PRIME = 67_108_859  # 2^26 - 5, the largest prime below 2^26, so 2 p^2 < 2^53
 _BLOCK_ROWS = 1 << 14  # k-matchings held as arrays at once
 _CERTIFY_ROWS = 200  # about where the certificate starts to cost less than searching
-_TUTTE_ENTRIES = 1 << 17  # float64 entries of [T | I] eliminated at once (1 MB)
 
 
 def _k_matching_blocks(ends: np.ndarray, k: int):
@@ -508,16 +505,16 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
     matching), or 1 + T[u, v] B[u, v] != 0 (g - uv has one); a singular T
     proves nothing.  With diag(d) B = r from `_tutte_eliminate`, these read
     r[u, v] != 0 and d[u] + T[u, v] r[u, v] != 0 mod p.  The order is not
-    checked: a 1-extendable graph needs at least 4 vertices.  At most
-    _TUTTE_ENTRIES entries of [T | I] are eliminated at once, and only those
-    graphs are expanded to adjacency matrices.
+    checked: a 1-extendable graph needs at least 4 vertices.  The batch is
+    eliminated in `graphs._batched` slices of 4n^2 entries per graph, the
+    (n, 2n) [T | I] and its buffer of `_tutte_eliminate`, each expanded to
+    adjacency matrices only then.
     """
     n = rows.shape[1]
     weights = _tutte_weights(n)[..., None]
-    step = max(1, _TUTTE_ENTRIES // (2 * n * n))
-    out = np.zeros(len(rows), dtype=bool)
-    for start in range(0, len(rows), step):
-        on = _adjacency(rows[start:start + step], bool)
+
+    def certified(part):
+        on = _adjacency(part, bool)
         t = np.where(on, weights, 0)
         d, r = _tutte_eliminate(t)
         if excludable:
@@ -526,8 +523,9 @@ def _tutte_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
             nonzero = np.rint(r * (1 / TUTTE_PRIME)) * TUTTE_PRIME != r
         else:
             nonzero = r != 0
-        out[start:start + step] = d.all(axis=0) & (nonzero | ~on).all(axis=(0, 1))
-    return out
+        return d.all(axis=0) & (nonzero | ~on).all(axis=(0, 1))
+
+    return _batched(certified, rows, 4 * n * n)
 
 
 def _pfaffians(b: np.ndarray, cols: np.ndarray) -> np.ndarray:

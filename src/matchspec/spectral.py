@@ -18,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from .graphs import Graph, _adjacency, _matrix_rows
+from .graphs import Graph, _adjacency, _batched
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,16 @@ def spectral_radius(g: Graph) -> SpectralResult:
 
 def _radii(rows: np.ndarray) -> np.ndarray:
     """The spectral radius of each graph of an (N, n) array of neighbour
-    masks, from one eigh over each stack of at most
-    `graphs._matrix_rows(n)` of their adjacency matrices.
+    masks, from one eigh over the stack of adjacency matrices of each
+    `graphs._batched` slice, n^2 entries per graph.
 
     eigh, as in `spectral_radius`, and not eigvalsh, whose values can
     differ in the last bits: each radius equals spectral_radius(g).rho.
     """
-    out = np.empty(len(rows))
-    step = _matrix_rows(rows.shape[1])
-    for start in range(0, len(rows), step):
-        stack = _adjacency(rows[start:start + step], np.float64).transpose(2, 0, 1)
-        out[start:start + step] = np.linalg.eigh(stack)[0][:, -1]
-    return out
+    def radii(part):
+        return np.linalg.eigh(_adjacency(part, np.float64).transpose(2, 0, 1))[0][:, -1]
+
+    return _batched(radii, rows, rows.shape[1] ** 2)
 
 
 def radius_upper_bound(m, n: int, low) -> np.ndarray:

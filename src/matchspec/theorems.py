@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from . import families, matching, spectral
-from .graphs import Graph, _adjacency, _matrix_rows, _popcount, is_connected, min_degree
+from .graphs import Graph, _adjacency, _batched, _popcount, is_connected, min_degree
 
 SPECTRAL_TOL = 1e-9
 
@@ -271,8 +271,8 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
        `spectral_radius(g).rho`.
     Each holds for every graph, and a disconnected one is at least 1e-3
     below the threshold at n <= 62.  Only steps 2 and 3 expand rows to
-    adjacency matrices, each at most `graphs._matrix_rows(n)` graphs at
-    once, so a batch of any size is measured in bounded memory.
+    adjacency matrices, each in `graphs._batched` slices of n^2 entries
+    per graph, so a batch of any size is measured in bounded memory.
     """
     n = rows.shape[1]
     threshold = hypothesis_threshold(t, n)
@@ -285,7 +285,7 @@ def _hypothesis_mask(rows: np.ndarray, t: TheoremId, min_deg: int | None = None)
     rho = np.zeros(len(rows))
     rho[keep] = spectral.radius_upper_bound(m[keep], n, low[keep]) + PRUNE_MARGIN
     bracket = _meets(t, threshold, rho, keep, low)
-    rho[bracket] = _radius_bracket(rows[bracket], deg[:, bracket], threshold - SPECTRAL_TOL)
+    rho[bracket] = _radius_bracket(rows[bracket], threshold - SPECTRAL_TOL)
     tied = np.isnan(rho)
     rho[tied] = spectral._radii(rows[tied])
     return _meets(t, threshold, rho, keep, low)
@@ -301,7 +301,7 @@ def _bracket_passes(n: int) -> int:
     return passes
 
 
-def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarray:
+def _radius_bracket(rows: np.ndarray, floor: float) -> np.ndarray:
     """A bound on the spectral radius of each graph of an (M, n) batch of
     neighbour bit rows that decides rho >= floor, or NaN where none does.
 
@@ -318,35 +318,34 @@ def _radius_bracket(rows: np.ndarray, deg: np.ndarray, floor: float) -> np.ndarr
     floor: its rho is there too, and no later bound can decide it.
     Every x and y is a vector of walk counts, an exact integer in float64
     for `_bracket_passes(n)` passes, so each bound is a correctly rounded
-    ratio of integers.  A batch of more than `graphs._matrix_rows(n)`
-    graphs is bracketed that many at a time, each expanded to adjacency
-    matrices only then.
+    ratio of integers.  The batch is bracketed in `graphs._batched` slices
+    of n^2 entries per graph, each expanded to adjacency matrices, and its
+    degrees counted, only then.
     """
-    count, n = rows.shape
-    step = _matrix_rows(n)
-    if count > step:
-        return np.concatenate([_radius_bracket(rows[i:i + step], deg[:, i:i + step], floor)
-                               for i in range(0, count, step)])
-    out = np.full(count, np.nan)
-    at = np.arange(count)
-    a = _adjacency(rows, np.float64)
-    x = deg.astype(np.float64) + 1.0
-    for _ in range(_bracket_passes(n)):
-        if not at.size:
-            break
-        y = np.einsum("ijg,jg->ig", a, x)
-        ratio = y / x
-        lo, hi = ratio.min(axis=0), ratio.max(axis=0)
-        met, short = lo >= floor + PRUNE_MARGIN, hi < floor - PRUNE_MARGIN
-        tied = (lo >= floor - PRUNE_MARGIN) & (hi < floor + PRUNE_MARGIN)
-        done = met | short
-        if done.any():
-            out[at[done]] = np.where(met, lo, hi)[done]
-        left = ~(done | tied)
-        if not left.all():
-            at, a, x, y = at[left], a[:, :, left], x[:, left], y[:, left]
-        x += y
-    return out
+    def bracket(part):
+        count, n = part.shape
+        out = np.full(count, np.nan)
+        at = np.arange(count)
+        a = _adjacency(part, np.float64)
+        x = _popcount(part.T).astype(np.float64) + 1.0
+        for _ in range(_bracket_passes(n)):
+            if not at.size:
+                break
+            y = np.einsum("ijg,jg->ig", a, x)
+            ratio = y / x
+            lo, hi = ratio.min(axis=0), ratio.max(axis=0)
+            met, short = lo >= floor + PRUNE_MARGIN, hi < floor - PRUNE_MARGIN
+            tied = (lo >= floor - PRUNE_MARGIN) & (hi < floor + PRUNE_MARGIN)
+            done = met | short
+            if done.any():
+                out[at[done]] = np.where(met, lo, hi)[done]
+            left = ~(done | tied)
+            if not left.all():
+                at, a, x, y = at[left], a[:, :, left], x[:, left], y[:, left]
+            x += y
+        return out
+
+    return _batched(bracket, rows, rows.shape[1] ** 2)
 
 
 def _conclusion_mask(rows: np.ndarray, t: TheoremId) -> np.ndarray:

@@ -741,6 +741,16 @@ def test_k_below_one_is_a_usage_error(capsys, argv):
     assert "--k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [("--theorem", "t11", "--k", "1", "--n", "6"),
+                                  ("--lemma", "l2.4", "--grid", "n=6..8")])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, mode, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *mode, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --jobs must be >= 1\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--theorem", "c12", "--k", "3"), "c12 stands for t11 with k=1"),
     (("--theorem", "c15", "--k", "2"), "c15 stands for t14 with k=1"),

@@ -377,7 +377,7 @@ def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path)
         # one at least; a matrix kernel: as many graphs as it holds entries
         rows, line = enumeration._chunk_rows(n), n * np.min_scalar_type((1 << n) - 1).itemsize
         assert 1 <= rows and rows * line <= graphs.SOURCE_ENTRIES < (rows + 1) * line, n
-        matrices = graphs._matrix_rows(n)
+        matrices = max(1, graphs.SOURCE_ENTRIES // (n * n))
         assert 1 <= matrices and matrices * n * n <= graphs.SOURCE_ENTRIES < (matrices + 1) * n * n, n
     # a source read with the default: the n = 8 fixture is one chunk (32768
     # lines at most), and so are 69 lines at n = 62 (528 at most)

@@ -14,7 +14,7 @@ from matchspec.graphs import (_component_masks, complete_graph, cycle_graph,
                               disjoint_union, empty_graph, from_edge_list,
                               is_connected, join, min_degree, odd_components,
                               parse_graph6, path_graph)
-from matchspec import matching
+from matchspec import graphs, matching
 from matchspec.matching import (SUBSET_SCAN_CAP, _odd_component_table,
                                 berge_tutte_deficiency,
                                 find_odd_bridges, has_perfect_matching,
@@ -201,7 +201,7 @@ def test_batched_deficiency_matches_per_graph_on_n8_fixture(n8_fixture_path):
     with open(n8_fixture_path) as fh:
         gs = [parse_graph6(line) for line in fh if line.strip()]
     rows = np.array([g.adj for g in gs], dtype=np.uint8)
-    assert len(rows) > matching._SCAN_ENTRIES >> 8  # several scans
+    assert len(rows) > graphs.SOURCE_ENTRIES // (4 << 8)  # several scans
     assert matching._berge_tutte_deficiencies(rows) == [berge_tutte_deficiency(g) for g in gs]
 
 
@@ -209,7 +209,7 @@ def test_batched_deficiency_splits_a_batch_over_the_budget(monkeypatch):
     rng = random.Random(43)
     gs = [random_graph(rng, 10, rng.choice((0.15, 0.3))) for _ in range(150)]
     rows = np.array([g.adj for g in gs], dtype=np.uint16)
-    step = matching._SCAN_ENTRIES >> 10
+    step = graphs.SOURCE_ENTRIES // (4 << 10)
     scan = matching._odd_component_counts
     sizes = []
 

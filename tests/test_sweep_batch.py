@@ -328,9 +328,8 @@ def test_bracket_closes_on_bipartite_graphs(p):
     g = from_edge_list(8, [(u, v) for u in range(p) for v in range(p, 8)])
     rho = spectral.spectral_radius(g).rho
     rows = np.array([g.adj], dtype=np.uint8)
-    deg = graphs._popcount(rows.T)
-    upper = theorems._radius_bracket(rows, deg, rho + 0.01)[0]  # not met
-    lower = theorems._radius_bracket(rows, deg, rho - 0.01)[0]  # met
+    upper = theorems._radius_bracket(rows, rho + 0.01)[0]  # not met
+    lower = theorems._radius_bracket(rows, rho - 0.01)[0]  # met
     assert rho <= upper < rho + 0.01 - theorems.PRUNE_MARGIN
     assert rho - 0.01 + theorems.PRUNE_MARGIN <= lower <= rho
 
@@ -477,10 +476,11 @@ def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(monkeypatch, tm
                                                                  family):
     # dense graphs, about half or more of which meet the hypothesis, and a
     # relabelled listed exception, each line three times, in one chunk: the
-    # certificate eliminates at most _TUTTE_ENTRIES entries at once, where
-    # the 95 met graphs of t13 at once would peak at about 22 MB, and the
-    # bracket expands at most `graphs._matrix_rows(n)` graphs at once,
-    # where the 234 or 252 of t14 or t16 at once would peak at about 15 MB
+    # certificate eliminates at most max(1, SOURCE_ENTRIES // 4n^2) graphs
+    # at once, where the 95 met graphs of t13 at once would peak at about
+    # 22 MB, and the bracket expands at most max(1, SOURCE_ENTRIES // n^2)
+    # at once, where the 234 or 252 of t14 or t16 at once would peak at
+    # about 15 MB
     rng = random.Random(n)
     gs = [_near_complete(rng, n, most) for _ in range(count)]
     gs.append(_relabelled(families.build_named(family[0], **family[1]), rng))
@@ -489,9 +489,9 @@ def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(monkeypatch, tm
     bracketed = []
     bracket = theorems._radius_bracket
 
-    def recording(rows, deg, floor):
+    def recording(rows, floor):
         bracketed.append(len(rows))
-        return bracket(rows, deg, floor)
+        return bracket(rows, floor)
 
     monkeypatch.setattr(theorems, "_radius_bracket", recording)
     tracemalloc.start()
@@ -501,7 +501,7 @@ def test_sweep_at_large_order_matches_verdicts_in_bounded_memory(monkeypatch, tm
     finally:
         tracemalloc.stop()
     assert peak <= 10 << 20
-    assert t.uses_size or max(bracketed) > graphs._matrix_rows(n)
+    assert t.uses_size or max(bracketed) > max(1, graphs.SOURCE_ENTRIES // (n * n))
     # the same report from one batch per kernel
     monkeypatch.setattr(graphs, "SOURCE_ENTRIES", n * n * 3 * len(gs))
     whole = sweep_theorem(File(str(path)), t, min_degree=min_deg)
