@@ -234,9 +234,7 @@ def cmd_verify(args) -> int:
         options = _parse_grid(args.grid)
         if args.input:
             src = File(args.input)
-            _, first = next(enumeration._source_chunks(  # the first chunk's order
-                src, enumeration.NO_PM_SUITES))
-            n = first.shape[1]
+            n = next(src.row_chunks(enumeration.NO_PM_SUITES)).shape[1]  # the file's order
             options.setdefault("n_values", (n,))
             options["sources"] = {n: src}
         report = verify_lemma(args.lemma, **options)

@@ -10,31 +10,27 @@ invariant, is tested by `graphs.is_connected` on the representatives only.
 Larger orders are ingested from graph6 files produced externally; the n=8
 file ships as a test fixture.
 
+A source yields its graphs from `row_chunks` as (N, n) arrays of neighbour
+bit masks, one row per graph and `Graph`'s own representation, and names
+itself by `describe`: `BuiltIn` its enumerator's rows as one chunk, and
+`File`, the one reader of graph6, its lines decoded chunk by chunk.
+
 Sweeps evaluate a threshold statement over a source, collecting the graphs
 that satisfy the hypothesis but fail the conclusion, tagging each with the
 registered exception family it matches (an unmatched one is a genuine
-counterexample).  A sweep works on chunks of graph6 lines, each as one
-batch of arrays.  A chunk is sized by the bytes of its decoded rows, at
-most `graphs.SOURCE_ENTRIES` of them (32768 lines at n = 8, so the n = 8
-fixture is one chunk, and 528 at n = 62), and every array kernel takes
-its rows in `graphs._batched` slices of at most SOURCE_ENTRIES array
-entries, or of one graph, so the per-pass costs are paid once per source
-at small orders and the memory stays bounded at large ones, whatever
-batch a kernel is given:
+counterexample), each named by `to_graph6`.  A sweep takes each chunk as
+one batch of arrays, and every array kernel takes its rows in
+`graphs._batched` slices of at most `graphs.SOURCE_ENTRIES` array entries,
+or of one graph, so the per-pass costs are paid once per source at small
+orders and the memory stays bounded at large ones, whatever batch a
+kernel is given:
 
-1. decode the chunk into an (N, n) array of neighbour bit masks, one row
-   per graph and `Graph`'s own representation, with the graph6 decoder of
-   `graphs`, from the source's lines as uint8 cells: a file whose lines
-   all hold one graph of one width, and no other character, is a view of
-   its own bytes, and any other source's graph6 lines are joined into such
-   bytes first; a line the decoder rejects is named with its fault and the
-   source and line number;
-2. `theorems._hypothesis_mask` measures the whole batch and decides the
+1. `theorems._hypothesis_mask` measures the whole batch and decides the
    hypothesis by the rule a single graph's verdict uses: a spectral one
    from a spectral-radius bound, then from Collatz-Wielandt bounds on the
    graphs it does not rule out, the only ones expanded to adjacency
    matrices, eigensolving only the graphs tied with the threshold;
-3. `theorems._conclusion_mask` certifies the conclusion of the graphs
+2. `theorems._conclusion_mask` certifies the conclusion of the graphs
    that meet it, from one batched Tutte matrix elimination; `Graph`
    objects, straight from their rows, only for the graphs it leaves open,
    for the conclusion and exception helpers of `theorems` that a verdict
@@ -131,23 +127,29 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
 # Graph sources
 # ---------------------------------------------------------------------------
 
+def _check_order(source, needs: str, n: int) -> None:
+    """Refuse order 0 and an odd order, naming the source and its `needs`."""
+    if n == 0:
+        raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
+    if n % 2 != 0:
+        raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
+
+
 @dataclass(frozen=True)
 class BuiltIn:
     """All connected graphs of order n, from the built-in enumerator."""
 
     n: int
 
-    @cached_property
-    def graph6_cells(self) -> np.ndarray:
-        """The graph6 lines as a read-only (N, width) uint8 array."""
-        return graphs._graph6_cells("\n".join(self.graph6_lines()).encode())
-
-    def graph6_lines(self) -> list[str]:
-        return [to_graph6(g) for g in enumerate_connected(self.n)]
-
-    def line_number(self, index: int) -> int:
-        """1-based position of the index-th graph6 line."""
-        return index + 1
+    def row_chunks(self, needs: str, n: int | None = None):
+        """Yield the rows of `enumerate_connected(self.n)` as one chunk.  Its
+        cap error comes first, then those of `_check_order` and of an n
+        other than the source's."""
+        adjs = [g.adj for g in enumerate_connected(self.n)]
+        _check_order(self, needs, self.n if n is None else n)
+        if n not in (None, self.n):
+            raise ValueError(f"{self.describe()}: expected n={n}, found n={self.n}")
+        yield graphs._rows(self.n, adjs)
 
     def describe(self) -> str:
         return f"builtin:n={self.n}"
@@ -172,9 +174,29 @@ def decode_lines(data: bytes, where: str) -> list[str]:
         raise ValueError(f"{where}:{raw.index(exc.object) + 1}: {exc}") from None
 
 
+def _chunk_rows(n: int) -> int:
+    """Graph6 lines of order n in a chunk of at most `graphs.SOURCE_ENTRIES`
+    bytes of decoded rows, n rows of `graphs._rows`' dtype per line (one line
+    at least): 32768 lines at n = 8, 528 at n = 62."""
+    return max(1, graphs.SOURCE_ENTRIES // (n * graphs._rows(n).itemsize))
+
+
+def _fault(line: str, n: int) -> str | None:
+    """Why graph6 text is not one graph of order n: the error of
+    `graphs._from_graph6_text`, or else its other order; None if it is."""
+    try:
+        found = graphs._from_graph6_text(line).n
+    except ValueError as exc:
+        return str(exc)
+    if found == n:
+        return None
+    return f"mixed vertex counts in source: expected n={n}, found n={found} in {line!r}"
+
+
 @dataclass(frozen=True)
 class File:
-    """graph6 lines from a file, read once per instance.
+    """graph6 lines from a file, read once per instance; the one source that
+    decodes graph6.
 
     Its lines are those of `decode_lines` by `graphs.graph6_text` (blank,
     '#' and bare `>>graph6<<` lines are skipped).  A file whose every line
@@ -213,6 +235,61 @@ class File:
 
     def describe(self) -> str:
         return f"file:{self.path}"
+
+    def _located(self, index: int, message: str) -> ValueError:
+        return ValueError(f"{self.describe()}:{self.line_number(index)}: {message}")
+
+    def row_chunks(self, needs: str, n: int | None = None):
+        """Read the file once and yield the (N, n) neighbour bit rows of each
+        chunk of its graph6 lines, decoded from its `graph6_cells`.
+
+        A line's text is made only for the order, the first line's unless n
+        is given, and for a faulty line; every line must be of that order.
+        A chunk holds `_chunk_rows(n)` lines, at most `graphs.SOURCE_ENTRIES`
+        bytes of rows, however many adjacency entries they expand to: each
+        kernel that expands them bounds its own batch.  An empty file, order
+        0, an odd order (`needs` says what needs an even one) and a faulty
+        line raise ValueError naming the file, and the line.  A file without
+        cells has lines of unequal width or another character, so it is
+        empty or faulty, and its first faulty line is named before any chunk
+        is yielded: the lines before the first one of another width than the
+        order's, or not ASCII, are decoded chunk by chunk as cells, and the
+        first one the decoder flags, else that line, is named.
+        """
+        cells = self.graph6_cells
+        if cells is None:
+            lines = self.graph6_lines()
+            if not lines:
+                raise ValueError(f"empty graph source: {self.path}")
+            text = lines.__getitem__
+        else:
+            def text(index: int) -> str:
+                return cells[index].tobytes().decode()
+        if n is None:
+            try:
+                n = graphs._from_graph6_text(text(0)).n
+            except ValueError as exc:
+                raise self._located(0, str(exc)) from None
+        _check_order(self, needs, n)
+        size = _chunk_rows(n)
+        if cells is None:
+            width = 1 + (comb(n, 2) + 5) // 6
+            index = next((i for i, line in enumerate(lines)
+                          if len(line) != width or not line.isascii()), len(lines))
+            head = np.frombuffer("".join(lines[:index]).encode(), dtype=np.uint8)
+            head = head.reshape(index, width)
+            for start in range(0, index, size):
+                bad = graphs._decode_cells(head[start:start + size], n)[1]
+                if bad.size:
+                    index = start + int(bad[0])
+                    break
+            raise self._located(index, _fault(lines[index], n))
+        for start in range(0, len(cells), size):
+            rows, bad = graphs._decode_cells(cells[start:start + size], n)
+            if bad.size:
+                index = start + int(bad[0])
+                raise self._located(index, _fault(text(index), n))
+            yield rows
 
 
 # ---------------------------------------------------------------------------
@@ -275,115 +352,33 @@ class SweepReport(_Report):
         return rows
 
 
-def _located(source, index: int, message: str) -> ValueError:
-    return ValueError(
-        f"{source.describe()}:{source.line_number(index)}: {message}")
-
-
-def _chunk_rows(n: int) -> int:
-    """Graph6 lines of order n in a chunk of at most `graphs.SOURCE_ENTRIES`
-    bytes of decoded rows, n rows of np.min_scalar_type((1 << n) - 1) per
-    line (one line at least): 32768 lines at n = 8, 528 at n = 62."""
-    itemsize = np.min_scalar_type((1 << n) - 1).itemsize
-    return max(1, graphs.SOURCE_ENTRIES // (n * itemsize))
-
-
-def _fault(line: str, n: int) -> str | None:
-    """Why graph6 text is not one graph of order n: the error of
-    `graphs._from_graph6_text`, or else its other order; None if it is."""
-    try:
-        found = graphs._from_graph6_text(line).n
-    except ValueError as exc:
-        return str(exc)
-    if found == n:
-        return None
-    return f"mixed vertex counts in source: expected n={n}, found n={found} in {line!r}"
-
-
-def _source_chunks(source, needs: str, n: int | None = None):
-    """Read the source once and yield (line, rows) per chunk of graph6
-    lines: rows their (N, n) neighbour bit masks, line(i) the text of the
-    chunk's i-th line.
-
-    Every source is decoded from its `graph6_cells`, and a line's text is
-    made from them only when it is asked for.  The order is n if given,
-    else the first line's; every line must share it.  A chunk holds
-    `_chunk_rows(n)` lines, at most `graphs.SOURCE_ENTRIES` bytes of rows,
-    however many adjacency entries they expand to: each kernel that
-    expands them bounds its own batch.  An empty source, order 0, an odd
-    order (`needs` says what needs an even one) and a faulty line raise
-    ValueError naming the source, and the line.  A source without cells
-    has lines of unequal width or another character, so it is empty or
-    faulty, and its first faulty `graph6_lines` line is named before any
-    chunk is yielded: the lines before the first one of another width than
-    the order's, or not ASCII, are decoded chunk by chunk as cells, and
-    the first one the decoder flags, else that line, is named.
-    """
-    cells = source.graph6_cells
-    if cells is None:
-        lines = source.graph6_lines()
-        if not lines:
-            raise ValueError(f"empty graph source: {source.path}")
-        text = lines.__getitem__
-    else:
-        def text(index: int) -> str:
-            return cells[index].tobytes().decode()
-    if n is None:
-        try:
-            n = graphs._from_graph6_text(text(0)).n
-        except ValueError as exc:
-            raise _located(source, 0, str(exc)) from None
-    if n == 0:
-        raise ValueError(f"{source.describe()}: {needs} need n >= 1, got n=0")
-    if n % 2 != 0:
-        raise ValueError(f"{source.describe()}: {needs} need even n, got n={n}")
-    size = _chunk_rows(n)
-    if cells is None:
-        width = 1 + (comb(n, 2) + 5) // 6
-        index = next((i for i, line in enumerate(lines)
-                      if len(line) != width or not line.isascii()), len(lines))
-        head = np.frombuffer("".join(lines[:index]).encode(), dtype=np.uint8)
-        head = head.reshape(index, width)
-        for start in range(0, index, size):
-            bad = graphs._decode_cells(head[start:start + size], n)[1]
-            if bad.size:
-                index = start + int(bad[0])
-                break
-        raise _located(source, index, _fault(lines[index], n))
-    for start in range(0, len(cells), size):
-        rows, bad = graphs._decode_cells(cells[start:start + size], n)
-        if bad.size:
-            index = start + int(bad[0])
-            raise _located(source, index, _fault(text(index), n))
-        yield (lambda i, start=start: text(start + i)), rows
-
-
 def sweep_theorem(source, t: TheoremId, min_degree: int | None = None,
                   jobs: int = 1) -> SweepReport:
-    """Evaluate theorem t over every graph in the source, in one process.
+    """Evaluate theorem t over every graph of the source's `row_chunks`, in
+    one process.
 
-    Deterministic: output lists are sorted by graph6 string, so reports are
-    identical for any chunk size (wall_time aside); a chunk holds at most
-    `graphs.SOURCE_ENTRIES` bytes of rows, and each kernel's
-    `graphs._batched` slice at most that many entries.  `jobs` is accepted
-    and ignored.  An empty source, one of odd order, a malformed line, or
-    one of another order than the first raises ValueError naming the
-    source, and the line where there is one; an order t does not cover
-    raises too, however few graphs min_degree keeps.
+    A reported graph is named by `to_graph6` of the `Graph` its row builds.
+    Deterministic: output lists are sorted by that graph6 string, so reports
+    are identical for any chunk size (wall_time aside); each kernel's
+    `graphs._batched` slice holds at most `graphs.SOURCE_ENTRIES` entries.
+    `jobs` is accepted and ignored.  An empty source, one of odd order, a
+    malformed line, or one of another order than the first raises
+    ValueError naming the source, and the line where there is one; an order
+    t does not cover raises too, however few graphs min_degree keeps.
     """
     start = time.perf_counter()
     scanned = hyp = 0
     events = []
-    for line, rows in _source_chunks(source, "sweeps"):
+    for rows in source.row_chunks("sweeps"):
         n = rows.shape[1]
         met = np.flatnonzero(theorems._hypothesis_mask(rows, t, min_degree))
         scanned += len(rows)
         hyp += len(met)
         undecided = met[~theorems._conclusion_mask(rows[met], t)]
-        for i, row in zip(undecided, rows[undecided].tolist()):
+        for row in rows[undecided].tolist():
             g = Graph(n, tuple(row))
             if not theorems.conclusion_holds(g, t):
-                events.append((line(i), theorems.recognize_exception(g, t)))
+                events.append((to_graph6(g), theorems.recognize_exception(g, t)))
     events.sort(key=lambda e: e[0])
     counterexamples = tuple(g6 for g6, rec in events if rec is None)
     exceptions = tuple(
@@ -439,7 +434,7 @@ def _check_grid_cap(values, cap: int, what: str, key: str) -> None:
         raise ValueError(f"{what} needs at least one even {key}, "
                          f"got an empty range ({key}_values={tuple(values)})")
     if max(values) > cap:
-        raise ValueError(f"{what} is capped at n <= {cap}, got {max(values)}")
+        raise ValueError(f"{what} is capped at {key} <= {cap}, got {max(values)}")
 
 
 def _random_connected(rng: Random, n: int) -> Graph:
@@ -670,37 +665,32 @@ def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
                            rows, max(1, pairs.size // 2))
 
 
-def _graphs_without_pm(source, n: int) -> tuple[list[str], np.ndarray]:
+def _graphs_without_pm(source, n: int) -> np.ndarray:
     """The graphs from the source with some S: o(G-S) >= |S|+2, as their
-    graph6 lines and their (N, n) neighbour bit rows as decoded.
+    (N, n) neighbour bit rows, in the source's order.
 
     For even order that is exactly 'no perfect matching' (deficiency >= 2
-    by parity).  Each decoded chunk is tested against every perfect
+    by parity).  Each chunk of `row_chunks` is tested against every perfect
     matching of K_n at once: a graph whose edges contain one of them is
     proved to have a perfect matching by that explicit matching, and is
     dropped.  The graphs no matching covers get their Berge-Tutte sets from
     one subset scan per chunk (`matching._berge_tutte_deficiencies`), and
     each witness is re-validated by an explicit odd-component count on a
-    `Graph` of its row, so no verdict rests on the filter alone.  A line is
-    `to_graph6` of its row: the decoder checks its header, width,
-    character range and padding bits.  The source is read as a sweep reads
-    it, so an empty source, an odd n, a malformed line or one of another
-    order than n raises ValueError naming the source, and the line where
-    there is one.
+    `Graph` of its row, so no verdict rests on the filter alone.  The source
+    is read as a sweep reads it, so an empty source, an odd n, a malformed
+    line or one of another order than n raises ValueError naming the
+    source, and the line where there is one.
     """
-    lines, rows = [], []
-    for line, chunk_rows in _source_chunks(source, NO_PM_SUITES, n):
-        rest = np.flatnonzero(~_covered_by_perfect_matching(chunk_rows))
-        left = chunk_rows[rest]
-        for i, row, (d, witness) in zip(rest, left.tolist(),
-                                        matching._berge_tutte_deficiencies(left)):
+    rows = []
+    for chunk in source.row_chunks(NO_PM_SUITES, n):
+        left = chunk[~_covered_by_perfect_matching(chunk)]
+        for row, (d, witness) in zip(left.tolist(), matching._berge_tutte_deficiencies(left)):
             g = Graph(n, tuple(row))
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:
                 raise AssertionError(
-                    f"deficiency witness failed to re-validate on {line(i)}")
-            lines.append(line(i))
+                    f"deficiency witness failed to re-validate on {to_graph6(g)}")
         rows.append(left)
-    return lines, np.concatenate(rows)
+    return np.concatenate(rows)
 
 
 def _sources_for(n_values, sources):
@@ -727,12 +717,12 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     notes = []
     for n, source in _sources_for(n_values, sources).items():
         bound = _no_pm_size_bound(n)
-        lines, rows = _graphs_without_pm(source, n)
+        rows = _graphs_without_pm(source, n)
         sizes = (graphs._popcount(rows.T).sum(axis=0) // 2).tolist()
-        instances += len(lines)
+        instances += len(rows)
         hit = max(sizes, default=0)
-        violations += [f"n={n}: {line} has m={m} > bound {bound}"
-                       for line, m in zip(lines, sizes) if m > bound]
+        violations += [f"n={n}: {to_graph6(Graph(n, tuple(row)))} has m={m} > bound {bound}"
+                       for row, m in zip(rows.tolist(), sizes) if m > bound]
         max_m_ratio = max(max_m_ratio, hit / bound if bound else 0.0)
         notes.append(f"n={n}: max size among qualifying graphs {hit} (bound {bound})")
     return ({"n_values": n_values}, instances, violations, max_m_ratio, notes)
@@ -746,20 +736,23 @@ def _verify_rho_bound_no_pm(n_values=(4, 6), sources=None):
     instances = 0
     notes = []
     for n, source in _sources_for(n_values, sources).items():
-        lines, rows = _graphs_without_pm(source, n)  # first: it names a bad source
+        rows = _graphs_without_pm(source, n)  # first: it names a bad source
         # the bound is the attaining family's exact quotient root
-        attaining = (families.Join(families.Complete(2), families.Empty(4))
-                     if n == 6 else families.named_spec("lem210", n=n))
+        try:
+            attaining = (families.Join(families.Complete(2), families.Empty(4))
+                         if n == 6 else families.named_spec("lem210", n=n))
+        except ValueError as exc:
+            raise ValueError(f"l2.10 has no attaining family at n={n}: {exc}") from None
         _, bound = families._quotient_root(attaining)
         rho_att = spectral.spectral_radius(families.build(attaining)).rho
         if abs(rho_att - bound) > LEMMA_TOL:
             violations.append(
                 f"n={n}: attaining family misses the bound: {rho_att} vs {bound}")
         radii = spectral._radii(rows).tolist()
-        instances += len(lines)
+        instances += len(rows)
         best = max([0.0, *radii])  # 0.0 on a tie, as a running max from 0.0
-        violations += [f"n={n}: {line} has rho={rho} > bound {bound}"
-                       for line, rho in zip(lines, radii) if rho > bound + LEMMA_TOL]
+        violations += [f"n={n}: {to_graph6(Graph(n, tuple(row)))} has rho={rho} > bound {bound}"
+                       for row, rho in zip(rows.tolist(), radii) if rho > bound + LEMMA_TOL]
         notes.append(f"n={n}: max rho among qualifying graphs {best} "
                      f"(bound {bound})")
         max_dev = max(max_dev, abs(best - bound))

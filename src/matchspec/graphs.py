@@ -167,7 +167,7 @@ def _graph6_tables(n: int):
     their other slots at character 0 and a zero block.  About 200 KB at
     n = 62.
     """
-    dtype = np.min_scalar_type((1 << n) - 1)
+    dtype = _rows(n).dtype
     spans = [{} for _ in range(n)]  # row j -> character p -> [(bit of p, i)]
     for slot, (i, j) in enumerate(all_pairs(n)):
         spans[j].setdefault(slot // 6, []).append((5 - slot % 6, i))
@@ -229,8 +229,8 @@ def _decode_cells(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Bit layout: header byte n+63, then one bit per vertex pair in `all_pairs`
     order, packed big-endian into 6-bit groups, each group offset by 63.
-    rows[g, v] is the neighbour mask of vertex v in line g, in the dtype
-    np.min_scalar_type((1 << n) - 1).  Each row's lower triangle is looked
+    rows[g, v] is the neighbour mask of vertex v in line g, in the dtype of
+    `_rows`.  Each row's lower triangle is looked
     up per body character in `_graph6_tables`, one character of every row
     at a time, so the transient index is (n, N), and the upper one is its
     bit transpose.  Also returns the indices of the lines failing a check
@@ -430,6 +430,13 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     # take, as numpy fancy-indexes with a uint8 index on its slower cast path
     counts = _BYTE_POPCOUNT.take(np.ascontiguousarray(masks).view(np.uint8))
     return counts.reshape(*masks.shape, masks.itemsize).sum(axis=-1, dtype=np.uint8)
+
+
+def _rows(n: int, adjs=()) -> np.ndarray:
+    """The (N, n) batch of neighbour bit rows of a sequence of N adjacency
+    tuples of order n, in the one row dtype of order n, the least unsigned
+    integer type that holds n bits: np.min_scalar_type((1 << n) - 1)."""
+    return np.array(adjs, dtype=np.min_scalar_type((1 << n) - 1)).reshape(len(adjs), n)
 
 
 def _adjacency(rows: np.ndarray, dtype) -> np.ndarray:

@@ -86,7 +86,7 @@ from math import comb
 import numpy as np
 
 from .graphs import (_BYTE_POPCOUNT, Graph, _adjacency, _batched, _component_masks,
-                     _mask_to_vertices, is_connected)
+                     _mask_to_vertices, _rows, is_connected)
 
 SUBSET_SCAN_CAP = 20
 
@@ -355,8 +355,7 @@ def _berge_tutte_deficiencies(rows: np.ndarray) -> list[tuple[int, frozenset[int
 @lru_cache(maxsize=1)
 def _odd_component_table(g: Graph) -> np.ndarray:
     """g's row of `_odd_component_counts`, read-only: the cache shares it."""
-    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
-    table = _odd_component_counts(rows)[0]
+    table = _odd_component_counts(_rows(g.n, [g.adj]))[0]
     table.flags.writeable = False
     return table
 
@@ -487,8 +486,8 @@ def _tutte_inverse(g: Graph) -> np.ndarray | None:
     matrix is skew-symmetric.
     """
     p = TUTTE_PRIME
-    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
-    d, r = _tutte_eliminate(np.where(_adjacency(rows, bool), _tutte_weights(g.n)[..., None], 0))
+    adjacency = _adjacency(_rows(g.n, [g.adj]), bool)
+    d, r = _tutte_eliminate(np.where(adjacency, _tutte_weights(g.n)[..., None], 0))
     if not d.all():
         return None
     scale = np.array([pow(int(x), -1, p) for x in d[:, 0].tolist()])

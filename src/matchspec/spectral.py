@@ -18,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from .graphs import Graph, _adjacency, _batched
+from .graphs import Graph, _adjacency, _batched, _rows
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class SpectralResult:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The (n, n) 0/1 float64 adjacency matrix, built as a batch's are."""
-    rows = np.array([g.adj], dtype=np.min_scalar_type((1 << g.n) - 1))
-    return _adjacency(rows, np.float64)[:, :, 0]
+    return _adjacency(_rows(g.n, [g.adj]), np.float64)[:, :, 0]
 
 
 def eigenvalues(g: Graph) -> list[float]:

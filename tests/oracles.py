@@ -10,8 +10,9 @@ from math import comb
 
 import numpy as np
 
+from matchspec.enumeration import BuiltIn, enumerate_connected
 from matchspec.graphs import (Graph, all_pairs, is_connected, min_degree, odd_components,
-                              parse_graph6)
+                              parse_graph6, to_graph6)
 from matchspec.matching import (SUBSET_SCAN_CAP, berge_tutte_deficiency,
                                 has_perfect_matching)
 from matchspec.spectral import adjacency_matrix, spectral_radius
@@ -241,6 +242,14 @@ def perfect_matchings_reference(n: int) -> set[frozenset[tuple[int, int]]]:
                 yield tail | {(rest[0], rest[i])}
 
     return set(extend(tuple(range(n))))
+
+
+def source_graph6_lines(source) -> list[str]:
+    """A source's graph6 lines, in its order: a file's own lines, and the
+    built-in enumerator's graphs each encoded by `to_graph6`."""
+    if isinstance(source, BuiltIn):
+        return [to_graph6(g) for g in enumerate_connected(source.n)]
+    return source.graph6_lines()
 
 
 def graphs_without_pm_reference(lines: list[str]) -> list[str]:

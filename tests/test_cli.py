@@ -360,6 +360,25 @@ def test_verify_grid_names_the_key_of_a_bad_value(capsys, lemma, grid, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("lemma, grid, message", [
+    ("l2.11", "l=4..16", "the bridged-completes grid is capped at l <= 14, got 16"),
+    ("l2.4", "n=6..16", "the spectral family grid is capped at n <= 14, got 16"),
+    ("l2.9", "n=4..10", "the exhaustive subset-scan suite is capped at n <= 8, got 10"),
+])
+def test_verify_grid_cap_names_its_own_key(capsys, lemma, grid, message):
+    # the bridged-completes grid is one of l, not of n
+    code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--grid", grid)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_verify_l210_names_an_order_without_an_attaining_family(capsys):
+    # the attaining family K1 v (K_{n-3} u 2K1) needs n >= 4; the refusal
+    # names the suite and the order, not only the family's requirement
+    code, out, err = run_cli(capsys, "verify", "--lemma", "l2.10", "--grid", "n=2..8")
+    assert code == 2 and out == ""
+    assert err == "error: l2.10 has no attaining family at n=2: requires even n >= 4\n"
+
+
 def test_verify_lemma_rejects_options_the_suite_does_not_take(capsys):
     # exit 2 is a usage error; exit 1 would claim a violation was found
     code, _, err = run_cli(capsys, "verify", "--lemma", "l2.1",

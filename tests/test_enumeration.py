@@ -20,7 +20,8 @@ from matchspec.theorems import TheoremId
 from matchspec import enumeration, graphs, spectral
 
 from oracles import (CONNECTED_GRAPH_COUNTS, decode_lines_reference,
-                     graphs_without_pm_reference, perfect_matchings_reference)
+                     graphs_without_pm_reference, perfect_matchings_reference,
+                     source_graph6_lines)
 
 
 # --- built-in enumeration ---------------------------------------------------
@@ -254,7 +255,37 @@ def test_a_one_width_file_of_another_order_fails_at_its_first_line(n8_fixture_pa
 
 
 def test_builtin_source():
-    assert len(BuiltIn(6).graph6_lines()) == 112
+    assert len(next(BuiltIn(6).row_chunks("sweeps"))) == 112
+
+
+def test_builtin_rows_are_the_decoded_rows_of_its_graph6_lines():
+    # the built-in source hands out the enumerator's rows as they are; they
+    # are the rows the decoder reads from their graph6 lines, in the same
+    # order and dtype, so a sweep names each graph as a file of those lines would
+    for n in range(1, 8):
+        lines = source_graph6_lines(BuiltIn(n))
+        decoded, bad = graphs._decode_cells(graphs._graph6_cells("\n".join(lines).encode()), n)
+        assert bad.size == 0 and len(decoded) == CONNECTED_GRAPH_COUNTS[n]
+        if n % 2:
+            with pytest.raises(ValueError, match=f"^builtin:n={n}: sweeps need even n, got n={n}$"):
+                next(BuiltIn(n).row_chunks("sweeps"))
+            chunks = [graphs._rows(n, [g.adj for g in enumerate_connected(n)])]
+        else:
+            chunks = list(BuiltIn(n).row_chunks("sweeps"))
+        assert len(chunks) == 1 and chunks[0].dtype == decoded.dtype, n
+        assert np.array_equal(chunks[0], decoded), n
+
+
+def test_each_line_of_a_file_is_the_graph6_of_its_rows(tmp_path, n8_fixture_variants):
+    # a line the decoder accepts is the one graph6 encoding of its rows, so
+    # a sweep names a graph by `to_graph6` of its row and gets the line back
+    path = tmp_path / "copy.g6"
+    for name, data in n8_fixture_variants.items():
+        path.write_bytes(data)
+        source = File(str(path))
+        rows = np.concatenate(list(source.row_chunks("sweeps")))
+        assert [to_graph6(Graph(8, tuple(row))) for row in rows.tolist()] == \
+            source.graph6_lines(), name
 
 
 # --- the deficiency suites' perfect-matching filter ------------------------
@@ -284,17 +315,18 @@ def test_complete_perfect_matchings_are_every_pairing_once():
 
 def test_graphs_without_pm_match_the_blossom_loop(n8_fixture_path):
     for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
-        got, rows = enumeration._graphs_without_pm(source, n)
-        assert got == graphs_without_pm_reference(source.graph6_lines())
+        rows = enumeration._graphs_without_pm(source, n)
+        got = [to_graph6(Graph(n, tuple(row))) for row in rows.tolist()]
+        assert got == graphs_without_pm_reference(source_graph6_lines(source))
         assert got, n
-        assert [to_graph6(Graph(n, tuple(row))) for row in rows.tolist()] == got
 
 
 def test_batched_radii_equal_spectral_radius(n8_fixture_path):
     # l2.10 takes rho from one eigh over its qualifying graphs; its report's
     # max_equality_gap needs each value bit for bit, not to a tolerance
     for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, File(n8_fixture_path))):
-        lines, rows = enumeration._graphs_without_pm(source, n)
+        rows = enumeration._graphs_without_pm(source, n)
+        lines = [to_graph6(Graph(n, tuple(row))) for row in rows.tolist()]
         radii = spectral._radii(rows).tolist()
         assert radii == [spectral_radius(parse_graph6(line)).rho for line in lines] != []
 
@@ -310,11 +342,12 @@ def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):
     enumeration._complete_perfect_matchings(12)  # cached, not counted
     tracemalloc.start()
     try:
-        got, _ = enumeration._graphs_without_pm(File(str(path)), 12)
+        rows = enumeration._graphs_without_pm(File(str(path)), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2 << 20
+    got = [to_graph6(Graph(12, tuple(row))) for row in rows.tolist()]
     lines = File(str(path)).graph6_lines()
     assert got == graphs_without_pm_reference(lines) != []
 
@@ -381,12 +414,12 @@ def test_default_chunk_holds_at_most_the_entry_budget(tmp_path, n8_fixture_path)
         assert 1 <= matrices and matrices * n * n <= graphs.SOURCE_ENTRIES < (matrices + 1) * n * n, n
     # a source read with the default: the n = 8 fixture is one chunk (32768
     # lines at most), and so are 69 lines at n = 62 (528 at most)
-    chunks = enumeration._source_chunks(File(n8_fixture_path), "sweeps")
-    assert [rows.shape for _, rows in chunks] == [(11117, 8)]
+    chunks = File(n8_fixture_path).row_chunks("sweeps")
+    assert [rows.shape for rows in chunks] == [(11117, 8)]
     path = tmp_path / "k62.g6"
     path.write_text((to_graph6(complete_graph(62)) + "\n") * 69)
-    chunks = enumeration._source_chunks(File(str(path)), "sweeps")
-    assert [rows.shape for _, rows in chunks] == [(69, 62)]
+    chunks = File(str(path)).row_chunks("sweeps")
+    assert [rows.shape for rows in chunks] == [(69, 62)]
 
 
 def test_sweep_report_independent_of_chunk_size(monkeypatch):
@@ -449,7 +482,7 @@ def test_deficiency_suites_name_each_violating_graph_by_its_line(n8_fixture_path
     # with the bounds below every qualifying graph, the violations are the
     # reference graphs without a perfect matching, each named by its line
     sources = {8: File(n8_fixture_path)}
-    grid = {n: graphs_without_pm_reference(source.graph6_lines())
+    grid = {n: graphs_without_pm_reference(source_graph6_lines(source))
             for n, source in ((4, BuiltIn(4)), (6, BuiltIn(6)), (8, sources[8]))}
     monkeypatch.setattr(enumeration, "_no_pm_size_bound", lambda n: 0)
     report = verify_lemma("l2.9", n_values=(4, 6, 8), sources=sources)

@@ -26,7 +26,7 @@ from matchspec.enumeration import BuiltIn, File, enumerate_connected, sweep_theo
 from matchspec.graphs import (Graph, complete_graph, cycle_graph, disjoint_union,
                               from_edge_list, is_connected, join, parse_graph6, to_graph6)
 from matchspec.theorems import TheoremId
-from oracles import reference_graph6_decode, spectral_mask_reference
+from oracles import reference_graph6_decode, source_graph6_lines, spectral_mask_reference
 
 THEOREMS = [TheoremId("t11", 1), TheoremId("t11", 2), TheoremId("t13"),
             TheoremId("t14", 1), TheoremId("t14", 2), TheoremId("t16")]
@@ -45,14 +45,19 @@ SPECTRAL_CASES = [(TheoremId("t14", k), None) for k in (1, 2, 3)] + [
 CERTIFIED = [TheoremId("t11", 1), TheoremId("t14", 1), TheoremId("t13"), TheoremId("t16")]
 
 
+def _cells(lines):
+    """graph6 lines as the (N, width) uint8 cells the batch decoder reads."""
+    return graphs._graph6_cells("\n".join(lines).encode())
+
+
 @pytest.fixture(scope="module")
 def by_order(n8_fixture_path):
     """order -> (lines, graphs, batched neighbour bit rows) for n = 4, 6, 8."""
     out = {}
     for source in (BuiltIn(4), BuiltIn(6), File(n8_fixture_path)):
-        lines = source.graph6_lines()
+        lines = source_graph6_lines(source)
         gs = [parse_graph6(line) for line in lines]
-        rows, bad = graphs._decode_cells(source.graph6_cells, gs[0].n)
+        rows, bad = graphs._decode_cells(_cells(lines), gs[0].n)
         assert bad.size == 0
         out[gs[0].n] = (lines, gs, rows)
     return out
@@ -61,9 +66,8 @@ def by_order(n8_fixture_path):
 def test_batched_decode_matches_reference_decoder(by_order):
     decoded = {n: (lines, rows) for n, (lines, _, rows) in by_order.items()}
     for n in (1, 2, 3, 5, 7):
-        source = BuiltIn(n)
-        lines = source.graph6_lines()
-        rows, bad = graphs._decode_cells(source.graph6_cells, n)
+        lines = source_graph6_lines(BuiltIn(n))
+        rows, bad = graphs._decode_cells(_cells(lines), n)
         assert bad.size == 0
         decoded[n] = lines, rows
     for n, (lines, rows) in decoded.items():
@@ -342,7 +346,7 @@ def test_sweep_matches_per_graph_verdicts(by_order, n8_fixture_path, t):
     for n, (_, gs, _) in by_order.items():
         source = sources[n]
         try:
-            met = [(g6, g) for g6, g in zip(source.graph6_lines(), gs)
+            met = [(g6, g) for g6, g in zip(source_graph6_lines(source), gs)
                    if theorems.hypothesis_status(g, t)[0]]
         except ValueError as exc:  # order outside the statement's range
             with pytest.raises(ValueError, match=re.escape(str(exc))):
@@ -361,7 +365,7 @@ def test_sweep_matches_per_graph_verdicts(by_order, n8_fixture_path, t):
 
 def test_sweep_takes_lines_with_the_graph6_header(tmp_path):
     # File drops the prefix, so the reports name the graphs without it
-    lines = BuiltIn(6).graph6_lines()
+    lines = source_graph6_lines(BuiltIn(6))
     path = tmp_path / "header.g6"
     path.write_text("".join(f">>graph6<<{ln}\n" if i % 3 else f"{ln}\n"
                             for i, ln in enumerate(lines)))
@@ -418,8 +422,8 @@ def test_conclusion_certificate_is_sound(by_order):
     # route; the counts of graphs that meet it are observed data, and the
     # certificate leaves none of them open at n = 6 and 8 (t13 and t16 do
     # not cover n = 4, so nothing is certified there)
-    k2 = BuiltIn(2)
-    orders = {2: (k2.graph6_lines(), graphs._decode_cells(k2.graph6_cells, 2)[0]),
+    k2 = source_graph6_lines(BuiltIn(2))
+    orders = {2: (k2, graphs._decode_cells(_cells(k2), 2)[0]),
               **{n: (lines, rows) for n, (lines, _, rows) in by_order.items()}}
     counts = {}
     for n, (lines, rows) in orders.items():
