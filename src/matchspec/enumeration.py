@@ -181,15 +181,13 @@ def _chunk_rows(n: int) -> int:
     return max(1, graphs.SOURCE_ENTRIES // (n * graphs._rows(n).itemsize))
 
 
-def _fault(line: str, n: int) -> str | None:
-    """Why graph6 text is not one graph of order n: the error of
-    `graphs._from_graph6_text`, or else its other order; None if it is."""
+def _fault(line: str, n: int) -> str:
+    """Why a faulty graph6 line is not one graph of order n: the error of
+    `graphs._from_graph6_text`, or else its other order."""
     try:
         found = graphs._from_graph6_text(line).n
     except ValueError as exc:
         return str(exc)
-    if found == n:
-        return None
     return f"mixed vertex counts in source: expected n={n}, found n={found} in {line!r}"
 
 
@@ -199,10 +197,10 @@ class File:
     decodes graph6.
 
     Its lines are those of `decode_lines` by `graphs.graph6_text` (blank,
-    '#' and bare `>>graph6<<` lines are skipped).  A file whose every line
-    is one graph of one width, `width` graph6 characters (63..126) and a
-    b"\\n" (the last one may be missing), is already those lines, and
-    `graph6_cells` views its bytes without reading them as text."""
+    '#' and bare `>>graph6<<` lines are skipped): its cells, the leading run
+    of lines as many bytes long as the first, then its rest.  A file whose
+    every line is `width` graph6 characters (63..126) and a b"\\n" (the last
+    one may be missing) is all cells, a view of its bytes never read as text."""
 
     path: str
 
@@ -211,15 +209,24 @@ class File:
         with open(self.path, "rb") as fh:
             return fh.read()
 
+    @property
+    def graph6_cells(self) -> np.ndarray:
+        """The cells as a read-only (N, width) uint8 array, N = 0 for no line:
+        a view of the file's bytes, else of its `graph6_lines` joined."""
+        return self._cells_and_rest[0]
+
     @cached_property
-    def graph6_cells(self) -> np.ndarray | None:
-        """The graph6 lines as a read-only (N, width) uint8 array: a view of
-        the file's bytes, else of its `graph6_lines` joined; None when those
-        differ in width or hold a character outside 63..126, or are none."""
+    def _cells_and_rest(self) -> tuple[np.ndarray, list[str]]:
         cells = graphs._graph6_cells(self._data)
-        if cells is None:
-            cells = graphs._graph6_cells("\n".join(self.graph6_lines()).encode())
-        return cells
+        if cells is not None:
+            return cells, []
+        lines = self.graph6_lines()
+        data = np.frombuffer("\n".join([*lines, ""]).encode(), dtype=np.uint8)
+        ends = np.flatnonzero(data == 10)  # the newline after each line
+        width = int(ends[0]) if lines else 0
+        # the first line whose newline is not width + 1 bytes past the one before
+        run = int(np.append(np.diff(ends, prepend=-1) != width + 1, True).argmax())
+        return data[:run * (width + 1)].reshape(run, width + 1)[:, :width], lines[run:]
 
     @cached_property
     def _lines(self) -> list[str]:
@@ -241,7 +248,7 @@ class File:
 
     def row_chunks(self, needs: str, n: int | None = None):
         """Read the file once and yield the (N, n) neighbour bit rows of each
-        chunk of its graph6 lines, decoded from its `graph6_cells`.
+        chunk of its `graph6_cells`, then name the first line of the rest.
 
         A line's text is made only for the order, the first line's unless n
         is given, and for a faulty line; every line must be of that order.
@@ -249,47 +256,30 @@ class File:
         bytes of rows, however many adjacency entries they expand to: each
         kernel that expands them bounds its own batch.  An empty file, order
         0, an odd order (`needs` says what needs an even one) and a faulty
-        line raise ValueError naming the file, and the line.  A file without
-        cells has lines of unequal width or another character, so it is
-        empty or faulty, and its first faulty line is named before any chunk
-        is yielded: the lines before the first one of another width than the
-        order's, or not ASCII, are decoded chunk by chunk as cells, and the
-        first one the decoder flags, else that line, is named.
+        line raise ValueError naming the file, and the line.  Each fault is
+        named where the loop meets it: the first line of a chunk that the
+        decoder flags before that chunk is yielded, and the first line of
+        the rest, which is of another width than the cells and so faulty,
+        after the last chunk.
         """
-        cells = self.graph6_cells
-        if cells is None:
-            lines = self.graph6_lines()
-            if not lines:
-                raise ValueError(f"empty graph source: {self.path}")
-            text = lines.__getitem__
-        else:
-            def text(index: int) -> str:
-                return cells[index].tobytes().decode()
+        cells, rest = self._cells_and_rest
+        if not len(cells):
+            raise ValueError(f"empty graph source: {self.path}")
         if n is None:
             try:
-                n = graphs._from_graph6_text(text(0)).n
+                n = graphs._from_graph6_text(cells[0].tobytes().decode()).n
             except ValueError as exc:
                 raise self._located(0, str(exc)) from None
         _check_order(self, needs, n)
         size = _chunk_rows(n)
-        if cells is None:
-            width = 1 + (comb(n, 2) + 5) // 6
-            index = next((i for i, line in enumerate(lines)
-                          if len(line) != width or not line.isascii()), len(lines))
-            head = np.frombuffer("".join(lines[:index]).encode(), dtype=np.uint8)
-            head = head.reshape(index, width)
-            for start in range(0, index, size):
-                bad = graphs._decode_cells(head[start:start + size], n)[1]
-                if bad.size:
-                    index = start + int(bad[0])
-                    break
-            raise self._located(index, _fault(lines[index], n))
         for start in range(0, len(cells), size):
             rows, bad = graphs._decode_cells(cells[start:start + size], n)
             if bad.size:
                 index = start + int(bad[0])
-                raise self._located(index, _fault(text(index), n))
+                raise self._located(index, _fault(cells[index].tobytes().decode(), n))
             yield rows
+        if rest:
+            raise self._located(len(cells), _fault(rest[0], n))
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +622,19 @@ def _verify_packing_comparison(trials: int = 60, seed: int = 20240603):
 
 
 def _no_pm_size_bound(n: int) -> int:
-    if n == 6:
-        return 9
-    if n == 8:
-        return 18
-    return comb(n - 2, 2) + 2  # n >= 10 or n = 4
+    """The most edges of a connected graph of even order n >= 4 without a
+    perfect matching: max(C(n - 2, 2) + 2, 3t(t + 1)/2), t = (n - 2)/2.
+
+    By Tutte's theorem and parity it has s vertices S with o(G - S) >= s + 2,
+    1 <= s <= t as it is connected, so it lies in K_s joined to s + 2 odd
+    cliques, most edges when all but one are single vertices (moving two
+    from a clique of a >= 3 to one of b >= a adds 2(b - a) + 4 edges):
+    m(s) = C(s, 2) + s(n - s) + C(n - 2s - 1, 2).  m is convex in s (its
+    leading coefficient is 3/2), so m(1) = C(n - 2, 2) + 2 or m(t) =
+    3t(t + 1)/2 is largest; m(t) - m(1) = -(n - 4)(n - 10)/8, so they tie
+    at n = 4 and 10, and m(t) is larger at n = 6 and 8 only."""
+    t = n // 2 - 1
+    return max(comb(n - 2, 2) + 2, 3 * t * (t + 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -716,8 +714,8 @@ def _verify_size_bound_no_pm(n_values=(4, 6), sources=None):
     instances = 0
     notes = []
     for n, source in _sources_for(n_values, sources).items():
+        rows = _graphs_without_pm(source, n)  # first: it names a bad source
         bound = _no_pm_size_bound(n)
-        rows = _graphs_without_pm(source, n)
         sizes = (graphs._popcount(rows.T).sum(axis=0) // 2).tolist()
         instances += len(rows)
         hit = max(sizes, default=0)

@@ -3,7 +3,7 @@ import json
 import random
 import tracemalloc
 from itertools import permutations
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -196,21 +196,24 @@ def test_file_cells_are_its_lines_when_they_have_one_width(tmp_path, monkeypatch
                                                           data, width):
     # a file whose lines are all `width` characters 63..126, each ended by a
     # newline but perhaps the last, is viewed from its bytes, never read as
-    # lines; any other has the cells of its graph6 lines, unless those
-    # differ in width or hold another character, or are none
+    # lines; any other has as cells the leading run of its graph6 lines as
+    # many bytes long as the first, and the lines after them as its rest
     path = tmp_path / "lines.g6"
     path.write_bytes(data)
     source = File(str(path))
     if width is not None:
         monkeypatch.setattr(enumeration, "decode_lines", _refuse_lines)
-    cells = source.graph6_cells
+    cells, rest = source._cells_and_rest
     monkeypatch.undo()
-    if data in (b"C~\nE~~?\n", b"C~\nC\x7f\n", b"C~\nC\xc3\xa9\n", b"C~\nC>\n", b"", b"\n"):
-        assert cells is None
-    else:
-        assert width is None or cells.shape[1] == width
-        assert cells.dtype == np.uint8 and not cells.flags.writeable
-        assert [row.tobytes().decode() for row in cells] == source.graph6_lines()
+    assert cells is source.graph6_cells
+    assert width is None or cells.shape[1] == width
+    assert cells.dtype == np.uint8 and not cells.flags.writeable
+    lines = [row.tobytes().decode() for row in cells]
+    assert lines + rest == source.graph6_lines()
+    # the rest: a line of another width, or of another width in bytes
+    assert len(rest) == {b"C~\nE~~?\n": 1, b"C~\nC\xc3\xa9\n": 1}.get(data, 0)
+    if data in (b"C~\nC\x7f\n", b"C~\nC>\n"):
+        assert graphs._decode_cells(cells, 4)[1].tolist() == [1]
 
 
 def _refuse_lines(data, where):
@@ -243,6 +246,33 @@ def test_a_file_read_as_lines_is_decoded_from_uint8_cells(tmp_path, monkeypatch,
         report = sweep_theorem(File(str(path)), TheoremId("t13"), min_degree=2)
         assert (report.graphs_scanned, report.hypothesis_count) == (11117, 812)
     assert dtypes and set(dtypes) == {np.dtype(np.uint8)}
+
+
+@pytest.mark.parametrize("bad, yielded, message", [
+    ("C~", 2, "mixed vertex counts in source: expected n=8, found n=4 in 'C~'"),
+    ("G\xe9~~~~", 2, "graph6 char '\xe9' out of range"),
+    ("G\xe9~~~", 1, "graph6 body has 4 chars, expected 5 for n=8"),
+], ids=["other-width", "other-width-in-bytes", "same-width-in-bytes"])
+def test_a_file_names_each_fault_where_its_chunks_reach_it(tmp_path, monkeypatch,
+                                                           n8_fixture_path, n8_fixture_variants,
+                                                           bad, yielded, message):
+    # a CRLF copy of the fixture with a bad line 5001, read in chunks of 4096
+    # lines: a line of another width in bytes than the first is named after
+    # the last chunk, and one of the same width where its chunk is decoded,
+    # each chunk before it yielded
+    monkeypatch.setattr(graphs, "SOURCE_ENTRIES", 4096 * 8)
+    good = n8_fixture_variants["crlf"].splitlines(keepends=True)
+    path = tmp_path / "crlf.g6"
+    path.write_bytes(b"".join(good[:5000] + [f"{bad}\r\n".encode()] + good[5000:]))
+    chunks = []
+    with pytest.raises(ValueError) as err:
+        for rows in File(str(path)).row_chunks("sweeps"):
+            chunks.append(rows)
+    assert str(err.value) == f"file:{path}:5001: {message}"
+    assert [len(rows) for rows in chunks] == [4096, 904][:yielded]
+    got = np.concatenate(chunks)
+    expected = graphs._decode_cells(File(n8_fixture_path).graph6_cells[:len(got)], 8)[0]
+    assert np.array_equal(got, expected)
 
 
 def test_a_one_width_file_of_another_order_fails_at_its_first_line(n8_fixture_path):
@@ -468,7 +498,7 @@ def test_lemma_options_thread_through():
 
 def test_lemma_refuses_a_source_the_grid_leaves_out(n8_fixture_path, monkeypatch):
     read = []
-    monkeypatch.setattr(File, "graph6_lines", lambda self: read.append(self) or [])
+    monkeypatch.setattr(File, "_data", property(lambda self: read.append(self) or b""))
     for lemma in ("l2.9", "l2.10"):
         with pytest.raises(ValueError) as err:
             verify_lemma(lemma, n_values=(4, 6), sources={8: File(n8_fixture_path)})
@@ -476,6 +506,38 @@ def test_lemma_refuses_a_source_the_grid_leaves_out(n8_fixture_path, monkeypatch
             f"file:{n8_fixture_path} holds graphs of order 8, which the grid "
             f"leaves out (its orders: 4, 6)")
     assert read == []  # refused before any source is read
+
+
+@pytest.mark.parametrize("lemma", ["l2.9", "l2.10"])
+def test_deficiency_suites_read_their_source_before_their_bound(lemma):
+    # l2.9 used to compute its size bound first, and math.comb refused n = 1
+    with pytest.raises(ValueError) as err:
+        verify_lemma(lemma, n_values=(1,))
+    assert str(err.value) == "builtin:n=1: the deficiency bound suites need even n, got n=1"
+
+
+def _odd_parts(total: int, parts: int, largest: int):
+    """The partitions of total into `parts` odd parts of at most `largest`,
+    each in non-increasing order."""
+    if parts == 0:
+        yield from [()] if total == 0 else []
+        return
+    for first in range(min(largest, total - parts + 1), 0, -1):
+        if first % 2:
+            yield from ((first, *rest) for rest in _odd_parts(total - first, parts - 1, first))
+
+
+def test_no_pm_size_bound_is_the_largest_host_without_a_perfect_matching():
+    # K_s joined to s + 2 odd cliques has no perfect matching (deleting the
+    # s join vertices leaves s + 2 odd components); every connected graph of
+    # even order without one lies in such a host, s >= 1
+    for n in range(4, 41, 2):
+        hosts = [comb(s, 2) + s * (n - s) + sum(comb(a, 2) for a in parts)
+                 for s in range(1, n // 2) for parts in _odd_parts(n - s, s + 2, n)]
+        assert enumeration._no_pm_size_bound(n) == max(hosts), n
+    # the bound the suite used before, case by case
+    assert all(enumeration._no_pm_size_bound(n) == {6: 9, 8: 18}.get(n, comb(n - 2, 2) + 2)
+               for n in range(4, 63, 2))
 
 
 def test_deficiency_suites_name_each_violating_graph_by_its_line(n8_fixture_path, monkeypatch):

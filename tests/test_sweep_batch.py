@@ -399,8 +399,8 @@ def test_reports_match_golden_for_any_chunk_size(tmp_path, monkeypatch, n8_fixtu
 
 def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
                                                   n8_fixture_variants):
-    # every copy has cells, from its bytes or from its lines; each sits at
-    # the benchmark's path, so its reports are the golden ones byte for
+    # every copy is all cells, from its bytes or from its lines; each sits
+    # at the benchmark's path, so its reports are the golden ones byte for
     # byte, source included
     monkeypatch.chdir(tmp_path)
     os.mkdir(".perfbench_work")
@@ -409,7 +409,7 @@ def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
         with open(path, "wb") as fh:
             fh.write(data)
         source = File(path)
-        assert source.graph6_cells is not None, name
+        assert len(source.graph6_cells) == 11117 and not source._cells_and_rest[1], name
         for golden, (t, min_deg) in GOLDEN.items():
             with open(os.path.join(GOLDEN_DIR, f"sweep-{golden}.json")) as fh:
                 expected = fh.read()
