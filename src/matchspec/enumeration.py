@@ -31,10 +31,11 @@ kernel is given:
    graphs it does not rule out, the only ones expanded to adjacency
    matrices, eigensolving only the graphs tied with the threshold;
 2. `theorems._conclusion_mask` certifies the conclusion of the graphs
-   that meet it, from one batched Tutte matrix elimination; `Graph`
-   objects, straight from their rows, only for the graphs it leaves open,
-   for the conclusion and exception helpers of `theorems` that a verdict
-   also calls.
+   that meet it: at n <= 8 by reading off which of K_n's perfect matchings
+   each contains, which decides every graph exactly, and above that from
+   one batched Tutte matrix elimination; `Graph` objects, straight from
+   their rows, only for the graphs it leaves open, for the conclusion and
+   exception helpers of `theorems` that a verdict also calls.
 
 What a statement asks for is known to `theorems` alone.
 """
@@ -637,39 +638,15 @@ def _no_pm_size_bound(n: int) -> int:
     return max(comb(n - 2, 2) + 2, 3 * t * (t + 1) // 2)
 
 
-@lru_cache(maxsize=None)
-def _complete_perfect_matchings(n: int) -> np.ndarray:
-    """The (n-1)!! perfect matchings of K_n, its n/2-matchings by
-    `matching._k_matching_blocks`, as an (M, n/2, 2) array of vertex pairs;
-    none (M = 0) for odd n.  Read-only."""
-    ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2)
-    blocks = matching._k_matching_blocks(ends, n // 2) if n % 2 == 0 else ()
-    pairs = ends.take(np.concatenate([np.empty((0, n // 2), np.intp), *blocks]), axis=0)
-    pairs.setflags(write=False)
-    return pairs
-
-
-def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
-    """Which graphs of an (N, n) batch of neighbour bit rows contain one of
-    the perfect matchings of K_n, that is, have a perfect matching.
-
-    A graph's test gathers (n-1)!! * n/2 row entries, one per matched pair
-    uv, and reads bit v of row u; the graphs are gathered in
-    `graphs._batched` slices, that many entries per graph.
-    """
-    pairs = _complete_perfect_matchings(rows.shape[1])
-    ends = pairs[..., 1].astype(rows.dtype)
-    return graphs._batched(lambda part: (part[:, pairs[..., 0]] >> ends & 1).all(-1).any(-1),
-                           rows, max(1, pairs.size // 2))
-
-
 def _graphs_without_pm(source, n: int) -> np.ndarray:
     """The graphs from the source with some S: o(G-S) >= |S|+2, as their
     (N, n) neighbour bit rows, in the source's order.
 
     For even order that is exactly 'no perfect matching' (deficiency >= 2
     by parity).  Each chunk of `row_chunks` is tested against every perfect
-    matching of K_n at once: a graph whose edges contain one of them is
+    matching of K_n at once (`matching._covered_by_perfect_matching`, the
+    gather a sweep's conclusions read at n <= 8): a graph whose edges
+    contain one of them is
     proved to have a perfect matching by that explicit matching, and is
     dropped.  The graphs no matching covers get their Berge-Tutte sets from
     one subset scan per chunk (`matching._berge_tutte_deficiencies`), and
@@ -681,7 +658,7 @@ def _graphs_without_pm(source, n: int) -> np.ndarray:
     """
     rows = []
     for chunk in source.row_chunks(NO_PM_SUITES, n):
-        left = chunk[~_covered_by_perfect_matching(chunk)]
+        left = chunk[~matching._covered_by_perfect_matching(chunk)]
         for row, (d, witness) in zip(left.tolist(), matching._berge_tutte_deficiencies(left)):
             g = Graph(n, tuple(row))
             if d < 2 or graphs.odd_components(g, witness) < len(witness) + 2:

@@ -40,8 +40,16 @@ case when T is singular.  A graph with few 2-matchings, every graph of
 order 6 or less among them, is cheaper to search than to invert.
 
 A sweep settles 1-extendability and 1-excludability for a whole batch of
-graphs from one elimination per `graphs._batched` slice, 4n^2 entries per
-graph (`_tutte_certified`).  `_tutte_eliminate` inverts every Tutte
+graphs at once.  Up to order `theorems.LISTING_CAP` = 8 it lists them:
+`_contained_perfect_matchings` gathers which of the (n-1)!! perfect
+matchings of K_n each graph contains, the same gather that tells the
+deficiency suites which graphs have one, and one matrix product counts,
+for every edge, the graph's perfect matchings through it; every edge has
+one exactly when the graph is 1-extendable, and every edge misses one
+exactly when it is 1-excludable (`_listing_certified`).  Above that order
+the list grows too fast (945 at n = 10, 10395 at n = 12), and a sweep
+certifies from one elimination per `graphs._batched` slice, 4n^2 entries
+per graph (`_tutte_certified`).  `_tutte_eliminate` inverts every Tutte
 matrix of the batch at once by division-free Gauss-Jordan elimination,
 each stack laid out (n, n, N) from `graphs._adjacency` on, and residues
 held as float64 integers, exact because TUTTE_PRIME < 2^26;
@@ -86,7 +94,7 @@ from math import comb
 import numpy as np
 
 from .graphs import (_BYTE_POPCOUNT, Graph, _adjacency, _batched, _component_masks,
-                     _mask_to_vertices, _rows, is_connected)
+                     _mask_to_vertices, _rows, all_pairs, is_connected)
 
 SUBSET_SCAN_CAP = 20
 
@@ -411,6 +419,90 @@ def _k_matching_blocks(ends: np.ndarray, k: int):
                 yield np.column_stack((rows.take(row, axis=0), nxt))
 
 
+@lru_cache(maxsize=None)
+def _complete_perfect_matchings(n: int) -> np.ndarray:
+    """The (n-1)!! perfect matchings of K_n, its n/2-matchings by
+    `_k_matching_blocks`, as an (M, n/2, 2) array of vertex pairs; none
+    (M = 0) for odd n.  Read-only."""
+    ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2)
+    blocks = _k_matching_blocks(ends, n // 2) if n % 2 == 0 else ()
+    pairs = ends.take(np.concatenate([np.empty((0, n // 2), np.intp), *blocks]), axis=0)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _listed_entries(n: int) -> int:
+    """The row entries `_contained_perfect_matchings` gathers per graph of
+    order n, (n-1)!! * n/2, one at least: its `graphs._batched` budget."""
+    return max(1, _complete_perfect_matchings(n).size // 2)
+
+
+def _contained_perfect_matchings(rows: np.ndarray) -> np.ndarray:
+    """Which perfect matchings of K_n each graph of an (N, n) batch of
+    neighbour bit rows contains, as an (N, M) bool table in the order of
+    `_complete_perfect_matchings`.
+
+    A graph's row of the table gathers (n-1)!! * n/2 row entries, one per
+    matched pair uv, and reads bit v of row u.
+    """
+    pairs = _complete_perfect_matchings(rows.shape[1])
+    return (rows[:, pairs[..., 0]] >> pairs[..., 1].astype(rows.dtype) & 1).all(-1)
+
+
+def _covered_by_perfect_matching(rows: np.ndarray) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows contain one of
+    the perfect matchings of K_n, that is, have a perfect matching; the
+    graphs are gathered in `graphs._batched` slices of `_listed_entries`."""
+    return _batched(lambda part: _contained_perfect_matchings(part).any(-1), rows,
+                    _listed_entries(rows.shape[1]))
+
+
+@lru_cache(maxsize=4)
+def _matched_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, uses): the vertex pairs of K_n in `graphs.all_pairs` order, as
+    an (n(n-1)/2, 2) array, and an (M, n(n-1)/2) float64 table whose entry
+    [m, e] is 1 where the m-th perfect matching of
+    `_complete_perfect_matchings` matches pair e, 0 elsewhere.  Read-only."""
+    ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2)
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    pairs = _complete_perfect_matchings(n)
+    uses = np.zeros((len(pairs), len(ends)))
+    uses[np.arange(len(pairs))[:, None], slot[pairs[..., 0], pairs[..., 1]]] = 1
+    for table in (ends, uses):
+        table.flags.writeable = False
+    return ends, uses
+
+
+def _listing_certified(rows: np.ndarray, excludable: bool) -> np.ndarray:
+    """Which graphs of an (N, n) batch of neighbour bit rows are
+    1-extendable, or 1-excludable if `excludable`, read off the perfect
+    matchings of K_n that each contains: exact, so False is a disproof.
+
+    The (N, M) table of `_contained_perfect_matchings` times the `uses`
+    table of `_matched_pairs` counts, for every pair e, the graph's perfect
+    matchings that match e: integers at most M, exact in float64.  The
+    graph is 1-extendable iff every edge has a count above 0, and
+    1-excludable iff every edge has a count below the graph's number of
+    perfect matchings (g - e keeps one of them); both need that number to
+    be above 0.  The order is not checked: K_2 passes as 1-extendable,
+    though 1-extendability needs at least 4 vertices.  The batch is
+    gathered in `graphs._batched` slices of `_listed_entries`.
+    """
+    n = rows.shape[1]
+    ends, uses = _matched_pairs(n)
+
+    def certified(part):
+        held = _contained_perfect_matchings(part)
+        total = held.sum(-1, keepdims=True)
+        through = held.astype(np.float64) @ uses  # a bool matmul skips BLAS
+        edge = part[:, ends[:, 0]] >> ends[:, 1].astype(part.dtype) & 1
+        proved = through < total if excludable else through > 0
+        return (total[:, 0] > 0) & (proved | (edge == 0)).all(-1)
+
+    return _batched(certified, rows, _listed_entries(n))
+
+
 @lru_cache(maxsize=8)
 def _tutte_weights(n: int) -> np.ndarray:
     """The Tutte matrix of K_n over GF(TUTTE_PRIME) at fixed weights.
@@ -644,11 +736,11 @@ def is_k_extendable_chen(g: Graph, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    odd = _odd_component_table(g)
     if g.n % 2 == 1:
         return Verdict(False, "criterion", witness=frozenset(), reason="odd-order")
     if g.n < 2 * k + 2:
         return Verdict(False, "criterion", witness=frozenset(), reason="too-few-vertices")
+    odd = _odd_component_table(g)
     size = _popcounts(g.n)
     # Perfect matching precondition, via the subset-scan route.
     tutte = odd > size
@@ -762,9 +854,9 @@ def is_1_excludable_criterion(g: Graph) -> Verdict:
 
     Requires a connected input; the direct checker has no such restriction.
     """
-    odd = _odd_component_table(g)
     if g.n == 0 or not is_connected(g):
         raise ValueError("criterion check requires a connected graph")
+    odd = _odd_component_table(g)
     full = (1 << g.n) - 1
     # every other S has o(g-S) <= |S| - 2, which meets both conditions
     for smask in np.flatnonzero(odd + 2 > _popcounts(g.n)).tolist():

@@ -2,12 +2,13 @@
 `graphs._batched`, at most max(1, SOURCE_ENTRIES // entries) graphs at once
 for the array entries it holds per graph.
 
-These tests check the helper itself, that each of the five kernels gives
+These tests check the helper itself, that each of the six kernels gives
 the same result however its batch is sliced, and that each kernel's batch
 at every order is the size it is pinned to: 2^18 // n^2 graphs for the
 Collatz-Wielandt bracket and the eigensolver, 2^17 // 2n^2 for the Tutte
 certificate, 2^16 // 2^n for the subset scan and 2^18 // ((n-1)!! n/2) for
-the perfect-matching cover, one graph at least.
+the perfect-matching cover and the conclusions read off it, one graph at
+least.
 """
 
 import random
@@ -31,19 +32,23 @@ KERNELS = {
     "tutte": (lambda rows: matching._tutte_certified(rows, excludable=True),
               lambda n: 4 * n * n),
     "scan": (matching._berge_tutte_deficiencies, lambda n: 4 << n),
-    "cover": (enumeration._covered_by_perfect_matching,
+    "cover": (matching._covered_by_perfect_matching,
               lambda n: prod(range(n - 1, 0, -2)) * (n // 2)),
+    "listing": (lambda rows: matching._listing_certified(rows, excludable=True),
+                lambda n: prod(range(n - 1, 0, -2)) * (n // 2)),
 }
 
 # name -> the batch each kernel has at order n, and the orders it is checked at:
-# the subset scan stops at SUBSET_SCAN_CAP, and the cover, which lists the
-# (n-1)!! perfect matchings of K_n, is asked about even orders up to 12
+# the subset scan stops at SUBSET_SCAN_CAP, and the cover and the listing,
+# which read the (n-1)!! perfect matchings of K_n, are asked about even
+# orders up to 12
 PINNED = {
     "bracket": (lambda n: max(1, (1 << 18) // (n * n)), range(2, 63)),
     "radii": (lambda n: max(1, (1 << 18) // (n * n)), range(2, 63)),
     "tutte": (lambda n: max(1, (1 << 17) // (2 * n * n)), range(2, 63)),
     "scan": (lambda n: max(1, (1 << 16) >> n), range(2, SUBSET_SCAN_CAP + 1)),
     "cover": (lambda n: max(1, (1 << 18) // KERNELS["cover"][1](n)), range(2, 13, 2)),
+    "listing": (lambda n: max(1, (1 << 18) // KERNELS["listing"][1](n)), range(2, 13, 2)),
 }
 
 
@@ -156,7 +161,7 @@ def test_kernel_batch_is_pinned_at_every_order(monkeypatch, name):
 
 def test_kernel_batches_at_n8_and_at_large_orders(monkeypatch):
     # graphs at once, run at n = 8 and at the largest order each kernel
-    # reaches: 62, SUBSET_SCAN_CAP = 20, and 12 for the cover
+    # reaches: 62, SUBSET_SCAN_CAP = 20, and 12 for the cover and the listing
     rng = np.random.default_rng(8)
     sliced = _record_slices(monkeypatch)
     batches = {}
@@ -170,4 +175,4 @@ def test_kernel_batches_at_n8_and_at_large_orders(monkeypatch):
     assert batches == {
         ("bracket", 8): 4096, ("bracket", 62): 68, ("radii", 8): 4096, ("radii", 62): 68,
         ("tutte", 8): 1024, ("tutte", 62): 17, ("scan", 8): 256, ("scan", 20): 1,
-        ("cover", 8): 624, ("cover", 12): 4}
+        ("cover", 8): 624, ("cover", 12): 4, ("listing", 8): 624, ("listing", 12): 4}

@@ -17,7 +17,7 @@ from matchspec.graphs import (Graph, all_pairs, are_isomorphic, complete_graph,
 from matchspec.matching import has_perfect_matching
 from matchspec.spectral import spectral_radius
 from matchspec.theorems import TheoremId
-from matchspec import enumeration, graphs, spectral
+from matchspec import enumeration, graphs, matching, spectral
 
 from oracles import (CONNECTED_GRAPH_COUNTS, decode_lines_reference,
                      graphs_without_pm_reference, perfect_matchings_reference,
@@ -327,13 +327,13 @@ def test_perfect_matching_filter_agrees_with_blossom(n8_fixture_path):
                     for line in File(n8_fixture_path).graph6_lines()])
     for batch in batches:
         rows = np.array([g.adj for g in batch], dtype=np.uint8)
-        covered = enumeration._covered_by_perfect_matching(rows)
+        covered = matching._covered_by_perfect_matching(rows)
         assert covered.tolist() == [has_perfect_matching(g) for g in batch]
 
 
 def test_complete_perfect_matchings_are_every_pairing_once():
     for n in range(1, 13):
-        pairs = enumeration._complete_perfect_matchings(n)
+        pairs = matching._complete_perfect_matchings(n)
         assert not pairs.flags.writeable
         rows = pairs.tolist()
         found = {frozenset(map(tuple, row)) for row in rows}
@@ -369,7 +369,7 @@ def test_graphs_without_pm_gather_in_bounded_memory(tmp_path):
     gs.append(from_edge_list(12, [(0, v) for v in range(1, 12)]))
     path = tmp_path / "n12.g6"
     path.write_text("".join(to_graph6(g) + "\n" for g in gs))
-    enumeration._complete_perfect_matchings(12)  # cached, not counted
+    matching._complete_perfect_matchings(12)  # cached, not counted
     tracemalloc.start()
     try:
         rows = enumeration._graphs_without_pm(File(str(path)), 12)

@@ -302,6 +302,28 @@ def test_chen_cap():
         is_k_extendable_chen(empty_graph(SUBSET_SCAN_CAP + 2), 1)
 
 
+def test_criterion_routes_decide_order_and_connectivity_before_the_scan(monkeypatch):
+    # odd order and too few vertices are the direct route's O(1) verdicts:
+    # past the cap they are given, not refused, and below it no
+    # odd-component table is built for them
+    def no_scan(g):
+        raise AssertionError(f"subset scan of an order-{g.n} graph")
+
+    for cases in ([(complete_graph(SUBSET_SCAN_CAP + 1), 1, "odd-order"),
+                   (complete_graph(SUBSET_SCAN_CAP + 2), 11, "too-few-vertices")],
+                  [(complete_graph(19), 1, "odd-order"), (complete_graph(8), 4, "too-few-vertices")]):
+        for g, k, reason in cases:
+            v = is_k_extendable_chen(g, k)
+            assert (v.holds, v.method, v.witness, v.reason) == (
+                False, "criterion", frozenset(), reason), (g.n, k)
+            assert is_k_extendable(g, k).reason == reason
+        monkeypatch.setattr(matching, "_odd_component_table", no_scan)
+    # a disconnected graph is refused as such, past the cap too
+    for g in (empty_graph(SUBSET_SCAN_CAP + 1), disjoint_union(complete_graph(2), complete_graph(2))):
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            is_1_excludable_criterion(g)
+
+
 # --- 1-excludability --------------------------------------------------------
 
 def test_one_excludable_examples():

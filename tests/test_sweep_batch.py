@@ -4,7 +4,8 @@ A sweep decodes a whole chunk of graph6 lines into one array of neighbour
 bit rows, drops graphs whose Hong-Shu-Fang spectral-radius bound is already below a
 spectral threshold, decides most of the rest from Collatz-Wielandt bounds,
 eigensolves the graphs tied with the threshold in one call, and certifies the
-conclusion of the graphs that meet the hypothesis from one batched Tutte
+conclusion of the graphs that meet the hypothesis at once: up to n = 8 from
+the perfect matchings of K_n each contains, above it from one batched Tutte
 matrix elimination.  These tests check each of those steps against an
 independent graph6 decoder, `spectral_radius`, `hypothesis_status`, an
 unpruned eigensolver and `conclusion_holds`, graph by graph, and whole
@@ -41,7 +42,7 @@ SPECTRAL_TIES = {TheoremId("t14", 1): {"C}", "E~~?", "GTm~~{", "GUz~~{"},
 BRACKET_TIES = {**SPECTRAL_TIES, TheoremId("t14", 3): {"G^~~~{"}}
 SPECTRAL_CASES = [(TheoremId("t14", k), None) for k in (1, 2, 3)] + [
     (TheoremId("t16"), None), (TheoremId("t16"), 2)]
-# the statements whose conclusion the Tutte inverse certifies
+# the statements whose conclusion a batch certifies
 CERTIFIED = [TheoremId("t11", 1), TheoremId("t14", 1), TheoremId("t13"), TheoremId("t16")]
 
 
@@ -419,9 +420,11 @@ def test_reports_match_golden_on_either_read_path(tmp_path, monkeypatch,
 
 def test_conclusion_certificate_is_sound(by_order):
     # every graph the batch certifies meets the conclusion by the direct
-    # route; the counts of graphs that meet it are observed data, and the
-    # certificate leaves none of them open at n = 6 and 8 (t13 and t16 do
-    # not cover n = 4, so nothing is certified there)
+    # route, and wherever t covers n <= 8 the listing certifies exactly the
+    # graphs that do; the counts of graphs that meet it are observed data
+    # (t13 and t16 do not cover n = 4, so nothing is certified there).  The
+    # Tutte certificate, which a batch reads only above n = 8, is held to
+    # the same rows: it never passes a failing graph
     k2 = source_graph6_lines(BuiltIn(2))
     orders = {2: (k2, graphs._decode_cells(_cells(k2), 2)[0]),
               **{n: (lines, rows) for n, (lines, _, rows) in by_order.items()}}
@@ -432,6 +435,10 @@ def test_conclusion_certificate_is_sound(by_order):
             certified = theorems._conclusion_mask(rows, t)
             holds = np.array([theorems.conclusion_holds(g, t) for g in gs])
             assert not (certified & ~holds).any(), (n, t)
+            if t.covers(n):
+                assert np.array_equal(certified, holds), (n, t)
+                tutte = matching._tutte_certified(rows, excludable=not t.about_extension)
+                assert not (tutte & ~holds).any(), (n, t)
             counts[n, str(t)] = (int(holds.sum()), int((holds & ~certified).sum()))
     assert counts == {
         (2, "t11(k=1)"): (0, 0), (2, "t14(k=1)"): (0, 0), (2, "t13"): (0, 0), (2, "t16"): (0, 0),
@@ -442,14 +449,43 @@ def test_conclusion_certificate_is_sound(by_order):
 
 
 def test_conclusion_certificate_stays_off_orders_and_k_it_does_not_cover(by_order):
-    # K2 minus its edge's ends is empty, so the inverse alone would pass it,
-    # but 1-extendability needs 4 vertices; k >= 2 is never certified
+    # K2 minus its edge's ends is empty, so the inverse or the listing alone
+    # would pass it, but 1-extendability needs 4 vertices; k >= 2 is never
+    # certified
     k2 = np.array([complete_graph(2).adj], dtype=np.uint8)
     assert matching._tutte_certified(k2, excludable=False).all()
+    assert matching._listing_certified(k2, excludable=False).all()
     assert not theorems._conclusion_mask(k2, TheoremId("t11", 1)).any()
     _, _, rows = by_order[8]
     for t in (TheoremId("t11", 2), TheoremId("t14", 3)):
         assert not theorems._conclusion_mask(rows, t).any()
+
+
+def test_conclusion_mask_lists_up_to_n8_and_eliminates_above(monkeypatch):
+    # each order's batch goes whole to one kernel: the listing of K_n's
+    # perfect matchings up to n = 8, the Tutte elimination from n = 10 on,
+    # which the sweeps at n = 40 and 62 below run
+    calls = []
+
+    def recording(name):
+        kernel = getattr(matching, name)
+
+        def record(rows, excludable):
+            calls.append((name, rows.shape[1], excludable))
+            return kernel(rows, excludable)
+        return record
+
+    for name in ("_listing_certified", "_tutte_certified"):
+        monkeypatch.setattr(matching, name, recording(name))
+    expected = []
+    for n in (4, 6, 8, 10, 12, 62):
+        rows = graphs._rows(n, [complete_graph(n).adj])
+        for t in (TheoremId("t11", 1), TheoremId("t16")):
+            assert theorems._conclusion_mask(rows, t).tolist() == [t.covers(n)], (n, t)
+            if t.covers(n):
+                kernel = "_listing_certified" if n <= 8 else "_tutte_certified"
+                expected.append((kernel, n, not t.about_extension))
+    assert calls == expected
 
 
 def _near_complete(rng: random.Random, n: int, most: int | None = None):
